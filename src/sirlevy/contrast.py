@@ -11,14 +11,17 @@ eps == 0); it never moves the argmin, it only keeps reported values comparable
 across noise levels.
 
 For a fixed period the residuals are affine in the transmission coefficients
-(base, cos_k, sin_k), so the inner minimization is an exact linear
-least-squares problem; :func:`alpha_quadratic` exposes that quadratic and
-:func:`linear_solve_alpha` solves it directly.
+(base, cos_k, sin_k), so the inner minimization is a linear least-squares
+problem; :func:`alpha_quadratic` exposes that quadratic,
+:func:`linear_solve_alpha` solves it without bounds and
+:meth:`AlphaProfile.solve` solves it exactly under box bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,17 +165,36 @@ def contrast_gradient(
     return -2.0 * dt * cfg.scale(n) * (B.T @ (w * pv))
 
 
-def _design_columns(t: np.ndarray, period: float, order: int) -> np.ndarray:
-    """Columns (1, cos(2 pi k t / period), sin(...)) for k = 1..order; shape (n, 2K+1)."""
-    if period < PERIOD_FLOOR:
+def _design_columns(t: np.ndarray, period, order: int) -> np.ndarray:
+    """Columns (1, cos(2 pi k t / period), sin(...)) for k = 1..order; shape (n, 2K+1).
+
+    An array of periods prepends its shape: (F,) periods give (F, n, 2K+1).
+    """
+    period = np.asarray(period, dtype=float)
+    if np.any(period < PERIOD_FLOOR):
         raise ValueError(f"period {period} is below the floor {PERIOD_FLOOR}")
     k = np.arange(1, order + 1, dtype=float)
-    wphase = (2.0 * np.pi / period) * np.multiply.outer(t, k)
-    return np.concatenate([np.ones((t.size, 1)), np.cos(wphase), np.sin(wphase)], axis=1)
+    wphase = (2.0 * np.pi / period)[..., None, None] * np.multiply.outer(t, k)
+    ones = np.ones(wphase.shape[:-1] + (1,))
+    return np.concatenate([ones, np.cos(wphase), np.sin(wphase)], axis=-1)
 
 
 def alpha_column_names(order: int) -> list[str]:
     return ["base"] + [f"cos{k}" for k in range(1, order + 1)] + [f"sin{k}" for k in range(1, order + 1)]
+
+
+# a free block whose unit-diagonal scaling has an eigenvalue below this is singular
+_FACE_SINGULAR_TOL = 1e-12
+# frequencies times grid nodes per block of the batched scan (bounds its memory)
+_SCAN_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _box_faces(q: int) -> np.ndarray:
+    """The 3**q faces of a q-dimensional box, one row each: 0 free, 1 at lower, 2 at upper."""
+    faces = np.array(list(itertools.product((0, 1, 2), repeat=q)), dtype=np.int8)
+    faces.flags.writeable = False
+    return faces
 
 
 @dataclass
@@ -201,13 +223,48 @@ class AlphaQuadratic:
         """Largest curvature of the quadratic (for step-size and stop scaling)."""
         return float(2.0 * self.scale * np.linalg.eigvalsh(self.gram).max())
 
+    def minimize_box(self, lower, upper) -> np.ndarray:
+        """Exact minimizer over the finite box [lower, upper], by enumerating its faces.
+
+        On each of the 3**q faces every coefficient is free, at its lower
+        bound or at its upper bound; the free ones solve the reduced normal
+        equations.  Faces with a singular free block or a solution outside
+        the box are skipped, and the feasible face solution of least value
+        wins.  This is exact for any positive semidefinite gram, rank
+        deficient ones included: sliding a minimizer along a null direction
+        of its free block until it meets a bound reaches a face whose block
+        is nonsingular, and the vertices, which are always feasible, are
+        faces too.
+        """
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        q = self.lin.size
+        faces = _box_faces(q)
+        free = faces == 0
+        at = np.where(free, 0.0, np.where(faces == 1, lower, upper))  # fixed values, 0 if free
+        pair = free[:, :, None] & free[:, None, :]
+        # the free rows solve G_FF a_F = lin_F - G_FX a_X; the fixed rows read a_X = bound
+        system = np.where(pair, self.gram, np.eye(q))
+        rhs = np.where(free, self.lin - at @ self.gram, at)
+        diag = np.diag(self.gram)
+        unit = np.where(free, np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
+        curv = np.linalg.eigvalsh(system / (unit[:, :, None] * unit[:, None, :]))[:, 0]
+        singular = curv <= _FACE_SINGULAR_TOL
+        system[singular] = np.eye(q)
+        alpha = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+        slack = 1e-12 * (1.0 + np.maximum(np.abs(lower), np.abs(upper)))
+        feasible = ~singular & np.all((alpha >= lower - slack) & (alpha <= upper + slack), axis=1)
+        alpha = np.clip(alpha[feasible], lower, upper)
+        values = np.einsum("fi,ij,fj->f", alpha, self.gram, alpha) - 2.0 * alpha @ self.lin
+        return alpha[np.argmin(values)]
+
 
 @dataclass
 class AlphaProfile:
     """Shared pieces of the coefficient subproblem, reusable across periods.
 
-    Building these arrays dominates the per-period cost, so a period scan
-    should construct one profile and call :meth:`quadratic` per test period.
+    Building these arrays dominates the per-period cost, so an estimate
+    builds one profile per trajectory and solves every period from it.
     """
 
     t: np.ndarray  # left grid nodes (n,)
@@ -217,22 +274,52 @@ class AlphaProfile:
     dt: float
     scale: float
     order: int
+    # period-independent reductions of the above, filled in by __post_init__
+    vv: np.ndarray = field(init=False, repr=False)  # w * |v|^2 per node
+    rv: np.ndarray = field(init=False, repr=False)  # w * (r . v) per node
+    rr: float = field(init=False, repr=False)  # sum of w * |r|^2
+
+    def __post_init__(self):
+        self.vv = self.w * np.einsum("ki,ki->k", self.v, self.v)
+        self.rv = self.w * np.einsum("ki,ki->k", self.r, self.v)
+        self.rr = float(np.einsum("k,ki,ki->", self.w, self.r, self.r))
+
+    def _quadratic(self, C: np.ndarray, period: float) -> AlphaQuadratic:
+        gram = self.dt**2 * np.einsum("k,ki,kj->ij", self.vv, C, C)
+        lin = self.dt * (C.T @ self.rv)
+        return AlphaQuadratic(gram=gram, lin=lin, const=self.rr, scale=self.scale, period=period, order=self.order)
 
     def quadratic(self, period: float) -> AlphaQuadratic:
+        return self._quadratic(_design_columns(self.t, period, self.order), period)
+
+    def _least_squares(self, C: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """Unconstrained minimizer from the stacked weighted design: (solution, rank, design)."""
+        sw = np.sqrt(self.w)
+        design = (self.dt * np.einsum("k,ki,kj->kij", sw, self.v, C)).reshape(-1, C.shape[1])
+        target = (sw[:, None] * self.r).reshape(-1)
+        sol, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        return sol, rank, design
+
+    def solve(self, period: float, box) -> tuple[np.ndarray, float]:
+        """Exact minimizer and value under ``box`` (anything with ``alpha_bounds(order)``).
+
+        A full-rank unconstrained least-squares solution inside the box is
+        returned as it is; otherwise :meth:`AlphaQuadratic.minimize_box`
+        enumerates the faces of the box.
+        """
+        lower, upper = box.alpha_bounds(self.order)
         C = _design_columns(self.t, period, self.order)
-        s = self.w * np.einsum("ki,ki->k", self.v, self.v)
-        gram = self.dt**2 * np.einsum("k,ki,kj->ij", s, C, C)
-        lin = self.dt * (C.T @ (self.w * np.einsum("ki,ki->k", self.r, self.v)))
-        const = float(np.einsum("k,ki,ki->", self.w, self.r, self.r))
-        return AlphaQuadratic(
-            gram=gram, lin=lin, const=const, scale=self.scale, period=period, order=self.order
-        )
+        quad = self._quadratic(C, period)
+        alpha, rank, _ = self._least_squares(C)
+        if rank < alpha.size or np.any(alpha < lower) or np.any(alpha > upper):
+            alpha = quad.minimize_box(lower, upper)
+        return alpha, quad.value(alpha)
 
     def solve_clipped(self, period: float, lower, upper) -> tuple[np.ndarray, float]:
         """Cheap scan step: normal-equations solve clipped into the box.
 
         The clipped value upper-bounds the box-constrained minimum; exact
-        enough to rank scan candidates, with the winner re-solved properly.
+        enough to rank scan candidates, with the winner re-solved exactly.
         """
         quad = self.quadratic(period)
         try:
@@ -241,6 +328,36 @@ class AlphaProfile:
             alpha = np.linalg.lstsq(quad.gram, quad.lin, rcond=None)[0]
         alpha = np.clip(alpha, lower, upper)
         return alpha, quad.value(alpha)
+
+    def scan(self, periods, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`solve_clipped` at every period of an array: (alphas (F, q), values (F,)).
+
+        The periods go through in blocks, each one batched design
+        contraction, one batched solve, a clip and a vectorized value.
+        """
+        periods = np.asarray(periods, dtype=float)
+        q = 2 * self.order + 1
+        alphas = np.empty((periods.size, q))
+        values = np.empty(periods.size)
+        step = max(1, _SCAN_BLOCK // self.t.size)
+        for start in range(0, periods.size, step):
+            block = slice(start, start + step)
+            C = _design_columns(self.t, periods[block], self.order)
+            gram = self.dt**2 * np.einsum("k,fki,fkj->fij", self.vv, C, C)
+            lin = self.dt * (C.transpose(0, 2, 1) @ self.rv)
+            try:
+                alpha = np.linalg.solve(gram, lin[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                # a singular gram in the block; solve one by one as solve_clipped does
+                alpha = np.array([self.solve_clipped(p, -np.inf, np.inf)[0] for p in periods[block]])
+            alpha = np.clip(alpha, lower, upper)
+            # AlphaQuadratic.value per row, with the same products in the same order
+            row, col = alpha[:, None, :], alpha[:, :, None]
+            lin_a = (lin[:, None, :] @ col)[:, 0, 0]
+            curv = (row @ gram @ col)[:, 0, 0]
+            values[block] = self.scale * (self.rr - 2.0 * lin_a + curv)
+            alphas[block] = alpha
+        return alphas, values
 
 
 def alpha_profile(
@@ -288,23 +405,9 @@ def linear_solve_alpha(
     (naming the offending columns) when the design is rank deficient, e.g. when
     X*Y vanishes along the whole trajectory.
     """
-    params, cfg = _resolve(traj, params, cfg)
-    dt = traj.spacing()
-    t0 = traj.times[:-1]
-    if cfg.form == "weighted":
-        w, degenerate = inverse_weights(traj, params)
-        if degenerate:
-            raise DegenerateWeightsError("weighted objective is identically zero on this trajectory")
-    else:
-        w = np.ones(t0.size)
-    g, v = drift_beta_split(traj.model, traj.states[:-1], params)
-    r = traj.states[1:] - traj.states[:-1] - dt * g
-    C = _design_columns(t0, period, order)
-    sw = np.sqrt(w)
-    design = (dt * np.einsum("k,ki,kj->kij", sw, v, C)).reshape(-1, C.shape[1])
-    target = (sw[:, None] * r).reshape(-1)
-    sol, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    q = C.shape[1]
+    profile = alpha_profile(traj, params, cfg, order)
+    sol, rank, design = profile._least_squares(_design_columns(profile.t, period, order))
+    q = sol.size
     if rank < q:
         names = alpha_column_names(order)
         norms = np.linalg.norm(design, axis=0)

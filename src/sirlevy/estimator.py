@@ -1,12 +1,16 @@
 """Least-squares estimation of the transmission parameters.
 
-The objective is convex in (base, cos_k, sin_k) once the period is fixed, so
-the estimator searches the period axis over M uniform cells, drawing one test
-period per cell and minimizing over the remaining coefficients there (exact
-linear solve by default, projected gradient descent when constraints bind or
-on request).  The best cell then seeds one projected-gradient pass over the
-full parameter vector, which sharpens the period beyond the cell resolution;
-the winning table entry is updated in place so the reported objective is the
+The objective is a convex quadratic in (base, cos_k, sin_k) once the period
+is fixed, so the estimator searches the period axis over M uniform cells,
+drawing one test period per cell and minimizing over the remaining
+coefficients there.  By default that minimization is exact under the box
+(:meth:`AlphaProfile.solve`: the least-squares solution when it is inside,
+face enumeration otherwise); projected gradient descent (:func:`pgd_alpha`),
+the paper's solver, stays available as the reference behind
+``inner_solver="pgd"``.  A dense frequency scan over the ranked cells and a
+golden-section search then place the period beyond the cell resolution, and
+one projected-gradient pass over the full parameter vector polishes it; the
+winning table entry is updated in place so the reported objective is the
 table minimum.
 """
 
@@ -17,14 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contrast import (
+    AlphaProfile,
+    AlphaQuadratic,
     ContrastConfig,
-    SingularDesignError,
+    DegenerateWeightsError,
     alpha_profile,
     alpha_quadratic,
     contrast_gradient,
     contrast_value,
-    inverse_weights,
-    linear_solve_alpha,
+    linear_solve_alpha,  # noqa: F401  (bench/spans.py instruments it at this module)
 )
 from .models import SirParams
 from .simulate import Trajectory
@@ -90,7 +95,9 @@ class EstimatorConfig:
     armijo: float = 1e-4
     max_inner_iter: int = 50_000
     inner_tol: float = 1e-11  # curvature-scaled projected-gradient tolerance
-    inner_solver: str = "linear"  # "linear" (exact, falls back to pgd at bounds) | "pgd"
+    # "linear": exact coefficient solve under the box | "pgd": the paper's
+    # projected gradient descent, kept as the reference solver
+    inner_solver: str = "linear"
     alpha_init: tuple[float, ...] | None = None
     refine: bool = True
     refine_max_iter: int = 5_000
@@ -167,6 +174,18 @@ def pgd_alpha(
     box = box or BoxConstraints()
     quad = alpha_quadratic(traj, period, params, cfg, order=est.order)
     lo, hi = box.alpha_bounds(est.order)
+    return pgd_quadratic(quad, lo, hi, est, start)
+
+
+def pgd_quadratic(
+    quad: AlphaQuadratic,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    est: EstimatorConfig | None = None,
+    start: np.ndarray | None = None,
+) -> AlphaSolve:
+    """The descent of :func:`pgd_alpha` on a given quadratic and bounds."""
+    est = est or EstimatorConfig()
     alpha = np.clip(start if start is not None else est.alpha_start(), lo, hi)
     curv = quad.lipschitz()
     if curv <= 0.0:
@@ -240,8 +259,8 @@ def _pgd_theta(traj, theta_vec, params, cfg, est, box, period_window=None):
     return th, f, est.refine_max_iter, False
 
 
-def _scan_top_cells(traj, cells, params, cfg, est, box, best):
-    """Dense period scan over the best-ranked cells; returns the best candidate.
+def _scan_frequencies(traj, cells, est, box) -> tuple[np.ndarray, float]:
+    """Dense scan grid over the best-ranked cells, best cell first; returns (frequencies, spacing).
 
     A single test period per cell cannot land inside the objective's basin
     when the true period is small: phase coherence over the horizon T bounds
@@ -249,19 +268,16 @@ def _scan_top_cells(traj, cells, params, cfg, est, box, best):
     on a uniform frequency grid (spacing 1/(4T), a quarter cycle across the
     horizon) makes the capture probability independent of the period, and the
     grid is capped at the observation Nyquist frequency, below which no period
-    is distinguishable from its aliases anyway.  Scan points use a cheap
-    clipped normal-equations solve; the winner is re-solved exactly.
+    is distinguishable from its aliases anyway.
     """
     horizon = float(traj.times[-1] - traj.times[0])
     m = len(cells)
     f_cap = traj.n_intervals / (2.0 * horizon)
     df = 1.0 / (4.0 * horizon)
-    profile = alpha_profile(traj, params, cfg, order=est.order)
-    lo, hi = box.alpha_bounds(est.order)
     ranked = sorted(cells, key=lambda c: (c.value, c.index))
     if est.scan_cells is not None:
         ranked = ranked[: est.scan_cells]
-    scan_best = None
+    grids = []
     for cell in ranked:
         lo_p = max((cell.index - 1) / m, box.period[0])
         hi_p = min(cell.index / m, box.period[1])
@@ -270,23 +286,32 @@ def _scan_top_cells(traj, cells, params, cfg, est, box, best):
         if f_hi <= f_lo:
             continue  # the whole cell is below the resolvable period range
         n_scan = max(2, int(np.ceil((f_hi - f_lo) / df)) + 1)
-        for f in np.linspace(f_lo, f_hi, n_scan):
-            period = 1.0 / f
-            alpha, value = profile.solve_clipped(period, lo, hi)
-            if scan_best is None or value < scan_best[1]:
-                scan_best = (f, value)
+        grids.append(np.linspace(f_lo, f_hi, n_scan))
+    return (np.concatenate(grids) if grids else np.empty(0)), df
+
+
+def _scan_top_cells(traj, profile: AlphaProfile, cells, params, cfg, est, box, best):
+    """Dense period scan over the best-ranked cells; returns the best candidate.
+
+    Scan points are ranked by the clipped normal-equations value, the first
+    of equal values winning; a golden-section search sharpens the winner and
+    the cell solver re-solves it.
+    """
+    freqs, df = _scan_frequencies(traj, cells, est, box)
     candidates = [(best.period, best.alpha, best.value)]
-    if scan_best is not None:
+    if freqs.size:
+        lo, hi = box.alpha_bounds(est.order)
+        f_best = freqs[np.argmin(profile.scan(1.0 / freqs, lo, hi)[1])]
         # golden-section sharpening of the profile minimum in frequency; the
         # gradient polish alone cannot traverse the narrow valley that small
         # periods produce
         f_star = _golden_section(
             lambda f: profile.solve_clipped(1.0 / f, lo, hi)[1],
-            scan_best[0] - df,
-            scan_best[0] + df,
+            f_best - df,
+            f_best + df,
         )
         period = min(max(1.0 / f_star, box.period[0]), box.period[1])
-        sol = _solve_cell(traj, period, params, cfg, est, box)
+        sol = _solve_cell(traj, profile, period, params, cfg, est, box)
         candidates.append((period, sol.alpha, sol.value))
     return min(candidates, key=lambda c: c[2])
 
@@ -312,21 +337,12 @@ def _golden_section(fun, lo: float, hi: float, iters: int = 80) -> float:
     return (a + b) / 2.0
 
 
-def _solve_cell(traj, period, params, cfg, est, box) -> AlphaSolve:
+def _solve_cell(traj, profile: AlphaProfile, period, params, cfg, est, box) -> AlphaSolve:
     if est.inner_solver == "pgd":
         return pgd_alpha(traj, period, params, cfg, est, box)
-    try:
-        alpha = linear_solve_alpha(traj, period, params, cfg, order=est.order)
-    except SingularDesignError:
-        # resonant test period (oscillation columns degenerate on the grid);
-        # the projected solver still minimizes the flat quadratic
-        return pgd_alpha(traj, period, params, cfg, est, box)
-    lo, hi = box.alpha_bounds(est.order)
-    if np.all(alpha >= lo) and np.all(alpha <= hi):
-        quad = alpha_quadratic(traj, period, params, cfg, order=est.order)
-        return AlphaSolve(alpha, quad.value(alpha), 0, True)
-    # unconstrained optimum violates the box; fall back to the projected solver
-    return pgd_alpha(traj, period, params, cfg, est, box, start=np.clip(alpha, lo, hi))
+    # exact under the box, resonant (rank-deficient) test periods included
+    alpha, value = profile.solve(period, box)
+    return AlphaSolve(alpha, value, 0, True)
 
 
 def lsgd_estimate(
@@ -340,9 +356,10 @@ def lsgd_estimate(
     """Line-search over period cells with convex inner solves, then refinement.
 
     Cell i tests one period drawn uniformly from ((i-1)/M, i/M).  The best
-    cell seeds a projected-gradient pass over the full parameter vector and a
-    final exact coefficient solve; its table entry is replaced by the refined
-    point, so the reported objective equals the table minimum.
+    cell and the frequency scan seed a projected-gradient pass over the full
+    parameter vector and a final exact coefficient solve; the table entry of
+    the cell holding the refined point is replaced by it, so the reported
+    objective equals the table minimum.
     """
     est = est or EstimatorConfig()
     box = box or BoxConstraints()
@@ -352,11 +369,12 @@ def lsgd_estimate(
         raise ValueError("params not given and trajectory carries none")
     if cfg is None:
         cfg = ContrastConfig(form="plain", eps=params.eps)
-    cfg.check_model(traj.model)
-    if cfg.form == "weighted" and inverse_weights(traj, params)[1]:
+    try:
+        profile = alpha_profile(traj, params, cfg, order=est.order)
+    except DegenerateWeightsError as err:
         raise EstimationError(
             "weighted objective is identically zero (degenerate noise weights); cannot estimate"
-        )
+        ) from err
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed))
     )
@@ -366,7 +384,7 @@ def lsgd_estimate(
     for i in range(1, m + 1):
         period = float(rng.uniform((i - 1) / m, i / m))
         period = min(max(period, box.period[0]), box.period[1])
-        sol = _solve_cell(traj, period, params, cfg, est, box)
+        sol = _solve_cell(traj, profile, period, params, cfg, est, box)
         cells.append(CellResult(i, period, sol.alpha, sol.value, sol.iterations, sol.converged))
 
     best = min(cells, key=lambda c: (c.value, c.index))
@@ -376,7 +394,7 @@ def lsgd_estimate(
     value = best.value
 
     if est.refine:
-        start_period, start_alpha, value = _scan_top_cells(traj, cells, params, cfg, est, box, best)
+        start_period, start_alpha, value = _scan_top_cells(traj, profile, cells, params, cfg, est, box, best)
         theta_vec = np.concatenate([[start_period], start_alpha])
         # sharpen around the chosen cell only; the line search plus scan own
         # the global structure, so the period stays within one cell width
@@ -385,18 +403,12 @@ def lsgd_estimate(
             traj, theta_vec, params, cfg, est, box, period_window=window
         )
         converged = converged and ref_ok
-        # exact coefficient solve at the refined period, kept only if admissible and better
-        try:
-            alpha = linear_solve_alpha(traj, theta_vec[0], params, cfg, order=est.order)
-        except SingularDesignError:
-            alpha = None
-        if alpha is not None:
-            lo, hi = box.alpha_bounds(est.order)
-            if np.all(alpha >= lo) and np.all(alpha <= hi):
-                cand = np.concatenate([[theta_vec[0]], alpha])
-                cand_val = contrast_value(traj, ThetaParams.from_vector(cand), params, cfg)
-                if cand_val < value:
-                    theta_vec, value = cand, cand_val
+        # exact coefficient solve at the refined period, kept only if better
+        alpha, _ = profile.solve(theta_vec[0], box)
+        cand = np.concatenate([[theta_vec[0]], alpha])
+        cand_val = contrast_value(traj, ThetaParams.from_vector(cand), params, cfg)
+        if cand_val < value:
+            theta_vec, value = cand, cand_val
         # the refined point replaces the entry of the cell that contains it
         home = cells[min(max(int(np.ceil(theta_vec[0] * m)), 1), m) - 1]
         home.period = float(theta_vec[0])

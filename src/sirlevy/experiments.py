@@ -11,20 +11,23 @@ every output file byte for byte, independent of worker scheduling.
 from __future__ import annotations
 
 import csv
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .contrast import ContrastConfig, SingularDesignError
-from .estimator import BoxConstraints, EstimationError, EstimatorConfig, lsgd_estimate
+from .contrast import ContrastConfig
+from .estimator import BoxConstraints, EstimatorConfig, lsgd_estimate
 from .levy import LevyPathNoise, sample_lambda
 from .models import NUMBERS_X0, PROPORTIONS_X0, SirParams, get_model
 from .simulate import SimulationError, Trajectory, predict_ensemble, simulate_sde, solve_ode
 from .transmission import PERIOD_FLOOR, ThetaParams
 
 FLOAT_FMT = "{:.17g}"
+
+_log = logging.getLogger(__name__)
 
 # parameter point exercised by the bundled prediction studies and tests
 REFERENCE_THETA = ThetaParams(0.26836304, 0.15114833, 0.0621514, 0.096762)
@@ -212,6 +215,9 @@ class RunConfig:
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         raw = load_keyvalues(path)
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:
@@ -329,28 +335,29 @@ def load_records(out_dir: str) -> list[DatasetRecord]:
 
 
 def _estimate_one(args) -> tuple[float, int, list]:
-    record_path, record_meta, dataset_id, eps, cfg = args
-    traj = load_trajectory(record_path, record_meta)
+    """One results row; any failure, loading included, becomes a row whose error names its class."""
+    record_path, record_meta, dataset_id, eps, theta0, cfg = args
     params = cfg.params(eps)
     # common random numbers across the sweep here too: the line-search cell
     # draws for dataset i are shared between eps levels
     est_rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(dataset_id, 7)))
     )
-    theta0 = traj.theta
-    true_vec = theta0.to_vector()
+    true_vec = theta0.to_vector() if theta0 is not None else np.full(2 + 2 * cfg.order, np.nan)
     try:
+        traj = load_trajectory(record_path, record_meta)
         result = lsgd_estimate(traj, cfg.estimator(), cfg.box(), cfg.contrast(eps), seed=est_rng, params=params)
         est_vec = result.theta.to_vector()
         row = [dataset_id]
         for tv, ev in zip(true_vec, est_vec):
             row.extend([tv, ev])
         row.extend([result.objective, result.converged, ""])
-    except (EstimationError, SingularDesignError, np.linalg.LinAlgError) as err:
+    except Exception as err:  # the batch goes on; the row records the failure
+        _log.debug("dataset %d at eps %r failed", dataset_id, eps, exc_info=True)
         row = [dataset_id]
         for tv in true_vec:
             row.extend([tv, float("nan")])
-        row.extend([float("nan"), False, str(err)])
+        row.extend([float("nan"), False, f"{type(err).__name__}: {err}"])
     return eps, dataset_id, row
 
 
@@ -368,7 +375,7 @@ def _result_header(order: int) -> list[str]:
 def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -> dict[float, str]:
     """Estimate every dataset; one results CSV per eps, rows ordered by dataset id."""
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(r.path, r.meta_path, r.dataset_id, r.eps, cfg) for r in records]
+    tasks = [(r.path, r.meta_path, r.dataset_id, r.eps, r.theta0, cfg) for r in records]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(pool.map(_estimate_one, tasks, chunksize=8))

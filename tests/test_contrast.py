@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sirlevy as sl
-from sirlevy import ContrastConfig, SingularDesignError
-from sirlevy.contrast import DegenerateWeightsError, alpha_profile
+from sirlevy import BoxConstraints, ContrastConfig, EstimatorConfig, SingularDesignError
+from sirlevy.contrast import AlphaQuadratic, DegenerateWeightsError, alpha_profile
+from sirlevy.estimator import _scan_frequencies, pgd_quadratic
 
 from conftest import THETA_REF, X0_NUMBERS, make_dataset
 
@@ -215,3 +218,184 @@ def test_weighted_nonnegative_and_zero_iff_residuals_zero(numbers_traj, numbers_
         th = sl.ThetaParams(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0), rng.uniform(0, 0.5), rng.uniform(0, 0.5))
         val, degenerate = sl.contrast_weighted(numbers_traj, th, numbers_params, cfg)
         assert not degenerate and val > 0.0
+
+
+# ---------------------------------------------------------------------------
+# exact box-constrained coefficient solve and the batched period scan
+
+
+def _halves(draw, size, lo, hi):
+    return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)), dtype=float) / 2.0
+
+
+@st.composite
+def box_problems(draw):
+    """A least-squares quadratic gram = B'B, lin = B'y and a box.
+
+    Entries are small multiples of 1/2, so the grams are exact in floating
+    point; fewer rows than coefficients, repeated or zero columns make them
+    rank deficient.
+    """
+    q = draw(st.sampled_from([1, 3, 5]))
+    rows = draw(st.integers(1, 2 * q))
+    B = np.stack([_halves(draw, q, -4, 4) for _ in range(rows)])
+    y = _halves(draw, rows, -6, 6)
+    lower = _halves(draw, q, -4, 2)
+    upper = lower + _halves(draw, q, 0, 4)
+    scale = draw(st.sampled_from([1.0, 100.0, 1e8]))
+    quad = AlphaQuadratic(gram=B.T @ B, lin=B.T @ y, const=float(y @ y), scale=scale, period=0.5, order=(q - 1) // 2)
+    return quad, lower, upper
+
+
+def _pg_map(quad, alpha, lower, upper) -> float:
+    """Largest entry of the curvature-scaled projected-gradient map; 0 exactly at a box KKT point."""
+    curv = quad.lipschitz()
+    if curv <= 0.0:
+        return 0.0  # zero gram: the least-squares lin is zero too, every point is optimal
+    return float(np.abs(alpha - np.clip(alpha - quad.grad(alpha) / curv, lower, upper)).max())
+
+
+def _value_slack(quad, *points) -> float:
+    """Rounding allowance of AlphaQuadratic.value, which cancels large terms near the optimum."""
+    terms = [quad.const] + [abs(2.0 * quad.lin @ a) + abs(a @ quad.gram @ a) for a in points]
+    return 1e-12 * quad.scale * (1.0 + max(terms))
+
+
+def _clipped_solve(quad, lower, upper) -> np.ndarray:
+    try:
+        raw = np.linalg.solve(quad.gram, quad.lin)
+    except np.linalg.LinAlgError:
+        raw = np.linalg.lstsq(quad.gram, quad.lin, rcond=None)[0]
+    return np.clip(raw, lower, upper)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_problems())
+def test_box_solve_satisfies_kkt(problem):
+    quad, lower, upper = problem
+    alpha = quad.minimize_box(lower, upper)
+    assert np.all(alpha >= lower) and np.all(alpha <= upper)
+    assert _pg_map(quad, alpha, lower, upper) <= 1e-9 * (1.0 + np.abs(alpha).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_problems())
+def test_box_solve_beats_clipped_solve_and_pgd(problem):
+    quad, lower, upper = problem
+    alpha = quad.minimize_box(lower, upper)
+    clipped = _clipped_solve(quad, lower, upper)
+    pgd = pgd_quadratic(quad, lower, upper, EstimatorConfig(max_inner_iter=2000), start=clipped)
+    slack = _value_slack(quad, alpha, clipped, pgd.alpha)
+    assert quad.value(alpha) <= quad.value(clipped) + slack
+    assert quad.value(alpha) <= pgd.value + slack
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(box_problems())
+def test_box_solve_is_unconstrained_solve_when_interior(problem):
+    quad, lower, upper = problem
+    if np.linalg.matrix_rank(quad.gram) < quad.lin.size:
+        return  # no unique unconstrained solve
+    raw = np.linalg.solve(quad.gram, quad.lin)
+    margin = min((raw - lower).min(), (upper - raw).min())
+    if margin <= 1e-6:
+        return  # not interior
+    alpha = quad.minimize_box(lower, upper)
+    assert np.allclose(alpha, raw, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 5),
+    eps=st.sampled_from([0.3, 0.01]),
+    period=st.floats(0.02, 1.0),
+    base=st.sampled_from([(1e-6, 2.0), (0.2, 0.25), (0.5, 1.0)]),
+    osc=st.sampled_from([(0.0, 2.0), (0.0, 0.05), (0.1, 0.3)]),
+)
+def test_profile_solve_kkt_on_trajectories(seed, eps, period, base, osc):
+    traj = make_dataset(seed=seed, eps=eps)
+    cfg = ContrastConfig(form="weighted", eps=eps)
+    box = BoxConstraints(base=base, osc=osc)
+    lower, upper = box.alpha_bounds(1)
+    alpha, value = alpha_profile(traj, traj.params, cfg).solve(period, box)
+    quad = sl.alpha_quadratic(traj, period, traj.params, cfg)
+    assert np.all(alpha >= lower) and np.all(alpha <= upper)
+    assert value == quad.value(alpha)
+    assert _pg_map(quad, alpha, lower, upper) <= 1e-9 * (1.0 + np.abs(alpha).max())
+    clipped = _clipped_solve(quad, lower, upper)
+    assert value <= quad.value(clipped) + _value_slack(quad, alpha, clipped)
+
+
+def test_profile_solve_returns_least_squares_solution_when_interior(numbers_traj, numbers_params):
+    cfg = ContrastConfig(form="weighted", eps=0.001)
+    exact = sl.linear_solve_alpha(numbers_traj, THETA_REF.period, numbers_params, cfg)
+    alpha, value = alpha_profile(numbers_traj, numbers_params, cfg).solve(THETA_REF.period, BoxConstraints())
+    assert np.array_equal(alpha, exact)
+    assert value == sl.alpha_quadratic(numbers_traj, THETA_REF.period, numbers_params, cfg).value(exact)
+
+
+def test_profile_solve_handles_singular_design():
+    # no infections: the transmission term vanishes, every coefficient is optimal
+    times = np.linspace(0, 1, 11)
+    states = np.tile([2.0, 0.0, 0.5], (11, 1))
+    p = sl.numbers_defaults()
+    traj = sl.Trajectory(times=times, states=states, model="numbers", params=p)
+    box = BoxConstraints()
+    cfg = ContrastConfig(form="plain", eps=1.0)
+    alpha, value = alpha_profile(traj, p, cfg).solve(0.3, box)
+    lower, upper = box.alpha_bounds(1)
+    assert np.all(alpha >= lower) and np.all(alpha <= upper)
+    quad = sl.alpha_quadratic(traj, 0.3, p, cfg)
+    assert value == pytest.approx(quad.scale * quad.const, rel=1e-12)
+
+
+def test_estimate_converges_when_cells_leave_the_box():
+    traj = make_dataset(seed=0, eps=0.3)
+    cfg = ContrastConfig(form="weighted", eps=0.3)
+    box = BoxConstraints()
+    lower, upper = box.alpha_bounds(1)
+    res = sl.lsgd_estimate(traj, EstimatorConfig(), box, cfg, seed=0)
+    outside = 0
+    for cell in res.cells:
+        if not cell.refined:
+            alpha = sl.linear_solve_alpha(traj, cell.period, traj.params, cfg)
+            outside += bool(np.any(alpha < lower) or np.any(alpha > upper))
+    assert outside > 0
+    assert res.converged
+    assert all(c.converged and c.iterations == 0 for c in res.cells)
+
+
+@pytest.mark.parametrize("seed,eps", [(1, 0.3), (4, 0.1), (7, 0.01), (11, 0.001)])
+def test_batched_scan_matches_scalar_loop(seed, eps):
+    traj = make_dataset(seed=seed, eps=eps)
+    cfg = ContrastConfig(form="weighted", eps=eps)
+    box = BoxConstraints()
+    lower, upper = box.alpha_bounds(1)
+    est = EstimatorConfig(refine=False)
+    cells = sl.lsgd_estimate(traj, est, box, cfg, seed=seed).cells
+    freqs, _ = _scan_frequencies(traj, cells, est, box)
+    profile = alpha_profile(traj, traj.params, cfg)
+    _, values = profile.scan(1.0 / freqs, lower, upper)
+    best = None
+    for f in freqs:
+        value = profile.solve_clipped(1.0 / f, lower, upper)[1]
+        if best is None or value < best[1]:
+            best = (f, value)
+    k = int(np.argmin(values))
+    assert freqs[k] == best[0]
+    assert values[k] == pytest.approx(best[1], rel=1e-12)
+
+
+def test_batched_scan_matches_scalar_loop_on_singular_grams():
+    times = np.linspace(0, 1, 11)
+    states = np.tile([2.0, 0.0, 0.5], (11, 1))
+    p = sl.numbers_defaults()
+    traj = sl.Trajectory(times=times, states=states, model="numbers", params=p)
+    profile = alpha_profile(traj, p, ContrastConfig(form="plain", eps=1.0))
+    lower, upper = BoxConstraints().alpha_bounds(1)
+    periods = np.linspace(0.05, 1.0, 7)
+    alphas, values = profile.scan(periods, lower, upper)
+    for period, alpha, value in zip(periods, alphas, values):
+        ref_alpha, ref_value = profile.solve_clipped(period, lower, upper)
+        assert np.array_equal(alpha, ref_alpha)
+        assert value == pytest.approx(ref_value, rel=1e-12)

@@ -73,6 +73,36 @@ def test_config_round_trip_lossless(tmp_path):
     assert RunConfig.load(str(path)) == cfg
 
 
+def test_config_load_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "config.txt"
+    RunConfig(n_datasets=7).save(str(path))
+    assert RunConfig.load(str(path)).n_datasets == 7
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("n_dataset=1000\nsede=3\n")
+    with pytest.raises(ValueError, match="n_dataset, sede"):
+        RunConfig.load(str(path))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_corrupt_dataset_becomes_failure_row(tmp_path, jobs):
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=4, seed=3, cells=6, jobs=jobs)
+    out = str(tmp_path)
+    records = sl.generate_datasets(cfg, out)
+    with open(records[1].path, "w", encoding="utf-8") as fh:
+        fh.write("t,X,Y,Z\n0.0,2.3,not-a-number,0.25\n")
+    paths = sl.batch_estimate(records, cfg, out)
+    with open(paths[0.01]) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["dataset"]) for r in rows] == [0, 1, 2, 3]
+    bad = rows[1]
+    assert bad["error"].startswith("ValueError: ")
+    assert bad["converged"] == "false" and bad["est_period"] == "nan"
+    assert float(bad["true_period"]) == records[1].theta0.period
+    for row in rows[:1] + rows[2:]:
+        assert row["error"] == ""
+        assert np.isfinite(float(row["est_period"]))
+
+
 def test_proportions_config_forces_plain_contrast():
     cfg = RunConfig.proportions_defaults(n_datasets=2)
     assert cfg.contrast_form == "plain"
