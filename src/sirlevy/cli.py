@@ -30,8 +30,12 @@ from .theory import information_matrix, rate_experiment
 from .transmission import ThetaParams
 
 
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
+def _load_config(args, tree: str | None = None) -> RunConfig:
+    """``--config`` if given, else the ``config.txt`` of ``tree`` if it has one, else the defaults."""
+    path = args.config
+    if path is None and tree is not None and os.path.exists(os.path.join(tree, "config.txt")):
+        path = os.path.join(tree, "config.txt")
+    cfg = RunConfig.load(path) if path else RunConfig()
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -58,7 +62,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = _load_config(args)
+    # the generated tree records the configuration its datasets came from
+    cfg = _load_config(args, tree=args.out)
     records = load_records(args.out)
     paths = batch_estimate(records, cfg, args.out)
     for eps in sorted(paths, reverse=True):

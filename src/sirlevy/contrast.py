@@ -171,12 +171,14 @@ def _design_columns(t: np.ndarray, period, order: int) -> np.ndarray:
     An array of periods prepends its shape: (F,) periods give (F, n, 2K+1).
     """
     period = np.asarray(period, dtype=float)
-    if np.any(period < PERIOD_FLOOR):
+    if (period < PERIOD_FLOOR).any():
         raise ValueError(f"period {period} is below the floor {PERIOD_FLOOR}")
-    k = np.arange(1, order + 1, dtype=float)
-    wphase = (2.0 * np.pi / period)[..., None, None] * np.multiply.outer(t, k)
-    ones = np.ones(wphase.shape[:-1] + (1,))
-    return np.concatenate([ones, np.cos(wphase), np.sin(wphase)], axis=-1)
+    wphase = (2.0 * np.pi / period)[..., None, None] * np.multiply.outer(t, np.arange(1.0, order + 1.0))
+    out = np.empty(wphase.shape[:-1] + (2 * order + 1,))
+    out[..., 0] = 1.0
+    np.cos(wphase, out=out[..., 1 : order + 1])
+    np.sin(wphase, out=out[..., order + 1 :])
+    return out
 
 
 def alpha_column_names(order: int) -> list[str]:
@@ -185,6 +187,9 @@ def alpha_column_names(order: int) -> list[str]:
 
 # a free block whose unit-diagonal scaling has an eigenvalue below this is singular
 _FACE_SINGULAR_TOL = 1e-12
+# a certified face point's projected-gradient map, in coordinate units (gradient
+# over diagonal curvature), is at most this relative to the point's size
+_KKT_TOL = 1e-12
 # frequencies times grid nodes per block of the batched scan (bounds its memory)
 _SCAN_BLOCK = 1 << 16
 
@@ -195,6 +200,112 @@ def _box_faces(q: int) -> np.ndarray:
     faces = np.array(list(itertools.product((0, 1, 2), repeat=q)), dtype=np.int8)
     faces.flags.writeable = False
     return faces
+
+
+def _quad_values(gram, lin, const, scale, alpha):
+    """:meth:`AlphaQuadratic.value` on stacked arrays: gram (..., q, q), lin and alpha (..., q).
+
+    Every caller goes through this one expression, so a batched value equals
+    the scalar one bit for bit.
+    """
+    col = alpha[..., :, None]
+    lin_a = (lin[..., None, :] @ col)[..., 0, 0]
+    curv = (alpha[..., None, :] @ gram @ col)[..., 0, 0]
+    return scale * (const - 2.0 * lin_a + curv)
+
+
+def _enumerate_faces(gram: np.ndarray, lin: np.ndarray, lower, upper) -> np.ndarray:
+    """Exact minimizer of one quadratic over the box [lower, upper], by enumerating its faces.
+
+    On each of the 3**q faces every coefficient is free, at its lower bound or
+    at its upper bound; the free ones solve the reduced normal equations.
+    Faces with a singular free block or a solution outside the box are
+    skipped, and the feasible face solution of least value wins.  This is
+    exact for any positive semidefinite gram, rank deficient ones included:
+    sliding a minimizer along a null direction of its free block until it
+    meets a bound reaches a face whose block is nonsingular, and the
+    vertices, which are always feasible, are faces too.
+    """
+    q = lin.size
+    faces = _box_faces(q)
+    free = faces == 0
+    at = np.where(free, 0.0, np.where(faces == 1, lower, upper))  # fixed values, 0 if free
+    pair = free[:, :, None] & free[:, None, :]
+    system = np.where(pair, gram, np.eye(q))
+    rhs = np.where(free, lin - at @ gram, at)
+    diag = np.diag(gram)
+    unit = np.where(free, np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
+    curv = np.linalg.eigvalsh(system / (unit[:, :, None] * unit[:, None, :]))[:, 0]
+    singular = curv <= _FACE_SINGULAR_TOL
+    system[singular] = np.eye(q)
+    alpha = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    slack = 1e-12 * (1.0 + np.maximum(np.abs(lower), np.abs(upper)))
+    feasible = ~singular & np.all((alpha >= lower - slack) & (alpha <= upper + slack), axis=1)
+    alpha = np.clip(alpha[feasible], lower, upper)
+    values = np.einsum("fi,ij,fj->f", alpha, gram, alpha) - 2.0 * alpha @ lin
+    return alpha[np.argmin(values)]
+
+
+def _unconstrained(gram: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-equations solutions of stacked quadratics: (solutions (F, q), regular (F,)).
+
+    A gram is regular when its unit-diagonal scaling has no eigenvalue at or
+    below the face-singularity tolerance; singular rows solve an identity
+    instead, so their solutions are meaningless.
+    """
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    unit = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    regular = np.linalg.eigvalsh(gram / (unit[:, :, None] * unit[:, None, :]))[:, 0] > _FACE_SINGULAR_TOL
+    system = np.where(regular[:, None, None], gram, np.eye(lin.shape[-1]))
+    return np.linalg.solve(system, lin[:, :, None])[:, :, 0], regular
+
+
+def solve_box(gram, lin, lower, upper) -> np.ndarray:
+    """Exact minimizers of stacked quadratics over the box [lower, upper]: (F, q).
+
+    gram (F, q, q) positive semidefinite, lin (F, q); the minimized function
+    is a' gram a - 2 lin' a.  Each row goes through three steps, the cheap
+    ones first:
+
+    1. a regular gram whose normal-equations solution lies in the box: that
+       solution;
+    2. otherwise the face the clipped solution points at (coefficients below
+       the box at the lower bound, above it at the upper bound, the rest
+       free), solved and clipped into the box, accepted when the KKT
+       conditions certify it: the curvature-scaled projected-gradient map
+       vanishes to a tolerance, which needs the free part inside the box
+       and every bound multiplier of the sign of a minimum;
+    3. otherwise, singular grams included, enumeration of all faces.
+
+    Every step treats the rows independently, so row i gets the same result
+    as a call with row i alone.
+    """
+    gram = np.asarray(gram, dtype=float)
+    lin = np.asarray(lin, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    alpha, regular = _unconstrained(gram, lin)
+    at_lo, at_hi = alpha < lower, alpha > upper
+    done = regular & ~(at_lo | at_hi).any(axis=1)
+    if done.all():
+        return alpha
+    # step 2 on every row at once; singular rows solve an identity and stay undone
+    free = ~(at_lo | at_hi) & regular[:, None]
+    fixed = np.where(at_lo, lower, np.where(at_hi, upper, 0.0))
+    system = np.where(free[:, :, None] & free[:, None, :], gram, np.eye(lin.shape[-1]))
+    rhs = np.where(free, lin - (fixed[:, None, :] @ gram)[:, 0, :], fixed)
+    face = np.clip(np.linalg.solve(system, rhs[:, :, None])[:, :, 0], lower, upper)
+    # the certificate: the curvature-scaled projected-gradient map vanishes, so
+    # the point is a KKT point of the convex problem, hence its minimizer
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    grad = ((gram @ face[:, :, None])[:, :, 0] - lin) / np.where(diag > 0.0, diag, 1.0)
+    tol = _KKT_TOL * (1.0 + np.abs(face).max(axis=1, keepdims=True))
+    kkt = (np.abs(face - np.clip(face - grad, lower, upper)) <= tol).all(axis=1)
+    certified = ~done & regular & kkt
+    alpha = np.where(certified[:, None], face, alpha)
+    for i in np.flatnonzero(~(done | certified)):
+        alpha[i] = _enumerate_faces(gram[i], lin[i], lower, upper)
+    return alpha
 
 
 @dataclass
@@ -212,8 +323,7 @@ class AlphaQuadratic:
     order: int
 
     def value(self, alpha: np.ndarray) -> float:
-        a = np.asarray(alpha, dtype=float)
-        return self.scale * (self.const - 2.0 * self.lin @ a + a @ self.gram @ a)
+        return _quad_values(self.gram, self.lin, self.const, self.scale, np.asarray(alpha, dtype=float))
 
     def grad(self, alpha: np.ndarray) -> np.ndarray:
         a = np.asarray(alpha, dtype=float)
@@ -224,39 +334,8 @@ class AlphaQuadratic:
         return float(2.0 * self.scale * np.linalg.eigvalsh(self.gram).max())
 
     def minimize_box(self, lower, upper) -> np.ndarray:
-        """Exact minimizer over the finite box [lower, upper], by enumerating its faces.
-
-        On each of the 3**q faces every coefficient is free, at its lower
-        bound or at its upper bound; the free ones solve the reduced normal
-        equations.  Faces with a singular free block or a solution outside
-        the box are skipped, and the feasible face solution of least value
-        wins.  This is exact for any positive semidefinite gram, rank
-        deficient ones included: sliding a minimizer along a null direction
-        of its free block until it meets a bound reaches a face whose block
-        is nonsingular, and the vertices, which are always feasible, are
-        faces too.
-        """
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        q = self.lin.size
-        faces = _box_faces(q)
-        free = faces == 0
-        at = np.where(free, 0.0, np.where(faces == 1, lower, upper))  # fixed values, 0 if free
-        pair = free[:, :, None] & free[:, None, :]
-        # the free rows solve G_FF a_F = lin_F - G_FX a_X; the fixed rows read a_X = bound
-        system = np.where(pair, self.gram, np.eye(q))
-        rhs = np.where(free, self.lin - at @ self.gram, at)
-        diag = np.diag(self.gram)
-        unit = np.where(free, np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
-        curv = np.linalg.eigvalsh(system / (unit[:, :, None] * unit[:, None, :]))[:, 0]
-        singular = curv <= _FACE_SINGULAR_TOL
-        system[singular] = np.eye(q)
-        alpha = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-        slack = 1e-12 * (1.0 + np.maximum(np.abs(lower), np.abs(upper)))
-        feasible = ~singular & np.all((alpha >= lower - slack) & (alpha <= upper + slack), axis=1)
-        alpha = np.clip(alpha[feasible], lower, upper)
-        values = np.einsum("fi,ij,fj->f", alpha, self.gram, alpha) - 2.0 * alpha @ self.lin
-        return alpha[np.argmin(values)]
+        """Exact minimizer over the finite box [lower, upper], by enumerating its 3**q faces."""
+        return _enumerate_faces(self.gram, self.lin, np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
 
 
 @dataclass
@@ -284,36 +363,34 @@ class AlphaProfile:
         self.rv = self.w * np.einsum("ki,ki->k", self.r, self.v)
         self.rr = float(np.einsum("k,ki,ki->", self.w, self.r, self.r))
 
-    def _quadratic(self, C: np.ndarray, period: float) -> AlphaQuadratic:
-        gram = self.dt**2 * np.einsum("k,ki,kj->ij", self.vv, C, C)
-        lin = self.dt * (C.T @ self.rv)
-        return AlphaQuadratic(gram=gram, lin=lin, const=self.rr, scale=self.scale, period=period, order=self.order)
+    def _gram_lin(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gram (..., q, q) and linear term (..., q) of design columns C (..., n, q).
+
+        Matrix products act on each stacked design alone, so a batch row
+        equals the single-period result bit for bit.
+        """
+        Ct = np.swapaxes(C, -1, -2)
+        return self.dt**2 * ((Ct * self.vv) @ C), self.dt * (Ct @ self.rv)
 
     def quadratic(self, period: float) -> AlphaQuadratic:
-        return self._quadratic(_design_columns(self.t, period, self.order), period)
+        gram, lin = self._gram_lin(_design_columns(self.t, period, self.order))
+        return AlphaQuadratic(gram=gram, lin=lin, const=self.rr, scale=self.scale, period=period, order=self.order)
 
-    def _least_squares(self, C: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-        """Unconstrained minimizer from the stacked weighted design: (solution, rank, design)."""
-        sw = np.sqrt(self.w)
-        design = (self.dt * np.einsum("k,ki,kj->kij", sw, self.v, C)).reshape(-1, C.shape[1])
-        target = (sw[:, None] * self.r).reshape(-1)
-        sol, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        return sol, rank, design
+    def solve_many(self, periods, box) -> tuple[np.ndarray, np.ndarray]:
+        """Exact minimizers and values under ``box`` at every period: (alphas (F, q), values (F,)).
 
-    def solve(self, period: float, box) -> tuple[np.ndarray, float]:
-        """Exact minimizer and value under ``box`` (anything with ``alpha_bounds(order)``).
-
-        A full-rank unconstrained least-squares solution inside the box is
-        returned as it is; otherwise :meth:`AlphaQuadratic.minimize_box`
-        enumerates the faces of the box.
+        One batched design contraction and one :func:`solve_box` call;
+        ``box`` is anything with ``alpha_bounds(order)``.
         """
         lower, upper = box.alpha_bounds(self.order)
-        C = _design_columns(self.t, period, self.order)
-        quad = self._quadratic(C, period)
-        alpha, rank, _ = self._least_squares(C)
-        if rank < alpha.size or np.any(alpha < lower) or np.any(alpha > upper):
-            alpha = quad.minimize_box(lower, upper)
-        return alpha, quad.value(alpha)
+        gram, lin = self._gram_lin(_design_columns(self.t, np.asarray(periods, dtype=float), self.order))
+        alphas = solve_box(gram, lin, lower, upper)
+        return alphas, _quad_values(gram, lin, self.rr, self.scale, alphas)
+
+    def solve(self, period: float, box) -> tuple[np.ndarray, float]:
+        """Exact minimizer and value under ``box`` at one period; :meth:`solve_many` with one row."""
+        alphas, values = self.solve_many(np.array([period], dtype=float), box)
+        return alphas[0], values[0]
 
     def solve_clipped(self, period: float, lower, upper) -> tuple[np.ndarray, float]:
         """Cheap scan step: normal-equations solve clipped into the box.
@@ -342,20 +419,14 @@ class AlphaProfile:
         step = max(1, _SCAN_BLOCK // self.t.size)
         for start in range(0, periods.size, step):
             block = slice(start, start + step)
-            C = _design_columns(self.t, periods[block], self.order)
-            gram = self.dt**2 * np.einsum("k,fki,fkj->fij", self.vv, C, C)
-            lin = self.dt * (C.transpose(0, 2, 1) @ self.rv)
+            gram, lin = self._gram_lin(_design_columns(self.t, periods[block], self.order))
             try:
                 alpha = np.linalg.solve(gram, lin[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 # a singular gram in the block; solve one by one as solve_clipped does
                 alpha = np.array([self.solve_clipped(p, -np.inf, np.inf)[0] for p in periods[block]])
             alpha = np.clip(alpha, lower, upper)
-            # AlphaQuadratic.value per row, with the same products in the same order
-            row, col = alpha[:, None, :], alpha[:, :, None]
-            lin_a = (lin[:, None, :] @ col)[:, 0, 0]
-            curv = (row @ gram @ col)[:, 0, 0]
-            values[block] = self.scale * (self.rr - 2.0 * lin_a + curv)
+            values[block] = _quad_values(gram, lin, self.rr, self.scale, alpha)
             alphas[block] = alpha
         return alphas, values
 
@@ -400,21 +471,20 @@ def linear_solve_alpha(
 ) -> np.ndarray:
     """Exact unconstrained minimizer of the objective over (base, cos_k, sin_k).
 
-    Solves the stacked weighted least-squares problem whose normal equations
-    are the first-order conditions of the quadratic; raises SingularDesignError
-    (naming the offending columns) when the design is rank deficient, e.g. when
-    X*Y vanishes along the whole trajectory.
+    Solves the normal equations of the weighted least-squares problem, the
+    same solve :meth:`AlphaProfile.solve` returns when it lands in the box;
+    raises SingularDesignError (naming the offending columns) when the
+    design is singular, e.g. when X*Y vanishes along the whole trajectory.
     """
-    profile = alpha_profile(traj, params, cfg, order)
-    sol, rank, design = profile._least_squares(_design_columns(profile.t, period, order))
-    q = sol.size
-    if rank < q:
+    quad = alpha_profile(traj, params, cfg, order).quadratic(period)
+    raw, regular = _unconstrained(quad.gram[None], quad.lin[None])
+    if not regular[0]:
         names = alpha_column_names(order)
-        norms = np.linalg.norm(design, axis=0)
-        dead = [names[j] for j in range(q) if norms[j] <= 1e-14 * max(1.0, norms.max())]
+        norms = np.sqrt(np.diag(quad.gram))  # column norms of the weighted design
+        dead = [names[j] for j in range(norms.size) if norms[j] <= 1e-14 * max(1.0, norms.max())]
         culprit = dead if dead else names
         raise SingularDesignError(
-            f"design matrix rank {rank} < {q}; deficient columns: {', '.join(culprit)}",
+            f"singular design; deficient columns: {', '.join(culprit)}",
             columns=culprit,
         )
-    return sol
+    return raw[0]

@@ -4,14 +4,16 @@ The objective is a convex quadratic in (base, cos_k, sin_k) once the period
 is fixed, so the estimator searches the period axis over M uniform cells,
 drawing one test period per cell and minimizing over the remaining
 coefficients there.  By default that minimization is exact under the box
-(:meth:`AlphaProfile.solve`: the least-squares solution when it is inside,
-face enumeration otherwise); projected gradient descent (:func:`pgd_alpha`),
-the paper's solver, stays available as the reference behind
-``inner_solver="pgd"``.  A dense frequency scan over the ranked cells and a
-golden-section search then place the period beyond the cell resolution, and
-one projected-gradient pass over the full parameter vector polishes it; the
-winning table entry is updated in place so the reported objective is the
-table minimum.
+and all cells are solved in one batch (:meth:`AlphaProfile.solve_many`: the
+normal-equations solution when it is inside, else a KKT-certified face, else
+face enumeration); projected gradient descent (:func:`pgd_alpha`), the
+paper's solver, stays available as the reference behind
+``inner_solver="pgd"``.  With the coefficients solved exactly at every
+period, the joint fit is a one-dimensional search over the profile objective
+in the period (variable projection): a dense frequency scan over the ranked
+cells finds the basin, and a golden-section search on the exact profile value
+places the period beyond the cell resolution.  The winning table entry is
+updated in place so the reported objective is the table minimum.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .contrast import (
     DegenerateWeightsError,
     alpha_profile,
     alpha_quadratic,
-    contrast_gradient,
+    contrast_gradient,  # noqa: F401  (bench/spans.py instruments these two at this module)
     contrast_value,
-    linear_solve_alpha,  # noqa: F401  (bench/spans.py instruments it at this module)
+    linear_solve_alpha,  # noqa: F401
 )
 from .models import SirParams
 from .simulate import Trajectory
@@ -90,6 +92,7 @@ def default_alpha_init(order: int = 1) -> np.ndarray:
 @dataclass(frozen=True)
 class EstimatorConfig:
     cells: int = 20  # M, the number of period line-search cells
+    # settings of the reference solver (pgd_alpha / pgd_quadratic) only
     eta0: float = 1e-2  # initial learning rate; backtracking adapts it
     backtrack: float = 0.5
     armijo: float = 1e-4
@@ -99,9 +102,7 @@ class EstimatorConfig:
     # projected gradient descent, kept as the reference solver
     inner_solver: str = "linear"
     alpha_init: tuple[float, ...] | None = None
-    refine: bool = True
-    refine_max_iter: int = 5_000
-    refine_tol: float = 1e-11
+    refine: bool = True  # scan plus golden-section search after the cells
     scan_cells: int | None = None  # top-ranked cells getting the dense period scan; None = all
     order: int = 1
 
@@ -146,7 +147,7 @@ class EstimationResult:
     objective: float
     cells: list[CellResult] = field(default_factory=list)
     converged: bool = True
-    refine_iterations: int = 0
+    refine_iterations: int = 0  # golden-section iterations
     degenerate: bool = False
 
     @property
@@ -220,45 +221,6 @@ def pgd_quadratic(
     return AlphaSolve(alpha, f, est.max_inner_iter, False, history)
 
 
-def _pgd_theta(traj, theta_vec, params, cfg, est, box, period_window=None):
-    """Projected gradient descent over the full parameter vector.
-
-    period_window optionally tightens the period bounds, keeping the
-    refinement inside the neighborhood of the winning line-search cell.
-    """
-    lo, hi = box.theta_bounds(est.order)
-    if period_window is not None:
-        lo = lo.copy()
-        hi = hi.copy()
-        lo[0] = max(lo[0], period_window[0])
-        hi[0] = min(hi[0], period_window[1])
-    th = np.clip(np.asarray(theta_vec, dtype=float), lo, hi)
-    f = contrast_value(traj, ThetaParams.from_vector(th), params, cfg)
-    eta = est.eta0
-    for it in range(1, est.refine_max_iter + 1):
-        g = contrast_gradient(traj, ThetaParams.from_vector(th), params, cfg)
-        accepted = False
-        while eta >= _ETA_MIN:
-            cand = np.clip(th - eta * g, lo, hi)
-            step = th - cand
-            gstep = g @ step
-            if gstep <= 0.0:
-                break
-            fc = contrast_value(traj, ThetaParams.from_vector(cand), params, cfg)
-            if fc <= f - est.armijo * gstep:
-                accepted = True
-                break
-            eta *= est.backtrack
-        if not accepted:
-            return th, f, it, True
-        moved = np.abs(th - cand).max()
-        th, f = cand, fc
-        if moved <= est.refine_tol * (1.0 + np.abs(th).max()):
-            return th, f, it, True
-        eta *= 2.0
-    return th, f, est.refine_max_iter, False
-
-
 def _scan_frequencies(traj, cells, est, box) -> tuple[np.ndarray, float]:
     """Dense scan grid over the best-ranked cells, best cell first; returns (frequencies, spacing).
 
@@ -291,39 +253,39 @@ def _scan_frequencies(traj, cells, est, box) -> tuple[np.ndarray, float]:
 
 
 def _scan_top_cells(traj, profile: AlphaProfile, cells, params, cfg, est, box, best):
-    """Dense period scan over the best-ranked cells; returns the best candidate.
+    """Dense period scan over the best-ranked cells; returns (period, alpha, value, iterations).
 
     Scan points are ranked by the clipped normal-equations value, the first
-    of equal values winning; a golden-section search sharpens the winner and
-    the cell solver re-solves it.
+    of equal values winning; a golden-section search on the exact profile
+    value sharpens the winner, and the cell solver re-solves it.  The better
+    of that point and the best cell is returned.
     """
     freqs, df = _scan_frequencies(traj, cells, est, box)
     candidates = [(best.period, best.alpha, best.value)]
+    iterations = 0
     if freqs.size:
         lo, hi = box.alpha_bounds(est.order)
         f_best = freqs[np.argmin(profile.scan(1.0 / freqs, lo, hi)[1])]
-        # golden-section sharpening of the profile minimum in frequency; the
-        # gradient polish alone cannot traverse the narrow valley that small
-        # periods produce
-        f_star = _golden_section(
-            lambda f: profile.solve_clipped(1.0 / f, lo, hi)[1],
-            f_best - df,
-            f_best + df,
-        )
+        # the basin is narrow at small periods, so the search runs in frequency
+        f_star, iterations = _golden_section(lambda f: profile.solve(1.0 / f, box)[1], f_best - df, f_best + df)
         period = min(max(1.0 / f_star, box.period[0]), box.period[1])
-        sol = _solve_cell(traj, profile, period, params, cfg, est, box)
+        sol = _solve_cells(traj, profile, [period], params, cfg, est, box)[0]
         candidates.append((period, sol.alpha, sol.value))
-    return min(candidates, key=lambda c: c[2])
+    return (*min(candidates, key=lambda c: c[2]), iterations)
 
 
-def _golden_section(fun, lo: float, hi: float, iters: int = 80) -> float:
-    """Minimize a scalar function on [lo, hi]; deterministic, derivative-free."""
+def _golden_section(fun, lo: float, hi: float, iters: int = 80) -> tuple[float, int]:
+    """Minimize a scalar function on [lo, hi]; deterministic, derivative-free.
+
+    Returns the midpoint of the final bracket and the iterations taken.
+    """
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    it = 0
+    for it in range(1, iters + 1):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -334,15 +296,15 @@ def _golden_section(fun, lo: float, hi: float, iters: int = 80) -> float:
             fd = fun(d)
         if b - a < 1e-12 * max(1.0, abs(a)):
             break
-    return (a + b) / 2.0
+    return (a + b) / 2.0, it
 
 
-def _solve_cell(traj, profile: AlphaProfile, period, params, cfg, est, box) -> AlphaSolve:
+def _solve_cells(traj, profile: AlphaProfile, periods, params, cfg, est, box) -> list[AlphaSolve]:
     if est.inner_solver == "pgd":
-        return pgd_alpha(traj, period, params, cfg, est, box)
+        return [pgd_alpha(traj, period, params, cfg, est, box) for period in periods]
     # exact under the box, resonant (rank-deficient) test periods included
-    alpha, value = profile.solve(period, box)
-    return AlphaSolve(alpha, value, 0, True)
+    alphas, values = profile.solve_many(periods, box)
+    return [AlphaSolve(alpha, value, 0, True) for alpha, value in zip(alphas, values)]
 
 
 def lsgd_estimate(
@@ -353,12 +315,14 @@ def lsgd_estimate(
     seed: int | np.random.Generator = 0,
     params: SirParams | None = None,
 ) -> EstimationResult:
-    """Line-search over period cells with convex inner solves, then refinement.
+    """Line-search over period cells with exact inner solves, then a period search.
 
-    Cell i tests one period drawn uniformly from ((i-1)/M, i/M).  The best
-    cell and the frequency scan seed a projected-gradient pass over the full
-    parameter vector and a final exact coefficient solve; the table entry of
-    the cell holding the refined point is replaced by it, so the reported
+    Cell i tests one period drawn uniformly from ((i-1)/M, i/M); all cells
+    are solved in one batch.  The best cell seeds a dense frequency scan and
+    a golden-section search on the exact profile objective in the period;
+    the coefficients are then solved exactly at the chosen period, and the
+    objective there is evaluated from the residuals.  The table entry of the
+    cell holding the refined point is replaced by it, so the reported
     objective equals the table minimum.
     """
     est = est or EstimatorConfig()
@@ -380,12 +344,13 @@ def lsgd_estimate(
     )
 
     m = est.cells
-    cells: list[CellResult] = []
-    for i in range(1, m + 1):
-        period = float(rng.uniform((i - 1) / m, i / m))
-        period = min(max(period, box.period[0]), box.period[1])
-        sol = _solve_cell(traj, profile, period, params, cfg, est, box)
-        cells.append(CellResult(i, period, sol.alpha, sol.value, sol.iterations, sol.converged))
+    periods = [float(rng.uniform((i - 1) / m, i / m)) for i in range(1, m + 1)]
+    periods = [min(max(period, box.period[0]), box.period[1]) for period in periods]
+    sols = _solve_cells(traj, profile, periods, params, cfg, est, box)
+    cells = [
+        CellResult(i, period, sol.alpha, sol.value, sol.iterations, sol.converged)
+        for i, (period, sol) in enumerate(zip(periods, sols), start=1)
+    ]
 
     best = min(cells, key=lambda c: (c.value, c.index))
     theta_vec = np.concatenate([[best.period], best.alpha])
@@ -394,18 +359,11 @@ def lsgd_estimate(
     value = best.value
 
     if est.refine:
-        start_period, start_alpha, value = _scan_top_cells(traj, profile, cells, params, cfg, est, box, best)
-        theta_vec = np.concatenate([[start_period], start_alpha])
-        # sharpen around the chosen cell only; the line search plus scan own
-        # the global structure, so the period stays within one cell width
-        window = (start_period - 1.0 / m, start_period + 1.0 / m)
-        theta_vec, value, refine_iters, ref_ok = _pgd_theta(
-            traj, theta_vec, params, cfg, est, box, period_window=window
-        )
-        converged = converged and ref_ok
-        # exact coefficient solve at the refined period, kept only if better
-        alpha, _ = profile.solve(theta_vec[0], box)
-        cand = np.concatenate([[theta_vec[0]], alpha])
+        period, alpha, value, refine_iters = _scan_top_cells(traj, profile, cells, params, cfg, est, box, best)
+        theta_vec = np.concatenate([[period], alpha])
+        # exact coefficient solve at the chosen period, kept only if better
+        exact, _ = profile.solve(period, box)
+        cand = np.concatenate([[period], exact])
         cand_val = contrast_value(traj, ThetaParams.from_vector(cand), params, cfg)
         if cand_val < value:
             theta_vec, value = cand, cand_val

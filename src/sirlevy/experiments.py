@@ -174,6 +174,16 @@ class RunConfig:
 
     def __post_init__(self):
         get_model(self.model)
+        bad = [eps for eps in self.eps_list if not 0.0 <= eps < 1.0]
+        if bad:
+            raise ValueError(f"eps values must lie in [0, 1): {', '.join(map(repr, bad))}")
+        by_tag: dict[str, list[float]] = {}
+        for eps in self.eps_list:
+            by_tag.setdefault(_eps_tag(eps), []).append(eps)
+        clash = [group for group in by_tag.values() if len(group) > 1]
+        if clash:
+            names = "; ".join(", ".join(map(repr, group)) for group in clash)
+            raise ValueError(f"eps values share an output file tag: {names}")
         if self.model == "proportions" and self.contrast_form != "plain":
             # the proportional model's noise matrix is rank one
             object.__setattr__(self, "contrast_form", "plain")
@@ -263,7 +273,13 @@ def sample_true_theta(rng: np.random.Generator, order: int = 1) -> ThetaParams:
 
 
 def _eps_tag(eps: float) -> str:
+    """Directory and file-name tag of a noise level (6 significant digits)."""
     return f"{eps:g}"
+
+
+def _eps_exact(eps: float) -> str:
+    """The noise level as the dataset index stores it: the shortest exact round-trip."""
+    return repr(float(eps))
 
 
 def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
@@ -296,13 +312,13 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
             try:
                 traj = simulate_sde(model, theta0, params, cfg.x0, 1.0, cfg.n_obs, noise, cfg.substeps)
             except SimulationError as err:
-                index_rows.append([_eps_tag(eps), i, "FAILED", str(err)])
+                index_rows.append([_eps_exact(eps), i, "FAILED", str(err)])
                 continue
             path = os.path.join(eps_dir, f"dataset_{i:05d}.csv")
             meta_path = os.path.join(eps_dir, f"dataset_{i:05d}.meta")
             save_trajectory(traj, path, meta_path)
             records.append(DatasetRecord(i, eps, theta0, lam, path, meta_path, cfg.model))
-            index_rows.append([_eps_tag(eps), i, os.path.relpath(path, out_dir), ""])
+            index_rows.append([_eps_exact(eps), i, os.path.relpath(path, out_dir), ""])
     with open(os.path.join(out_dir, "datasets.csv"), "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["eps", "dataset", "file", "error"])
@@ -319,7 +335,7 @@ def load_records(out_dir: str) -> list[DatasetRecord]:
     with open(index_path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for eps_tag, ds, file, _err in reader:
+        for eps, ds, file, _err in reader:
             if file == "FAILED":
                 continue
             path = os.path.join(out_dir, file)
@@ -328,7 +344,7 @@ def load_records(out_dir: str) -> list[DatasetRecord]:
             theta0 = _theta_from_meta(meta)
             records.append(
                 DatasetRecord(
-                    int(ds), float(eps_tag), theta0, float(meta["lambda"]), path, meta_path, meta["model"]
+                    int(ds), float(eps), theta0, float(meta["lambda"]), path, meta_path, meta["model"]
                 )
             )
     return records
@@ -373,7 +389,7 @@ def _result_header(order: int) -> list[str]:
 
 
 def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -> dict[float, str]:
-    """Estimate every dataset; one results CSV per eps, rows ordered by dataset id."""
+    """Estimate every dataset; one results CSV per eps that has records, rows ordered by dataset id."""
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(r.path, r.meta_path, r.dataset_id, r.eps, r.theta0, cfg) for r in records]
     if cfg.jobs > 1:
@@ -387,10 +403,8 @@ def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -
         by_eps.setdefault(eps, []).append((dataset_id, row))
     paths = {}
     header = _result_header(cfg.order)
-    for eps in cfg.eps_list:
-        if eps not in by_eps:
-            continue
-        rows = [row for _, row in sorted(by_eps[eps], key=lambda t: t[0])]
+    for eps, outcome in by_eps.items():
+        rows = [row for _, row in sorted(outcome, key=lambda t: t[0])]
         path = os.path.join(out_dir, f"results_eps_{_eps_tag(eps)}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")

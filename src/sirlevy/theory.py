@@ -82,7 +82,13 @@ def information_matrix(
     (sigma*X*Y*Z)^2 and requires the path to stay off the coordinate planes.
     """
     model = get_model(model)
-    path, t, grads, xy = _sensitivity_pieces(model, theta, params, s0, n_quad, horizon)
+    pieces = _sensitivity_pieces(model, theta, params, s0, n_quad, horizon)
+    return _information_from_pieces(model, theta, params, pieces, weighted, n_quad)
+
+
+def _information_from_pieces(model, theta, params, pieces, weighted, n_quad) -> InfoMatrix:
+    """The quadrature of :func:`information_matrix` over already solved sensitivity pieces."""
+    path, t, grads, xy = pieces
     weight = 2.0 * xy**2  # |v|^2 with v = (-X*Y, X*Y, 0)
     if weighted:
         if model.tag != "numbers":
@@ -142,12 +148,14 @@ class LimitSampler:
         self.params = params
         self.horizon = float(horizon)
         self.weighted = weighted
-        info = information_matrix(model, theta0, params, s0, weighted=weighted, n_quad=n_grid)
+        # one drift-only solve feeds both the information matrix and the integrand
+        pieces = _sensitivity_pieces(model, theta0, params, s0, n_grid, horizon)
+        info = _information_from_pieces(model, theta0, params, pieces, weighted, n_grid)
         if abs(np.linalg.det(info.matrix)) < 1e-300:
             raise EstimationError("information matrix is singular; the limit is undefined")
         self.info = info
 
-        path, t, grads, xy = _sensitivity_pieces(model, theta0, params, s0, n_grid, horizon)
+        path, t, grads, xy = pieces
         c = noise_coeff_numbers(path.states, params)
         if weighted:
             if np.any(c == 0.0):

@@ -399,3 +399,104 @@ def test_batched_scan_matches_scalar_loop_on_singular_grams():
         ref_alpha, ref_value = profile.solve_clipped(period, lower, upper)
         assert np.array_equal(alpha, ref_alpha)
         assert value == pytest.approx(ref_value, rel=1e-12)
+
+
+@st.composite
+def stacked_box_problems(draw):
+    """Several least-squares quadratics of one size sharing one box, stacked: (gram, lin, lower, upper)."""
+    q = draw(st.sampled_from([1, 3, 5]))
+    lower = _halves(draw, q, -4, 2)
+    upper = lower + _halves(draw, q, 0, 4)
+    grams, lins = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, 2 * q))
+        B = np.stack([_halves(draw, q, -4, 4) for _ in range(rows)])
+        y = _halves(draw, rows, -6, 6)
+        grams.append(B.T @ B)
+        lins.append(B.T @ y)
+    return np.stack(grams), np.stack(lins), lower, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_box_problems())
+def test_certified_box_solve_matches_face_enumeration(problem):
+    gram, lin, lower, upper = problem
+    fast = sl.contrast.solve_box(gram, lin, lower, upper)
+    for i in range(lin.shape[0]):
+        quad = AlphaQuadratic(gram=gram[i], lin=lin[i], const=0.0, scale=1.0, period=0.5, order=0)
+        exact = quad.minimize_box(lower, upper)
+        assert np.all(fast[i] >= lower) and np.all(fast[i] <= upper)
+        assert _pg_map(quad, fast[i], lower, upper) <= 1e-9 * (1.0 + np.abs(fast[i]).max())
+        slack = _value_slack(quad, fast[i], exact)
+        assert abs(quad.value(fast[i]) - quad.value(exact)) <= slack
+        # each row is solved as if alone
+        assert np.array_equal(fast[i], sl.contrast.solve_box(gram[i : i + 1], lin[i : i + 1], lower, upper)[0])
+
+
+def _count_enumerations(monkeypatch):
+    calls = []
+    real = sl.contrast._enumerate_faces
+    monkeypatch.setattr(sl.contrast, "_enumerate_faces", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_box_solve_takes_the_certified_face_when_it_is_optimal(monkeypatch):
+    # separable quadratic: clipping the unconstrained solution is the minimizer
+    gram = np.diag([1.0, 2.0, 4.0])[None]
+    lin = np.array([[3.0, -1.0, 2.0]])  # unconstrained solution (3, -0.5, 0.5)
+    lower, upper = np.zeros(3), np.ones(3)
+    calls = _count_enumerations(monkeypatch)
+    alpha = sl.contrast.solve_box(gram, lin, lower, upper)[0]
+    assert calls == []
+    assert np.array_equal(alpha, [1.0, 0.0, 0.5])
+
+
+def test_box_solve_enumerates_when_the_clipped_face_is_not_optimal(monkeypatch):
+    # coupled coefficients: the unconstrained solution (1.5, -0.1) clips to the
+    # vertex (1, 0), where the lower bound's multiplier has the wrong sign; the
+    # minimizer is (1, 0.15) on an edge
+    gram = np.array([[[1.0, 0.5], [0.5, 1.0]]])
+    lin = np.array([[1.45, 0.65]])
+    lower, upper = np.zeros(2), np.ones(2)
+    calls = _count_enumerations(monkeypatch)
+    alpha = sl.contrast.solve_box(gram, lin, lower, upper)[0]
+    assert calls == [1]
+    quad = AlphaQuadratic(gram=gram[0], lin=lin[0], const=0.0, scale=1.0, period=0.5, order=0)
+    assert np.array_equal(alpha, quad.minimize_box(lower, upper))
+    assert alpha == pytest.approx([1.0, 0.15], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed,eps", [(0, 0.3), (3, 0.1), (7, 0.01), (11, 0.001)])
+def test_batched_cells_equal_scalar_solves(seed, eps):
+    traj = make_dataset(seed=seed, eps=eps)
+    cfg = ContrastConfig(form="weighted", eps=eps)
+    box = BoxConstraints()
+    profile = alpha_profile(traj, traj.params, cfg)
+    res = sl.lsgd_estimate(traj, EstimatorConfig(refine=False), box, cfg, seed=seed)
+    for cell in res.cells:
+        alpha, value = profile.solve(cell.period, box)
+        assert np.array_equal(cell.alpha, alpha)
+        assert cell.value == value
+    periods = np.random.default_rng(seed).uniform(0.02, 1.0, size=50)
+    alphas, values = profile.solve_many(periods, box)
+    for period, alpha, value in zip(periods, alphas, values):
+        ref_alpha, ref_value = profile.solve(period, box)
+        assert np.array_equal(alpha, ref_alpha)
+        assert value == ref_value
+
+
+@pytest.mark.parametrize("seed,eps", [(0, 0.3), (1, 0.3), (7, 0.001), (11, 0.001)])
+def test_estimate_is_a_box_kkt_point_and_a_profile_minimum(seed, eps):
+    traj = make_dataset(seed=seed, eps=eps)
+    cfg = ContrastConfig(form="weighted", eps=eps)
+    box = BoxConstraints()
+    lower, upper = box.alpha_bounds(1)
+    res = sl.lsgd_estimate(traj, EstimatorConfig(), box, cfg, seed=seed)
+    period, alpha = res.theta.period, res.theta.to_vector()[1:]
+    quad = sl.alpha_quadratic(traj, period, traj.params, cfg)
+    assert np.all(alpha >= lower) and np.all(alpha <= upper)
+    assert _pg_map(quad, alpha, lower, upper) <= 1e-9 * (1.0 + np.abs(alpha).max())
+    profile = alpha_profile(traj, traj.params, cfg)
+    for side in (1.0 - 1e-6, 1.0 + 1e-6):
+        if box.period[0] <= period * side <= box.period[1]:
+            assert profile.solve(period * side, box)[1] >= res.objective * (1.0 - 1e-10)

@@ -309,3 +309,72 @@ def test_cli_predict_and_theory(tmp_path, capsys):
     assert os.path.exists(os.path.join(out2, "information_matrix.csv"))
     assert os.path.exists(os.path.join(out2, "scaled_errors_eps_0.01.csv"))
     assert "min eigenvalue" in captured.out
+
+
+def test_cli_estimate_reads_the_trees_own_config(tmp_path, capsys):
+    # a proportions tree: the default config would ask for the weighted form
+    cfg_path = str(tmp_path / "proportions.txt")
+    RunConfig.proportions_defaults(eps_list=(0.01,), n_datasets=2, cells=6).save(cfg_path)
+    out = str(tmp_path / "tree")
+    assert cli_main(["generate", "--config", cfg_path, "--out", out]) == 0
+    code = cli_main(["estimate", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    with open(os.path.join(out, "results_eps_0.01.csv"), encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and all(row["error"] == "" for row in rows)
+
+
+def test_cli_config_overrides_apply_to_the_trees_config(tmp_path):
+    from sirlevy.cli import _load_config, build_parser
+
+    out = str(tmp_path / "tree")
+    os.makedirs(out)
+    cfg = RunConfig.proportions_defaults(eps_list=(0.01,), n_datasets=2, cells=6, seed=3)
+    cfg.save(os.path.join(out, "config.txt"))
+    args = build_parser().parse_args(["estimate", "--out", out, "--seed", "9", "--jobs", "2"])
+    cfg = _load_config(args, tree=out)
+    assert (cfg.model, cfg.cells, cfg.seed, cfg.jobs) == ("proportions", 6, 9, 2)
+
+
+def test_eps_levels_keep_their_exact_value(tmp_path):
+    cfg = RunConfig(eps_list=(0.3, 0.00012345678), n_datasets=2, seed=5, cells=6)
+    out = str(tmp_path / "tree")
+    cfg_path = str(tmp_path / "config.txt")
+    cfg.save(cfg_path)
+    assert cli_main(["generate", "--config", cfg_path, "--out", out]) == 0
+    with open(os.path.join(out, "datasets.csv"), encoding="utf-8") as fh:
+        assert {row["eps"] for row in csv.DictReader(fh)} == {"0.3", "0.00012345678"}
+    records = sl.experiments.load_records(out)
+    assert sorted({r.eps for r in records}) == [0.00012345678, 0.3]
+    assert cli_main(["estimate", "--out", out]) == 0
+    for tag in ("0.3", "0.000123457"):
+        assert os.path.exists(os.path.join(out, f"results_eps_{tag}.csv"))
+    assert cli_main(["report", "--out", out]) == 0
+    report = sl.emit_reports(out)
+    assert set(report["medians_l2"]) == {0.3, 0.00012345678}
+
+
+def test_batch_estimate_writes_every_level_with_records(tmp_path):
+    cfg = RunConfig(eps_list=(0.3, 0.01), n_datasets=1, seed=2, cells=6)
+    out = str(tmp_path / "tree")
+    records = sl.generate_datasets(cfg, out)
+    # estimate with a config that lists only one of the levels
+    paths = sl.batch_estimate(records, RunConfig(eps_list=(0.3,), n_datasets=1, seed=2, cells=6), out)
+    assert sorted(paths) == [0.01, 0.3]
+
+
+def test_default_eps_levels_keep_their_index_text(tmp_path):
+    out = str(tmp_path / "tree")
+    sl.generate_datasets(RunConfig(n_datasets=1, seed=1, cells=6), out)
+    with open(os.path.join(out, "datasets.csv"), encoding="utf-8") as fh:
+        assert [row["eps"] for row in csv.DictReader(fh)] == ["0.3", "0.1", "0.01", "0.001"]
+
+
+@pytest.mark.parametrize(
+    "eps_list,named",
+    [((0.001, 0.0010000001), "0.0010000001"), ((0.3, 1.0), "1.0"), ((-0.1,), "-0.1"), ((float("nan"),), "nan")],
+)
+def test_run_config_rejects_bad_eps_levels(eps_list, named):
+    with pytest.raises(ValueError, match=named):
+        RunConfig(eps_list=eps_list)

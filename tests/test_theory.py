@@ -119,3 +119,10 @@ def test_rate_experiment_small_run():
     assert pv.shape == (4,) and np.all((pv >= 0) & (pv <= 1))
     iqr = res.iqr(0.001)
     assert np.all(iqr > 0)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_limit_sampler_information_matrix_is_information_matrix(weighted):
+    sampler = LimitSampler("numbers", THETA_REF, PARAMS, X0_NUMBERS, n_grid=500, weighted=weighted)
+    info = sl.information_matrix("numbers", THETA_REF, PARAMS, X0_NUMBERS, weighted=weighted, n_quad=500)
+    assert sampler.info.matrix.tobytes() == info.matrix.tobytes()
