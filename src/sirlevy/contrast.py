@@ -472,19 +472,30 @@ def linear_solve_alpha(
     """Exact unconstrained minimizer of the objective over (base, cos_k, sin_k).
 
     Solves the normal equations of the weighted least-squares problem, the
-    same solve :meth:`AlphaProfile.solve` returns when it lands in the box;
-    raises SingularDesignError (naming the offending columns) when the
-    design is singular, e.g. when X*Y vanishes along the whole trajectory.
+    same solve :meth:`AlphaProfile.solve` returns when it lands in the box.
+    Raises SingularDesignError (naming the offending columns) when the
+    unit-diagonal scaling of the gram has an eigenvalue at or below 1e-12,
+    the threshold the box solve uses too: that is a rank-deficient design
+    (e.g. X*Y vanishing along the whole trajectory), but also a full-rank one
+    whose unit-norm columns have a condition number of about 1e6 or more
+    (e.g. a period thousands of times the horizon, where the cosine column is
+    nearly constant), whose normal-equations solution would lose most of its
+    digits.  Below that cutoff the normal equations square the design's
+    condition number, so near it the solution is less accurate than a
+    QR or SVD least-squares solve.
     """
     quad = alpha_profile(traj, params, cfg, order).quadratic(period)
     raw, regular = _unconstrained(quad.gram[None], quad.lin[None])
     if not regular[0]:
         names = alpha_column_names(order)
         norms = np.sqrt(np.diag(quad.gram))  # column norms of the weighted design
+        unit = np.where(norms > 0.0, norms, 1.0)
+        rank = int(np.sum(np.linalg.eigvalsh(quad.gram / np.outer(unit, unit)) > _FACE_SINGULAR_TOL))
         dead = [names[j] for j in range(norms.size) if norms[j] <= 1e-14 * max(1.0, norms.max())]
         culprit = dead if dead else names
         raise SingularDesignError(
-            f"singular design; deficient columns: {', '.join(culprit)}",
+            f"design matrix numerical rank {rank} < {norms.size} (unit-diagonal gram eigenvalues above "
+            f"{_FACE_SINGULAR_TOL:g}); deficient columns: {', '.join(culprit)}",
             columns=culprit,
         )
     return raw[0]

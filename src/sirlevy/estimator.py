@@ -319,11 +319,11 @@ def lsgd_estimate(
 
     Cell i tests one period drawn uniformly from ((i-1)/M, i/M); all cells
     are solved in one batch.  The best cell seeds a dense frequency scan and
-    a golden-section search on the exact profile objective in the period;
-    the coefficients are then solved exactly at the chosen period, and the
-    objective there is evaluated from the residuals.  The table entry of the
-    cell holding the refined point is replaced by it, so the reported
-    objective equals the table minimum.
+    a golden-section search on the exact profile objective in the period,
+    whose cell solve gives the coefficients (with ``inner_solver="pgd"`` they
+    are re-solved exactly); the objective there is evaluated from the
+    residuals.  The table entry of the cell holding the refined point is
+    replaced by it, so the reported objective equals the table minimum.
     """
     est = est or EstimatorConfig()
     box = box or BoxConstraints()
@@ -359,14 +359,13 @@ def lsgd_estimate(
     value = best.value
 
     if est.refine:
-        period, alpha, value, refine_iters = _scan_top_cells(traj, profile, cells, params, cfg, est, box, best)
+        period, alpha, _, refine_iters = _scan_top_cells(traj, profile, cells, params, cfg, est, box, best)
+        if est.inner_solver == "pgd":
+            # the reference solver stops at its tolerance; solve the coefficients exactly
+            alpha = profile.solve(period, box)[0]
         theta_vec = np.concatenate([[period], alpha])
-        # exact coefficient solve at the chosen period, kept only if better
-        exact, _ = profile.solve(period, box)
-        cand = np.concatenate([[period], exact])
-        cand_val = contrast_value(traj, ThetaParams.from_vector(cand), params, cfg)
-        if cand_val < value:
-            theta_vec, value = cand, cand_val
+        # the reported objective is evaluated from the residuals
+        value = contrast_value(traj, ThetaParams.from_vector(theta_vec), params, cfg)
         # the refined point replaces the entry of the cell that contains it
         home = cells[min(max(int(np.ceil(theta_vec[0] * m)), 1), m) - 1]
         home.period = float(theta_vec[0])

@@ -154,6 +154,36 @@ def test_linear_solve_singular_without_infections():
     assert "base" in str(err.value)
 
 
+def test_linear_solve_rejects_a_nearly_collinear_full_rank_design():
+    # a period thousands of times the horizon leaves the cosine column nearly
+    # constant: the weighted design is full rank to an SVD, but its unit-norm
+    # columns' condition number (about 1e7 at period 3000) is past the
+    # normal-equations cutoff, so the unconstrained solve raises while the box
+    # solve falls back to face enumeration
+    traj = make_dataset(seed=1, eps=0.01)
+    cfg = ContrastConfig(form="weighted", eps=0.01)
+    profile = alpha_profile(traj, traj.params, cfg)
+    box = BoxConstraints()
+    lower, upper = box.alpha_bounds(1)
+
+    def weighted_design(period):
+        return sl.contrast._design_columns(profile.t, period, 1) * (profile.dt * np.sqrt(profile.vv))[:, None]
+
+    assert np.linalg.matrix_rank(weighted_design(3000.0)) == 3
+    with pytest.raises(SingularDesignError) as err:
+        sl.linear_solve_alpha(traj, 3000.0, traj.params, cfg)
+    assert "rank 2 < 3" in str(err.value)
+    quad = profile.quadratic(3000.0)
+    alpha, value = profile.solve(3000.0, box)
+    assert np.array_equal(alpha, quad.minimize_box(lower, upper))
+    assert value == quad.value(alpha)
+    # well inside the cutoff (condition number about 1e3) the normal equations
+    # agree with an SVD least-squares solve
+    target = profile.rv / np.sqrt(profile.vv)
+    reference = np.linalg.lstsq(weighted_design(30.0), target, rcond=None)[0]
+    assert sl.linear_solve_alpha(traj, 30.0, traj.params, cfg) == pytest.approx(reference, rel=1e-8)
+
+
 def test_linear_solve_satisfies_normal_equations(numbers_traj, numbers_params):
     cfg = ContrastConfig(form="weighted", eps=0.001)
     vt = 0.31
