@@ -53,7 +53,15 @@ from .models import (
     numbers_defaults,
     proportions_defaults,
 )
-from .simulate import SimulationError, Trajectory, predict_ensemble, simulate_sde, solve_ode
+from .simulate import (
+    PathBatch,
+    SimulationError,
+    Trajectory,
+    predict_ensemble,
+    simulate_many,
+    simulate_sde,
+    solve_ode,
+)
 from .theory import (
     InfoMatrix,
     LimitSampler,

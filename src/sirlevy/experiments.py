@@ -174,16 +174,7 @@ class RunConfig:
 
     def __post_init__(self):
         get_model(self.model)
-        bad = [eps for eps in self.eps_list if not 0.0 <= eps < 1.0]
-        if bad:
-            raise ValueError(f"eps values must lie in [0, 1): {', '.join(map(repr, bad))}")
-        by_tag: dict[str, list[float]] = {}
-        for eps in self.eps_list:
-            by_tag.setdefault(_eps_tag(eps), []).append(eps)
-        clash = [group for group in by_tag.values() if len(group) > 1]
-        if clash:
-            names = "; ".join(", ".join(map(repr, group)) for group in clash)
-            raise ValueError(f"eps values share an output file tag: {names}")
+        _check_eps_levels(self.eps_list)
         if self.model == "proportions" and self.contrast_form != "plain":
             # the proportional model's noise matrix is rank one
             object.__setattr__(self, "contrast_form", "plain")
@@ -275,6 +266,20 @@ def sample_true_theta(rng: np.random.Generator, order: int = 1) -> ThetaParams:
 def _eps_tag(eps: float) -> str:
     """Directory and file-name tag of a noise level (6 significant digits)."""
     return f"{eps:g}"
+
+
+def _check_eps_levels(eps_values) -> None:
+    """Raise ValueError unless every level lies in [0, 1) and no two share a file tag."""
+    bad = [eps for eps in eps_values if not 0.0 <= eps < 1.0]
+    if bad:
+        raise ValueError(f"eps values must lie in [0, 1): {', '.join(map(repr, bad))}")
+    by_tag: dict[str, list[float]] = {}
+    for eps in eps_values:
+        by_tag.setdefault(_eps_tag(eps), []).append(eps)
+    clash = [group for group in by_tag.values() if len(group) > 1]
+    if clash:
+        names = "; ".join(", ".join(map(repr, group)) for group in clash)
+        raise ValueError(f"eps values share an output file tag: {names}")
 
 
 def _eps_exact(eps: float) -> str:
@@ -435,9 +440,11 @@ def prediction_study(
 
     Writes a parameter comparison table (one true row, one row per eps), the
     drift-only path of the true parameter on the prediction window, and the
-    100-path ensemble mean for each estimate, all from one freshly drawn
-    initial state.
+    ``n_paths``-path ensemble mean for each estimate, all from one freshly
+    drawn initial state.  The eps levels are checked as ``RunConfig`` checks
+    its own: each in [0, 1), and no two sharing an output file tag.
     """
+    _check_eps_levels(eps_values)
     os.makedirs(out_dir, exist_ok=True)
     model = get_model(cfg.model)
     names = ["period", "base"] + [f"cos{k}" for k in range(1, cfg.order + 1)] + [

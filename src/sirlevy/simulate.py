@@ -1,24 +1,41 @@
-"""Trajectory container, jump-adapted Euler-Maruyama integrator, RK4 ODE solver.
+"""Trajectory container, jump-adapted Euler-Maruyama integrators, RK4 ODE solver.
 
-The stochastic integrator works on the union of a uniform internal grid
+The stochastic integrators work on the union of a uniform internal grid
 (``substeps`` intervals per observation interval) and all jump times of the
 supplied noise path, so jumps land exactly on integration nodes.  Observation
 times are integration nodes by construction; no interpolation happens
 anywhere.
+
+``simulate_sde`` integrates one path on Python floats.  ``simulate_many``
+integrates many paths in lockstep: every path takes each base interval of the
+uniform grid in one numpy operation over the paths, and a path with a jump
+inside the interval takes its extra sub-steps on its own.  Each row repeats
+the single-path arithmetic in the same order, so it equals ``simulate_sde`` on
+the same noise bit for bit.  Brownian increments are drawn in time chunks of
+at most ``INCREMENT_BUDGET`` values, and ``predict_ensemble`` simulates at most
+``PATH_BLOCK`` paths per call, one call per retry round, so the memory an
+ensemble holds stays bounded whatever the number of paths.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .levy import LevyPathNoise
-from .models import SirParams, get_model
+from .models import SirParams, get_model, make_drift_fast
 from .transmission import ThetaParams, make_beta_fast
 
 DEFAULT_SUBSTEPS = 10
+
+# memory bounds of the lockstep integrator: predict_ensemble passes at most
+# PATH_BLOCK paths to one simulate_many call, and a call holds at most
+# INCREMENT_BUDGET drawn increment values (1 MB) at once
+PATH_BLOCK = 256
+INCREMENT_BUDGET = 1 << 17
 
 
 class SimulationError(RuntimeError):
@@ -195,6 +212,225 @@ def simulate_sde(
     )
 
 
+def _euler_step(model, theta: ThetaParams, params: SirParams):
+    """Raw Euler-Maruyama step ``(t, x, y, z, dt, dw) -> (x, y, z)``, before clamping.
+
+    It works alike on floats and on arrays over paths, and gives the same
+    values as the loop in :func:`simulate_sde`: the drift of
+    :func:`~sirlevy.models.make_drift_fast` is that loop's drift, term for
+    term, and the noise terms are added in the same order.
+    """
+    drift = make_drift_fast(model, theta, params)
+    eps_sigma = params.eps * params.sigma
+    if model.tag == "numbers":
+
+        def step(t, x, y, z, dt, dw):
+            dx, dy, dz = drift(t, x, y, z)
+            c = eps_sigma * x * y * z
+            return x + dt * dx + c * dw[0], y + dt * dy + c * dw[1], z + dt * dz + c * dw[2]
+
+        return step
+
+    def step_prop(t, x, y, z, dt, dw):
+        dx, dy, dz = drift(t, x, y, z)
+        cdw = eps_sigma * x * y * z * dw[0]
+        return x + dt * dx - cdw, y + dt * dy + 2.0 * cdw, z + dt * dz - cdw
+
+    return step_prop
+
+
+def _jump(model, params: SirParams):
+    """Raw jump ``(x, y, z, mark) -> (x, y, z)`` on floats, as in :func:`simulate_sde`."""
+    eps_sigma = params.eps * params.sigma
+    if model.tag == "numbers":
+
+        def jump(x, y, z, m):
+            cj = eps_sigma * x * y * z
+            return x + cj * m[0], y + cj * m[1], z + cj * m[2]
+
+        return jump
+
+    def jump_prop(x, y, z, m):
+        cjm = eps_sigma * x * y * z * m[0]
+        return x + -cjm, y + 2.0 * cjm, z + -cjm
+
+    return jump_prop
+
+
+def _clamp(x, y, z):
+    """Zero the negative components; also return how many there were."""
+    n = 0
+    if x < 0.0:
+        x = 0.0
+        n += 1
+    if y < 0.0:
+        y = 0.0
+        n += 1
+    if z < 0.0:
+        z = 0.0
+        n += 1
+    return x, y, z, n
+
+
+def _finite(x, y, z) -> bool:
+    return math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+
+
+@dataclass
+class PathBatch:
+    """Observation states of paths integrated together, with per-path outcomes."""
+
+    times: np.ndarray  # (n_obs + 1,)
+    states: np.ndarray  # (P, n_obs + 1, 3); the rows of failed paths mean nothing
+    clamp_counts: np.ndarray  # (P,) clamped components per path
+    fail_times: np.ndarray  # (P,) time of the first non-finite state, nan where none
+
+    @property
+    def failed(self) -> np.ndarray:
+        return ~np.isnan(self.fail_times)
+
+
+def simulate_many(
+    model,
+    theta: ThetaParams,
+    params: SirParams,
+    s0,
+    horizon: float,
+    n_obs: int,
+    noises,
+    substeps: int = DEFAULT_SUBSTEPS,
+) -> PathBatch:
+    """Integrate many noise realizations in lockstep; row p equals ``simulate_sde`` on ``noises[p]``.
+
+    Every path takes each base interval of the uniform grid in one numpy
+    operation over the paths.  A path with jumps strictly inside the interval
+    first takes its sub-steps up to its last such jump on floats, and its own
+    last sub-step replaces its share of the vectorized step; a jump on a base
+    node is applied to its path alone after the step.  States, clamp counts
+    and the non-finite checks follow the single-path loop exactly, except that
+    a path reaching a non-finite state is flagged in ``fail_times`` instead of
+    raising.  Each path's increments are drawn in time chunks, at most
+    INCREMENT_BUDGET values over all paths at once; chunked draws continue one
+    stream, so they equal the single draw of ``simulate_sde``.
+    """
+    model = get_model(model)
+    if n_obs < 1 or substeps < 1:
+        raise ValueError("n_obs and substeps must be >= 1")
+    for noise in noises:
+        if noise.dim != model.driver_dim:
+            raise ValueError(f"noise dimension {noise.dim} does not match model {model.tag}")
+        if noise.horizon < horizon:
+            raise ValueError("noise path horizon is shorter than the simulation horizon")
+
+    n_paths = len(noises)
+    n_steps = n_obs * substeps
+    base = np.linspace(0.0, horizon, n_steps + 1)
+    base_dts = np.diff(base)
+    base_list = base.tolist()
+    dts_list = base_dts.tolist()
+    step = _euler_step(model, theta, params)
+    jump = _jump(model, params)
+    clamps = np.zeros(n_paths, dtype=np.int64)
+    fail_times = np.full(n_paths, np.nan)
+
+    # a jump strictly inside base interval k becomes a sub-step of that
+    # interval; a jump on base node k + 1 is applied after interval k
+    inside = []  # per path: interval indices, times and marks of its inside jumps
+    on_node: dict[int, list] = {}
+    for p, noise in enumerate(noises):
+        keep = noise.jump_times <= horizon
+        times = noise.jump_times[keep]
+        marks = noise.jump_marks[keep].tolist()
+        node = np.searchsorted(base, times)
+        hit = base[node] == times
+        for j in np.flatnonzero(hit).tolist():
+            on_node.setdefault(int(node[j]) - 1, []).append((p, marks[j]))
+        within = np.flatnonzero(~hit).tolist()
+        inside.append(((node[within] - 1).tolist(), times[within].tolist(), [marks[j] for j in within]))
+
+    chunk = max(1, INCREMENT_BUDGET // max(1, n_paths * model.driver_dim))
+    buffer = np.empty((min(chunk, n_steps), model.driver_dim, n_paths))
+
+    def draw(k0: int, k1: int):
+        """Increments of base intervals k0..k1-1: each path's first sub-interval
+        in ``incs[k - k0, :, p]``, and its sub-steps by interval where it jumps inside."""
+        incs = buffer[: k1 - k0]
+        sub_steps: dict[int, list] = {}
+        for p, noise in enumerate(noises):
+            ks, taus, marks = inside[p]
+            lo, hi = bisect_left(ks, k0), bisect_left(ks, k1)
+            if lo == hi:
+                incs[:, :, p] = noise.brownian_increments(base_dts[k0:k1])
+                continue
+            grid = np.union1d(base[k0 : k1 + 1], taus[lo:hi])
+            path_incs = noise.brownian_increments(np.diff(grid))
+            first = np.searchsorted(grid, base[k0:k1])
+            incs[:, :, p] = path_incs[first]
+            j = lo
+            while j < hi:
+                k = ks[j]
+                m = bisect_right(ks, k, j, hi) - j
+                i0 = int(first[k - k0])
+                rows = path_incs[i0 : i0 + m + 1].tolist()
+                sub_steps.setdefault(k, []).append((p, taus[j : j + m], marks[j : j + m], rows))
+                j += m
+        return incs, sub_steps
+
+    def fail(p: int, t: float) -> None:
+        if math.isnan(fail_times[p]):
+            fail_times[p] = t
+
+    def advance(k, p, taus, marks, rows, x, y, z):
+        """Path p through its jumps inside interval k; the raw result of its last sub-step."""
+        t = base_list[k]
+        for tau, mark, dw in zip(taus, marks, rows):
+            x, y, z, n_step = _clamp(*step(t, x, y, z, tau - t, dw))
+            if not _finite(x, y, z):
+                fail(p, tau)
+            x, y, z, n_jump = _clamp(*jump(x, y, z, mark))
+            if not _finite(x, y, z):
+                fail(p, tau)
+            clamps[p] += n_step + n_jump
+            t = tau
+        return step(t, x, y, z, base_list[k + 1] - t, rows[-1])
+
+    state = np.empty((3, n_paths))
+    state[:] = np.asarray(s0, dtype=float)[:, None]
+    nxt = np.empty_like(state)
+    out = np.empty((n_paths, n_obs + 1, 3))
+    out[:, 0] = state.T
+    # a path that goes non-finite is flagged, not warned about
+    with np.errstate(all="ignore"):
+        for k0 in range(0, n_steps, chunk):
+            k1 = min(k0 + chunk, n_steps)
+            incs, sub_steps = draw(k0, k1)
+            for k in range(k0, k1):
+                t_next = base_list[k + 1]
+                fixes = []
+                for p, taus, marks, rows in sub_steps.get(k, ()):
+                    fixes.append((p, advance(k, p, taus, marks, rows, *state[:, p].tolist())))
+                nxt[0], nxt[1], nxt[2] = step(base_list[k], *state, dts_list[k], incs[k - k0])
+                for p, raw in fixes:
+                    nxt[:, p] = raw
+                neg = nxt < 0.0
+                if np.count_nonzero(neg):
+                    nxt[neg] = 0.0
+                    clamps += neg.sum(axis=0)
+                if not np.isfinite(nxt).all():
+                    bad = ~np.isfinite(nxt).all(axis=0) & np.isnan(fail_times)
+                    fail_times[bad] = t_next
+                for p, mark in on_node.get(k, ()):
+                    x, y, z, n_jump = _clamp(*jump(*nxt[:, p].tolist(), mark))
+                    clamps[p] += n_jump
+                    if not _finite(x, y, z):
+                        fail(p, t_next)
+                    nxt[:, p] = (x, y, z)
+                if (k + 1) % substeps == 0:
+                    out[:, (k + 1) // substeps] = nxt.T
+                state, nxt = nxt, state
+    return PathBatch(times=base[::substeps].copy(), states=out, clamp_counts=clamps, fail_times=fail_times)
+
+
 def solve_ode(
     model,
     theta: ThetaParams,
@@ -203,27 +439,44 @@ def solve_ode(
     horizon: float,
     n_steps: int,
 ) -> Trajectory:
-    """Classical fixed-step RK4 on the drift-only system; returns every node."""
+    """Classical fixed-step RK4 on the drift-only system; returns every node.
+
+    The loop runs on Python floats through the scalar drift of
+    :func:`~sirlevy.models.make_drift_fast`.
+    """
     model = get_model(model)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     times = np.linspace(0.0, horizon, n_steps + 1)
     h = horizon / n_steps
-    drift = model.drift
-    s = np.asarray(s0, dtype=float).copy()
-    out = np.empty((n_steps + 1, 3))
-    out[0] = s
+    half = 0.5 * h
+    sixth = h / 6.0
+    drift = make_drift_fast(model, theta, params)
+    x, y, z = (float(v) for v in np.asarray(s0, dtype=float))
+    rows = [(x, y, z)]
+    t_list = times.tolist()
     for i in range(n_steps):
-        t = times[i]
-        k1 = drift(t, s, theta, params)
-        k2 = drift(t + 0.5 * h, s + 0.5 * h * k1, theta, params)
-        k3 = drift(t + 0.5 * h, s + 0.5 * h * k2, theta, params)
-        k4 = drift(t + h, s + h * k3, theta, params)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(s)):
-            raise SimulationError(f"non-finite state at t={times[i + 1]}", time=float(times[i + 1]))
-        out[i + 1] = s
-    return Trajectory(times=times, states=out, model=model.tag, theta=theta, params=params)
+        t = t_list[i]
+        t_half = t + half
+        k1x, k1y, k1z = drift(t, x, y, z)
+        k2x, k2y, k2z = drift(t_half, x + half * k1x, y + half * k1y, z + half * k1z)
+        k3x, k3y, k3z = drift(t_half, x + half * k2x, y + half * k2y, z + half * k2z)
+        k4x, k4y, k4z = drift(t + h, x + h * k3x, y + h * k3y, z + h * k3z)
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        if not _finite(x, y, z):
+            raise SimulationError(f"non-finite state at t={t_list[i + 1]}", time=t_list[i + 1])
+        rows.append((x, y, z))
+    return Trajectory(times=times, states=np.array(rows), model=model.tag, theta=theta, params=params)
+
+
+def _ensemble_noise(seed: int, path: int, attempt: int, lam: float | None, horizon: float, dim: int):
+    """Noise of one ensemble path at one attempt: spawn key (path, attempt) of ``seed``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path, attempt))
+    rng = np.random.Generator(np.random.Philox(ss))
+    rate = lam if lam is not None else int(rng.integers(1, 5))
+    return LevyPathNoise(ss.spawn(1)[0], rate, horizon, dim)
 
 
 def predict_ensemble(
@@ -241,41 +494,68 @@ def predict_ensemble(
 ) -> Trajectory:
     """Pointwise mean of n_paths stochastic paths on [0, horizon].
 
-    Each path gets its own noise seed (spawned from ``seed``) and, unless
-    ``lam`` is fixed, its own jump rate drawn uniformly from {1, 2, 3, 4}.
-    A path that fails is rerun with a fresh sub-seed, up to ``max_retries``
-    times.  With eps == 0 every path coincides, so the single deterministic
-    Euler path is returned exactly.
+    Each path gets its own noise seed (spawn key (path, attempt) of ``seed``)
+    and, unless ``lam`` is fixed, its own jump rate drawn uniformly from
+    {1, 2, 3, 4}.  The paths are simulated in lockstep by
+    :func:`simulate_many`, in blocks of at most PATH_BLOCK paths.  In each
+    block the paths that reach a non-finite state are rerun with the next
+    attempt's noise, one call per retry round, up to ``max_retries`` rounds;
+    a path that fails on every attempt raises :class:`SimulationError`.  The
+    mean sums the paths in path order, as the single-path loop did, and keeps
+    the memory bounded whatever ``n_paths`` is.  With eps == 0 every path
+    coincides, so the single deterministic Euler path of ``simulate_sde`` is
+    returned exactly.
     """
     model = get_model(model)
     if n_obs is None:
         n_obs = max(1, round(100 * horizon))
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    dim = model.driver_dim
 
-    def one_path(path_idx: int) -> Trajectory:
+    if params.eps == 0.0:
         for attempt in range(max_retries + 1):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_idx, attempt))
-            rng = np.random.Generator(np.random.Philox(ss))
-            rate = lam if lam is not None else int(rng.integers(1, 5))
-            noise = LevyPathNoise(ss.spawn(1)[0], rate, horizon, model.driver_dim)
+            noise = _ensemble_noise(seed, 0, attempt, lam, horizon, dim)
             try:
                 return simulate_sde(model, theta, params, s0, horizon, n_obs, noise, substeps)
             except SimulationError:
                 if attempt == max_retries:
                     raise
-        raise AssertionError("unreachable")
 
-    first = one_path(0)
-    if params.eps == 0.0:
-        return first
-
-    total = first.states.copy()
-    clamps = first.clamp_count
-    for j in range(1, n_paths):
-        traj = one_path(j)
-        total += traj.states
-        clamps += traj.clamp_count
+    total = None
+    clamps = 0
+    for start in range(0, n_paths, PATH_BLOCK):
+        paths = np.arange(start, min(start + PATH_BLOCK, n_paths))
+        noises = [_ensemble_noise(seed, int(j), 0, lam, horizon, dim) for j in paths]
+        batch = simulate_many(model, theta, params, s0, horizon, n_obs, noises, substeps)
+        pending = np.flatnonzero(batch.failed)
+        for attempt in range(1, max_retries + 1):
+            if pending.size == 0:
+                break
+            noises = [_ensemble_noise(seed, int(j), attempt, lam, horizon, dim) for j in paths[pending]]
+            rerun = simulate_many(model, theta, params, s0, horizon, n_obs, noises, substeps)
+            batch.states[pending] = rerun.states
+            batch.clamp_counts[pending] = rerun.clamp_counts
+            batch.fail_times[pending] = rerun.fail_times
+            pending = pending[rerun.failed]
+        if pending.size:
+            j = int(pending[0])
+            t = float(batch.fail_times[j])
+            raise SimulationError(
+                f"ensemble path {int(paths[j])} reached a non-finite state on all "
+                f"{max_retries + 1} attempts (last at t={t})",
+                time=t,
+            )
+        for row in batch.states:
+            if total is None:
+                total = row.copy()
+            else:
+                total += row
+        clamps += int(batch.clamp_counts.sum())
+        times = batch.times
+        del batch, row  # frees this block's states (row views them) before the next block
     return Trajectory(
-        times=first.times,
+        times=times,
         states=total / n_paths,
         model=model.tag,
         theta=theta,

@@ -261,23 +261,46 @@ def test_full_flag_restores_paper_scale(tmp_path):
     assert _load_config(args).n_datasets == 100
 
 
+def _ensemble_path_noise(seed, path, attempt, horizon, dim):
+    """The noise predict_ensemble draws for one path at one attempt."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path, attempt))
+    rate = int(np.random.Generator(np.random.Philox(ss)).integers(1, 5))
+    return sl.LevyPathNoise(ss.spawn(1)[0], rate, horizon, dim)
+
+
+def _nan_increments_for(monkeypatch, failing):
+    """Brownian increments turn NaN on the noises whose (path, attempt) spawn key satisfies ``failing``."""
+    real = sl.LevyPathNoise.brownian_increments
+
+    def patched(self, dts):
+        incs = real(self, dts)
+        key = getattr(self.seed, "spawn_key", ())
+        return np.full_like(incs, np.nan) if failing(tuple(key[:2])) else incs
+
+    monkeypatch.setattr(sl.LevyPathNoise, "brownian_increments", patched)
+
+
 def test_predict_ensemble_retries_failed_paths(monkeypatch):
-    import sirlevy.simulate as sim
-
-    calls = {"n": 0}
-    real = sim.simulate_sde
-
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise sl.SimulationError("injected failure", time=0.5)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sim, "simulate_sde", flaky)
+    # path 0 fails at attempt 0 through its noise: it is rerun with attempt 1,
+    # and the mean is the path-order mean of the per-path integrator
+    _nan_increments_for(monkeypatch, lambda key: key == (0, 0))
     p = sl.proportions_defaults(eps=0.01)
-    mean = sim.predict_ensemble("proportions", THETA_REF, p, (0.82, 0.07, 0.11), horizon=1.0, n_paths=3, seed=1)
-    assert calls["n"] == 4  # one retry with a fresh sub-seed, then 3 successes
-    assert np.all(np.isfinite(mean.states))
+    x0 = (0.82, 0.07, 0.11)
+    mean = sl.predict_ensemble("proportions", THETA_REF, p, x0, horizon=1.0, n_paths=3, seed=1)
+    total = None
+    for path, attempt in [(0, 1), (1, 0), (2, 0)]:
+        noise = _ensemble_path_noise(1, path, attempt, 1.0, 1)
+        states = sl.simulate_sde("proportions", THETA_REF, p, x0, 1.0, 100, noise).states
+        total = states.copy() if total is None else total + states
+    assert np.array_equal(mean.states, total / 3)
+    with pytest.raises(sl.SimulationError):
+        sl.simulate_sde("proportions", THETA_REF, p, x0, 1.0, 100, _ensemble_path_noise(1, 0, 0, 1.0, 1))
+
+    # a path that fails on every attempt raises
+    monkeypatch.undo()
+    _nan_increments_for(monkeypatch, lambda key: key[:1] == (1,))
+    with pytest.raises(sl.SimulationError):
+        sl.predict_ensemble("proportions", THETA_REF, p, x0, horizon=1.0, n_paths=3, seed=1, max_retries=2)
 
 
 def test_cli_sweep_report_and_errors(tmp_path, capsys):
@@ -378,3 +401,15 @@ def test_default_eps_levels_keep_their_index_text(tmp_path):
 def test_run_config_rejects_bad_eps_levels(eps_list, named):
     with pytest.raises(ValueError, match=named):
         RunConfig(eps_list=eps_list)
+
+
+@pytest.mark.parametrize("eps_values,named", [((0.001, 0.0010000001), "0.0010000001"), ((0.3, 1.0), "1.0")])
+def test_prediction_study_rejects_bad_eps_levels(tmp_path, capsys, eps_values, named):
+    out = tmp_path / "pred"
+    with pytest.raises(ValueError, match=named):
+        sl.prediction_study(THETA_REF, RunConfig(cells=6), str(out), eps_values=eps_values, n_paths=2)
+    assert not out.exists()
+    code = cli_main(["predict", "--out", str(out), "--eps", ",".join(map(repr, eps_values))])
+    assert code != 0
+    assert named in capsys.readouterr().err
+    assert not out.exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sirlevy as sl
-from sirlevy.models import clamp_nonnegative, drift_beta_split
+from sirlevy.models import clamp_nonnegative, drift_beta_split, make_drift_fast
 
 from conftest import THETA_REF, X0_NUMBERS, X0_PROPORTIONS
 
@@ -118,3 +118,20 @@ def test_clamp_counts_negative_components():
     assert n == 2 and np.all(s >= 0.0) and s[0] == 0.2
     s2, n2 = clamp_nonnegative(np.array([0.1, 0.2, 0.3]))
     assert n2 == 0
+
+
+@pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
+@pytest.mark.parametrize(
+    "theta", [THETA_REF, sl.ThetaParams(0.4, 0.3, (0.1, 0.05), (0.02, 0.12))], ids=["order1", "order2"]
+)
+def test_scalar_drift_matches_model_drift(model_tag, theta):
+    model = sl.get_model(model_tag)
+    params = PARAMS_N if model_tag == "numbers" else PARAMS_P
+    fast = make_drift_fast(model, theta, params)
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        t = float(rng.uniform(0.0, 3.0))
+        state = rng.uniform(0.0, 4.0, size=3)
+        expect = model.drift(t, state, theta, params)
+        got = np.array(fast(t, *state.tolist()))
+        assert np.allclose(got, expect, rtol=1e-14, atol=0), (t, state)

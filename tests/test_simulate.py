@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,120 @@ def test_predict_ensemble_conserves_proportions():
     assert np.abs(mean.states.sum(axis=1) - 1.0).max() <= 1e-10
     again = sl.predict_ensemble("proportions", THETA_REF, p, X0_PROPORTIONS, horizon=2.0, n_paths=20, seed=9)
     assert np.array_equal(mean.states, again.states)
+
+
+def _model_setup(model_tag, eps=0.3):
+    params = (sl.numbers_defaults if model_tag == "numbers" else sl.proportions_defaults)(eps=eps)
+    x0 = X0_NUMBERS if model_tag == "numbers" else X0_PROPORTIONS
+    return params, x0, sl.get_model(model_tag).driver_dim
+
+
+def _hand_noise(seed, dim, noise_horizon, times, marks):
+    """A noise path with the given jump skeleton and its own Brownian stream."""
+    noise = sl.LevyPathNoise(seed, 0.0, noise_horizon, dim)
+    noise.jump_times = np.asarray(times, dtype=float)
+    noise.jump_marks = np.asarray(marks, dtype=float).reshape(len(times), dim)
+    return noise
+
+
+def _hand_noises(dim, horizon, n_obs, substeps):
+    """No jumps; a jump on a base node; two jumps in one base interval; jumps
+    past the horizon; a jump on the last node; a jump whose mark forces a clamp."""
+    base = np.linspace(0.0, horizon, n_obs * substeps + 1)
+    dt = base[1] - base[0]
+    mark = [-0.1, 0.1, 0.0][:dim] if dim == 3 else [0.1]
+    big = [-50.0, 0.0, 50.0] if dim == 3 else [1e4]
+    specs = [
+        ([], []),
+        ([base[37]], [mark]),
+        ([base[12] + 0.3 * dt, base[12] + 0.7 * dt, base[40] + 0.5 * dt], [mark, mark, mark]),
+        ([0.5 * horizon + 0.1 * dt, horizon + 0.25, horizon + 0.5], [mark, mark, mark]),
+        ([base[-1]], [mark]),
+        ([base[20] + 0.5 * dt, base[60]], [big, big]),
+    ]
+    return [_hand_noise(1000 + i, dim, horizon + 1.0, t, m) for i, (t, m) in enumerate(specs)]
+
+
+def _random_noises(dim, horizon, count):
+    return [
+        sl.LevyPathNoise(np.random.SeedSequence(entropy=77, spawn_key=(i,)), 1 + i % 4, horizon, dim)
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("sigma", [None, 100.0], ids=["default_sigma", "clamping_sigma"])
+@pytest.mark.parametrize("budget", [None, 5])
+@pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
+def test_simulate_many_rows_equal_simulate_sde(monkeypatch, model_tag, budget, sigma):
+    import sirlevy.simulate as sim
+
+    if budget is not None:  # short increment chunks: jumps fall on and across chunk edges
+        monkeypatch.setattr(sim, "INCREMENT_BUDGET", budget)
+    params, x0, dim = _model_setup(model_tag)
+    if sigma is not None:  # Brownian terms large enough to clamp inside the lockstep step
+        params = replace(params, sigma=sigma)
+    horizon, n_obs, substeps = 1.0, 20, 4
+
+    def noises():
+        return _hand_noises(dim, horizon, n_obs, substeps) + _random_noises(dim, horizon, 8)
+
+    batch = sim.simulate_many(model_tag, THETA_REF, params, x0, horizon, n_obs, noises(), substeps)
+    assert batch.states.shape == (14, n_obs + 1, 3)
+    assert not batch.failed.any()
+    for p, noise in enumerate(noises()):
+        traj = sl.simulate_sde(model_tag, THETA_REF, params, x0, horizon, n_obs, noise, substeps)
+        assert np.array_equal(batch.states[p], traj.states), p
+        assert batch.clamp_counts[p] == traj.clamp_count, p
+        assert np.array_equal(batch.times, traj.times)
+    if sigma is not None:
+        assert batch.clamp_counts[6:].any()
+        return
+    assert batch.clamp_counts[5] > 0  # the forced clamp
+    assert not batch.clamp_counts[6:].any()
+    if model_tag == "proportions":
+        # clamping breaks conservation; every path that did not clamp keeps it
+        kept = batch.states[batch.clamp_counts == 0]
+        assert len(kept) == 13
+        assert np.abs(kept.sum(axis=2) - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
+def test_simulate_many_flags_the_paths_simulate_sde_rejects(model_tag):
+    params, x0, dim = _model_setup(model_tag)
+    huge = [np.inf] * dim
+    specs = [([0.4], [huge]), ([0.205, 0.655], [huge, huge]), ([], [])]  # on a node; inside an interval
+
+    def noises():
+        return [_hand_noise(2000 + i, dim, 1.0, t, m) for i, (t, m) in enumerate(specs)]
+
+    batch = sl.simulate.simulate_many(model_tag, THETA_REF, params, x0, 1.0, 10, noises())
+    assert batch.failed.tolist() == [True, True, False]
+    for p, noise in enumerate(noises()[:2]):
+        with pytest.raises(sl.SimulationError) as err:
+            sl.simulate_sde(model_tag, THETA_REF, params, x0, 1.0, 10, noise)
+        assert batch.fail_times[p] == err.value.time
+    last = sl.simulate_sde(model_tag, THETA_REF, params, x0, 1.0, 10, noises()[2])
+    assert np.array_equal(batch.states[2], last.states)
+
+    # explosive transmission: the first step fails, for the jumping path at its jump time
+    boom = sl.SirParams(birth=0.0, death=0.0, gamma=1.0, sigma=1.0, eps=0.0)
+    th = sl.ThetaParams(1.0, 1e6)
+    x_big = (1e200, 1e200, 0.0)
+    specs = [([0.0004], [[0.1] * dim]), ([], [])]
+    batch = sl.simulate.simulate_many(model_tag, th, boom, x_big, 1.0, 10, noises())
+    for p, noise in enumerate(noises()):
+        with pytest.raises(sl.SimulationError) as err:
+            sl.simulate_sde(model_tag, th, boom, x_big, 1.0, 10, noise)
+        assert batch.fail_times[p] == err.value.time
+    assert batch.fail_times.tolist() == [0.0004, 0.01]
+
+
+def test_predict_ensemble_mean_does_not_depend_on_the_path_block(monkeypatch):
+    import sirlevy.simulate as sim
+
+    params, x0, _ = _model_setup("numbers", eps=0.1)
+    whole = sim.predict_ensemble("numbers", THETA_REF, params, x0, horizon=1.0, n_paths=7, seed=4)
+    monkeypatch.setattr(sim, "PATH_BLOCK", 3)
+    blocks = sim.predict_ensemble("numbers", THETA_REF, params, x0, horizon=1.0, n_paths=7, seed=4)
+    assert np.array_equal(whole.states, blocks.states)
+    assert whole.clamp_count == blocks.clamp_count
