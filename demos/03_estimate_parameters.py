@@ -2,8 +2,8 @@
 
 Synthetic data at a small noise amplitude, the weighted least-squares
 objective, and the cell table that the estimator builds.  A dense frequency
-scan and a golden-section search on the exact profile objective then sharpen
-the winner; its row in the table shows the sharpened point.  The final
+scan and a zero search on the exact profile's slope in the frequency then
+sharpen the winner; its row in the table shows the sharpened point.  The final
 estimate lands within about 1e-4 of the truth.
 """
 
@@ -39,7 +39,7 @@ result = lsgd_estimate(
 
 print("line-search table (cell, test period, objective):")
 for cell in result.cells:
-    marker = "  <- winner, sharpened by golden-section search on the exact profile" if cell.refined else ""
+    marker = "  <- winner, sharpened by a zero search on the exact profile's slope" if cell.refined else ""
     print(f"  {cell.index:2d}  {cell.period:8.5f}  {cell.value:12.5g}{marker}")
 
 print("\ntrue parameters:     ", np.round(theta0.to_vector(), 8))

@@ -376,16 +376,49 @@ class AlphaProfile:
         gram, lin = self._gram_lin(_design_columns(self.t, period, self.order))
         return AlphaQuadratic(gram=gram, lin=lin, const=self.rr, scale=self.scale, period=period, order=self.order)
 
+    def _solve_design(self, C: np.ndarray, box) -> tuple[np.ndarray, np.ndarray]:
+        lower, upper = box.alpha_bounds(self.order)
+        gram, lin = self._gram_lin(C)
+        alphas = solve_box(gram, lin, lower, upper)
+        return alphas, _quad_values(gram, lin, self.rr, self.scale, alphas)
+
     def solve_many(self, periods, box) -> tuple[np.ndarray, np.ndarray]:
         """Exact minimizers and values under ``box`` at every period: (alphas (F, q), values (F,)).
 
         One batched design contraction and one :func:`solve_box` call;
         ``box`` is anything with ``alpha_bounds(order)``.
         """
-        lower, upper = box.alpha_bounds(self.order)
-        gram, lin = self._gram_lin(_design_columns(self.t, np.asarray(periods, dtype=float), self.order))
-        alphas = solve_box(gram, lin, lower, upper)
-        return alphas, _quad_values(gram, lin, self.rr, self.scale, alphas)
+        return self._solve_design(_design_columns(self.t, np.asarray(periods, dtype=float), self.order), box)
+
+    def solve_slope(self, freqs, box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`solve_many` at the periods 1/freqs plus the profile's slope in the frequency.
+
+        Returns (alphas (F, q), values (F,), slopes (F,)); the alphas and values
+        equal :meth:`solve_many`'s bit for bit.  The box does not depend on the
+        frequency, so by the envelope (Danskin) theorem the slope of the
+        profile V(f) = min_a Q(f, a) is the partial derivative of Q in f at the
+        minimizer a:
+
+            dV/df = scale * (a' dG/df a - 2 dlin/df' a)
+                  = 2 scale dt * sum_i (D a)_i (dt vv_i (C a)_i - rv_i)
+
+        with D the frequency derivative of the design C and i the grid nodes.  It has no ``rr``
+        term, so unlike the value it does not cancel digits when the residual
+        sum dwarfs the objective.  Rows are independent, as in
+        :meth:`solve_many`.
+        """
+        C = _design_columns(self.t, 1.0 / np.asarray(freqs, dtype=float), self.order)
+        alphas, values = self._solve_design(C, box)
+        # dC/df = (0, -2 pi k t sin(...), 2 pi k t cos(...))
+        K = self.order
+        rate = 2.0 * np.pi * np.multiply.outer(self.t, np.arange(1.0, K + 1.0))
+        D = np.concatenate([np.zeros_like(C[..., :1]), -rate * C[..., K + 1 :], rate * C[..., 1 : K + 1]], axis=-1)
+        col = alphas[:, :, None]
+        beta = (C @ col)[:, :, 0]  # the fitted transmission per node
+        dbeta = (D @ col)[:, None, :, 0]
+        misfit = (self.dt * self.vv * beta - self.rv)[:, :, None]
+        slopes = 2.0 * self.scale * self.dt * (dbeta @ misfit)[:, 0, 0]
+        return alphas, values, slopes
 
     def solve(self, period: float, box) -> tuple[np.ndarray, float]:
         """Exact minimizer and value under ``box`` at one period; :meth:`solve_many` with one row."""

@@ -11,9 +11,11 @@ paper's solver, stays available as the reference behind
 ``inner_solver="pgd"``.  With the coefficients solved exactly at every
 period, the joint fit is a one-dimensional search over the profile objective
 in the period (variable projection): a dense frequency scan over the ranked
-cells finds the basin, and a golden-section search on the exact profile value
-places the period beyond the cell resolution.  The winning table entry is
-updated in place so the reported objective is the table minimum.
+cells finds the basin, and a zero search on the exact profile's slope in the
+frequency (the envelope theorem's derivative,
+:meth:`AlphaProfile.solve_slope`, found by Brent's method) places the period
+beyond the cell resolution.  The winning table entry is updated in place so
+the reported objective is the table minimum.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .contrast import (
     AlphaProfile,
@@ -38,6 +41,8 @@ from .simulate import Trajectory
 from .transmission import PERIOD_FLOOR, ThetaParams
 
 _ETA_MIN = 1e-300
+# the period search stops when its frequency bracket is this narrow relative to the bracket's top
+_SEARCH_XTOL = 1e-12
 
 
 class EstimationError(RuntimeError):
@@ -102,7 +107,7 @@ class EstimatorConfig:
     # projected gradient descent, kept as the reference solver
     inner_solver: str = "linear"
     alpha_init: tuple[float, ...] | None = None
-    refine: bool = True  # scan plus golden-section search after the cells
+    refine: bool = True  # scan plus the zero search on the profile's slope after the cells
     scan_cells: int | None = None  # top-ranked cells getting the dense period scan; None = all
     order: int = 1
 
@@ -147,7 +152,7 @@ class EstimationResult:
     objective: float
     cells: list[CellResult] = field(default_factory=list)
     converged: bool = True
-    refine_iterations: int = 0  # golden-section iterations
+    refine_iterations: int = 0  # profile evaluations of the period search
     degenerate: bool = False
 
     @property
@@ -253,50 +258,51 @@ def _scan_frequencies(traj, cells, est, box) -> tuple[np.ndarray, float]:
 
 
 def _scan_top_cells(traj, profile: AlphaProfile, cells, params, cfg, est, box, best):
-    """Dense period scan over the best-ranked cells; returns (period, alpha, value, iterations).
+    """Dense period scan over the best-ranked cells; returns (period, alpha, value, evaluations).
 
     Scan points are ranked by the clipped normal-equations value, the first
-    of equal values winning; a golden-section search on the exact profile
-    value sharpens the winner, and the cell solver re-solves it.  The better
-    of that point and the best cell is returned.
+    of equal values winning; a zero search on the exact profile's slope
+    around the winner (:func:`_envelope_search`) sharpens it, and the cell
+    solver re-solves it.  The better of that point and the best cell is
+    returned, with the search's profile evaluations.
     """
     freqs, df = _scan_frequencies(traj, cells, est, box)
     candidates = [(best.period, best.alpha, best.value)]
-    iterations = 0
+    evaluations = 0
     if freqs.size:
         lo, hi = box.alpha_bounds(est.order)
         f_best = freqs[np.argmin(profile.scan(1.0 / freqs, lo, hi)[1])]
-        # the basin is narrow at small periods, so the search runs in frequency
-        f_star, iterations = _golden_section(lambda f: profile.solve(1.0 / f, box)[1], f_best - df, f_best + df)
+        # the basin is narrow at small periods, so the search runs in frequency,
+        # inside the scan bracket and the box
+        f_lo = max(f_best - df, 1.0 / box.period[1])
+        f_hi = min(f_best + df, 1.0 / box.period[0])
+        f_star, evaluations = _envelope_search(profile, box, f_lo, f_hi)
         period = min(max(1.0 / f_star, box.period[0]), box.period[1])
         sol = _solve_cells(traj, profile, [period], params, cfg, est, box)[0]
         candidates.append((period, sol.alpha, sol.value))
-    return (*min(candidates, key=lambda c: c[2]), iterations)
+    return (*min(candidates, key=lambda c: c[2]), evaluations)
 
 
-def _golden_section(fun, lo: float, hi: float, iters: int = 80) -> tuple[float, int]:
-    """Minimize a scalar function on [lo, hi]; deterministic, derivative-free.
+def _envelope_search(profile: AlphaProfile, box, lo: float, hi: float) -> tuple[float, int]:
+    """Minimize the profile over the frequencies [lo, hi] by a zero of its slope.
 
-    Returns the midpoint of the final bracket and the iterations taken.
+    Both ends are evaluated in one stacked call.  When the slope is negative
+    at ``lo`` and positive at ``hi`` the bracket holds a minimum, and Brent's
+    method (:func:`scipy.optimize.brentq`) finds the zero of the slope;
+    otherwise the end of lower value wins.  Returns the frequency and the
+    number of profile evaluations.
     """
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    it = 0
-    for it in range(1, iters + 1):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-        if b - a < 1e-12 * max(1.0, abs(a)):
-            break
-    return (a + b) / 2.0, it
+    ends = np.array([lo, hi])
+    _, values, slopes = profile.solve_slope(ends, box)
+    if not slopes[0] < 0.0 < slopes[1]:
+        return float(ends[np.argmin(values)]), 2
+    known = {lo: slopes[0], hi: slopes[1]}  # brentq starts by asking for the ends
+
+    def slope(f):
+        return known[f] if f in known else profile.solve_slope(np.array([f]), box)[2][0]
+
+    f_star, info = brentq(slope, lo, hi, xtol=_SEARCH_XTOL * hi, full_output=True)
+    return f_star, info.function_calls
 
 
 def _solve_cells(traj, profile: AlphaProfile, periods, params, cfg, est, box) -> list[AlphaSolve]:
@@ -319,8 +325,8 @@ def lsgd_estimate(
 
     Cell i tests one period drawn uniformly from ((i-1)/M, i/M); all cells
     are solved in one batch.  The best cell seeds a dense frequency scan and
-    a golden-section search on the exact profile objective in the period,
-    whose cell solve gives the coefficients (with ``inner_solver="pgd"`` they
+    a zero search on the exact profile's slope in the frequency, whose cell
+    solve gives the coefficients (with ``inner_solver="pgd"`` they
     are re-solved exactly); the objective there is evaluated from the
     residuals.  The table entry of the cell holding the refined point is
     replaced by it, so the reported objective equals the table minimum.

@@ -81,6 +81,17 @@ class Trajectory:
         return float(dt)
 
 
+def _check_noise(noise: LevyPathNoise, model, horizon: float) -> None:
+    """Reject a noise path the integrators cannot take: wrong dimension, too short, jumps at t <= 0."""
+    if noise.dim != model.driver_dim:
+        raise ValueError(f"noise dimension {noise.dim} does not match model {model.tag}")
+    if noise.horizon < horizon:
+        raise ValueError("noise path horizon is shorter than the simulation horizon")
+    if np.any(noise.jump_times <= 0.0):
+        # the path starts at t = 0, so such a jump has no pre-jump state
+        raise ValueError(f"noise jump times must be positive, got {np.min(noise.jump_times)!r}")
+
+
 def simulate_sde(
     model,
     theta: ThetaParams,
@@ -100,10 +111,7 @@ def simulate_sde(
     model = get_model(model)
     if n_obs < 1 or substeps < 1:
         raise ValueError("n_obs and substeps must be >= 1")
-    if noise.dim != model.driver_dim:
-        raise ValueError(f"noise dimension {noise.dim} does not match model {model.tag}")
-    if noise.horizon < horizon:
-        raise ValueError("noise path horizon is shorter than the simulation horizon")
+    _check_noise(noise, model, horizon)
 
     n_steps = n_obs * substeps
     base = np.linspace(0.0, horizon, n_steps + 1)
@@ -317,10 +325,7 @@ def simulate_many(
     if n_obs < 1 or substeps < 1:
         raise ValueError("n_obs and substeps must be >= 1")
     for noise in noises:
-        if noise.dim != model.driver_dim:
-            raise ValueError(f"noise dimension {noise.dim} does not match model {model.tag}")
-        if noise.horizon < horizon:
-            raise ValueError("noise path horizon is shorter than the simulation horizon")
+        _check_noise(noise, model, horizon)
 
     n_paths = len(noises)
     n_steps = n_obs * substeps

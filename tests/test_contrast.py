@@ -530,3 +530,32 @@ def test_estimate_is_a_box_kkt_point_and_a_profile_minimum(seed, eps):
     for side in (1.0 - 1e-6, 1.0 + 1e-6):
         if box.period[0] <= period * side <= box.period[1]:
             assert profile.solve(period * side, box)[1] >= res.objective * (1.0 - 1e-10)
+
+
+@pytest.mark.parametrize(
+    "seed,eps,model,form,order",
+    [
+        (7, 0.01, "numbers", "weighted", 1),
+        (3, 0.01, "proportions", "plain", 1),
+        (0, 0.3, "numbers", "weighted", 1),
+        (7, 0.01, "numbers", "weighted", 2),
+    ],
+)
+def test_profile_slope_matches_finite_differences(seed, eps, model, form, order):
+    # the eps 0.3, seed 0 dataset is the one whose minimizers leave the box
+    traj = make_dataset(seed=seed, eps=eps, model=model)
+    box = BoxConstraints()
+    lower, upper = box.alpha_bounds(order)
+    profile = alpha_profile(traj, traj.params, ContrastConfig(form=form, eps=eps), order=order)
+    freqs = np.random.default_rng(seed).uniform(1.0, 50.0, size=24)
+    alphas, values, slopes = profile.solve_slope(freqs, box)
+    ref_alphas, ref_values = profile.solve_many(1.0 / freqs, box)
+    assert np.array_equal(alphas, ref_alphas) and np.array_equal(values, ref_values)
+    on_face = np.any((alphas <= lower) | (alphas >= upper), axis=1)
+    assert on_face.any() and not on_face.all()
+    for f, alpha, value, slope in zip(freqs, alphas, values, slopes):
+        h = 1e-6 * f
+        fd = (profile.solve(1.0 / (f + h), box)[1] - profile.solve(1.0 / (f - h), box)[1]) / (2.0 * h)
+        assert abs(fd - slope) <= 1e-6 * (abs(slope) + value / f)
+        # each row is evaluated as if alone
+        assert profile.solve_slope(np.array([f]), box)[2][0] == slope

@@ -154,3 +154,28 @@ def test_estimator_behavior_with_fine_generation_grid():
     # phase rotation of the oscillation pair dominates: about
     # amp * pi * spacing / period ~ 0.013 for the reference point
     assert np.median(errs) < 0.02
+
+
+def test_period_search_stops_at_a_sign_change_of_the_profile_slope(monkeypatch):
+    # criterion 5's datasets
+    import sirlevy.estimator as estimator
+
+    searches = []
+    real = estimator._envelope_search
+
+    def spy(profile, box, lo, hi):
+        f_star, evaluations = real(profile, box, lo, hi)
+        searches.append((profile, lo, hi, f_star))
+        return f_star, evaluations
+
+    monkeypatch.setattr(estimator, "_envelope_search", spy)
+    box = BoxConstraints()
+    for s in range(6):
+        traj = make_dataset(seed=5000 + s, eps=0.001, substeps=1)
+        res = sl.lsgd_estimate(traj, EstimatorConfig(), box, CFG_W, seed=s)
+        assert 2 <= res.refine_iterations <= 20
+        profile, lo, hi, f_star = searches[-1]
+        assert lo < f_star < hi
+        assert res.theta.period == pytest.approx(1.0 / f_star, rel=1e-15)
+        slopes = profile.solve_slope(np.array([f_star * (1.0 - 1e-9), f_star * (1.0 + 1e-9)]), box)[2]
+        assert slopes[0] < 0.0 < slopes[1]

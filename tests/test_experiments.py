@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import sirlevy as sl
 from sirlevy.cli import main as cli_main
@@ -55,6 +57,71 @@ def test_trajectory_round_trip_exact(tmp_path):
     assert back.params == traj.params
     assert back.lam == traj.lam
     assert back.model == traj.model
+
+
+# every float64 but NaN: subnormals, the largest finite values, infinities and -0.0 included
+_any_float = st.floats(allow_nan=False, width=64)
+_nonnegative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_positive = _nonnegative.filter(lambda x: x > 0.0)
+
+
+@st.composite
+def _sidecar_trajectories(draw):
+    n = draw(st.integers(1, 6))
+    floats = st.lists(_any_float, min_size=n, max_size=n)
+    order = draw(st.integers(1, 2))
+    coeffs = st.tuples(*[_any_float] * order)
+    return sl.Trajectory(
+        times=draw(floats),
+        states=np.column_stack([draw(floats) for _ in range(3)]),
+        model=draw(st.sampled_from(["numbers", "proportions"])),
+        theta=sl.ThetaParams(draw(_any_float), draw(_any_float), draw(coeffs), draw(coeffs)),
+        params=sl.SirParams(
+            birth=draw(_nonnegative),
+            death=draw(_nonnegative),
+            gamma=draw(_positive),
+            sigma=draw(_positive),
+            eps=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        ),
+        seed=draw(st.integers(0, 2**128)),
+        lam=draw(_any_float),
+        clamp_count=draw(st.integers(0, 10**6)),
+    )
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(traj=_sidecar_trajectories())
+@example(
+    traj=sl.Trajectory(
+        times=[-0.0, 5e-324, 2.2250738585072014e-308],
+        states=[[1.7976931348623157e308, -0.0, 0.1], [np.inf, -np.inf, 1e-310], [0.0, -5e-324, 1.0 / 3.0]],
+        model="numbers",
+        theta=sl.ThetaParams(-0.0, 5e-324, (1.7976931348623157e308,), (-1e-310,)),
+        params=sl.SirParams(birth=5e-324, death=0.0, gamma=1.7976931348623157e308, sigma=1e-310, eps=0.1 + 0.2),
+        seed=2**128,
+        lam=-0.0,
+        clamp_count=3,
+    )
+)
+def test_trajectory_and_sidecar_round_trip_bit_for_bit(tmp_path, traj):
+    path = tmp_path / "traj.csv"
+    meta = tmp_path / "traj.meta"
+    save_trajectory(traj, str(path), str(meta))
+    back = load_trajectory(str(path), str(meta))
+    assert np.array_equal(_bits(back.times), _bits(traj.times))
+    assert np.array_equal(_bits(back.states), _bits(traj.states))
+    assert np.array_equal(_bits(back.theta.to_vector()), _bits(traj.theta.to_vector()))
+    p, q = back.params, traj.params
+    assert np.array_equal(
+        _bits([p.birth, p.death, p.gamma, p.sigma, p.eps]), _bits([q.birth, q.death, q.gamma, q.sigma, q.eps])
+    )
+    assert _bits(back.lam) == _bits(traj.lam)
+    assert back.seed == traj.seed and type(back.seed) is int
+    assert (back.model, back.clamp_count) == (traj.model, traj.clamp_count)
 
 
 def test_config_round_trip_lossless(tmp_path):

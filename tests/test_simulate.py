@@ -268,6 +268,19 @@ def test_simulate_many_flags_the_paths_simulate_sde_rejects(model_tag):
     assert batch.fail_times.tolist() == [0.0004, 0.01]
 
 
+@pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
+def test_both_integrators_reject_a_jump_at_time_zero(model_tag):
+    # a jump at t = 0 has no pre-jump state; neither integrator may drop it
+    # (or the jumps after it) silently
+    params, x0, dim = _model_setup(model_tag)
+    mark = [0.1] * dim
+    with pytest.raises(ValueError, match="jump times must be positive"):
+        sl.simulate_sde(model_tag, THETA_REF, params, x0, 1.0, 10, _hand_noise(3000, dim, 1.0, [0.0, 0.5], [mark, mark]))
+    noises = [_hand_noise(3001, dim, 1.0, [], []), _hand_noise(3000, dim, 1.0, [0.0, 0.5], [mark, mark])]
+    with pytest.raises(ValueError, match="jump times must be positive"):
+        sl.simulate.simulate_many(model_tag, THETA_REF, params, x0, 1.0, 10, noises)
+
+
 def test_predict_ensemble_mean_does_not_depend_on_the_path_block(monkeypatch):
     import sirlevy.simulate as sim
 
