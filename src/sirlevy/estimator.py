@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .contrast import (
     AlphaProfile,
@@ -292,6 +291,11 @@ def _envelope_search(profile: AlphaProfile, box, lo: float, hi: float) -> tuple[
     otherwise the end of lower value wins.  Returns the frequency and the
     number of profile evaluations.
     """
+    # imported on first use: at module level it loads scipy.optimize ahead of
+    # the scipy.stats import of sirlevy.theory, which measured about 60 ms
+    # slower `import sirlevy` (2-vCPU x86 VM, Python 3.11, scipy 1.17)
+    from scipy.optimize import brentq
+
     ends = np.array([lo, hi])
     _, values, slopes = profile.solve_slope(ends, box)
     if not slopes[0] < 0.0 < slopes[1]:
