@@ -115,6 +115,9 @@ def load_trajectory(path: str, meta_path: str | None = None) -> Trajectory:
             raise ValueError(f"unexpected trajectory header {header} in {path}")
         for row in reader:
             rows.append([float(v) for v in row])
+    if len(rows) < 2:
+        # a trajectory needs one interval; fewer rows are an empty or truncated file
+        raise ValueError(f"trajectory file {path} has {len(rows)} data rows; at least 2 are needed")
     arr = np.asarray(rows)
     model = "numbers"
     theta = params = None

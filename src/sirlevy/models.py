@@ -17,6 +17,7 @@ recovered).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -71,39 +72,17 @@ def _split(state):
     return s[..., 0], s[..., 1], s[..., 2]
 
 
-def drift_numbers(t, state, theta: ThetaParams, p: SirParams) -> np.ndarray:
-    """(birth - death*X - beta*X*Y, beta*X*Y - (death+gamma)*Y, gamma*Y - death*Z)."""
-    x, y, z = _split(state)
-    infections = beta_eval(t, theta) * x * y
-    return np.stack(
-        [
-            p.birth - p.death * x - infections,
-            infections - (p.death + p.gamma) * y,
-            p.gamma * y - p.death * z,
-        ],
-        axis=-1,
-    )
+def _drift(tag: str, p: SirParams, beta: Callable) -> Callable:
+    """The drift ``(t, x, y, z) -> (dX, dY, dZ)`` of model ``tag`` with transmission rate ``beta(t)``.
 
-
-def drift_proportions(t, state, theta: ThetaParams, p: SirParams) -> np.ndarray:
-    """(-beta*X*Y, beta*X*Y - gamma*Y, gamma*Y); components sum to zero."""
-    x, y, _ = _split(state)
-    infections = beta_eval(t, theta) * x * y
-    recoveries = p.gamma * y
-    return np.stack([-infections, infections - recoveries, recoveries], axis=-1)
-
-
-def make_drift_fast(model, theta: ThetaParams, p: SirParams) -> Callable:
-    """Drift ``(t, x, y, z) -> (dX, dY, dZ)`` for hot loops; equals ``model.drift`` pointwise.
-
-    ``t`` is a float; the states are floats, or arrays of states taken
-    elementwise.  The transmission rate comes from :func:`make_beta_fast`,
-    so on floats no numpy call is made.
+    This is the one place the SIR drift is written; every drift form of the
+    package is built from it.  It works alike on floats and on arrays of
+    states taken elementwise, and ``beta`` decides which: ``beta_eval`` for
+    times of any shape, ``make_beta_fast`` for float times in hot loops, zero
+    for the beta-free part ``g`` of :func:`drift_beta_split`.
     """
-    model = get_model(model)
-    beta = make_beta_fast(theta)
     gamma = p.gamma
-    if model.tag == "numbers":
+    if tag == "numbers":
         birth, death = p.birth, p.death
         out_y = death + gamma
 
@@ -112,13 +91,36 @@ def make_drift_fast(model, theta: ThetaParams, p: SirParams) -> Callable:
             return birth - death * x - infections, infections - out_y * y, gamma * y - death * z
 
         return drift
+    if tag == "proportions":
 
-    def drift_prop(t, x, y, z):
-        infections = beta(t) * x * y
-        recoveries = gamma * y
-        return -infections, infections - recoveries, recoveries
+        def drift_prop(t, x, y, z):
+            infections = beta(t) * x * y
+            recoveries = gamma * y
+            return -infections, infections - recoveries, recoveries
 
-    return drift_prop
+        return drift_prop
+    raise ValueError(f"unknown model tag {tag!r}")
+
+
+def drift_numbers(t, state, theta: ThetaParams, p: SirParams) -> np.ndarray:
+    """(birth - death*X - beta*X*Y, beta*X*Y - (death+gamma)*Y, gamma*Y - death*Z)."""
+    return np.stack(_drift("numbers", p, partial(beta_eval, theta=theta))(t, *_split(state)), axis=-1)
+
+
+def drift_proportions(t, state, theta: ThetaParams, p: SirParams) -> np.ndarray:
+    """(-beta*X*Y, beta*X*Y - gamma*Y, gamma*Y); components sum to zero."""
+    return np.stack(_drift("proportions", p, partial(beta_eval, theta=theta))(t, *_split(state)), axis=-1)
+
+
+def make_drift_fast(model, theta: ThetaParams, p: SirParams) -> Callable:
+    """Drift ``(t, x, y, z) -> (dX, dY, dZ)`` for hot loops; equals ``model.drift`` pointwise.
+
+    It is the closure of the one drift definition with the transmission rate
+    of :func:`make_beta_fast`, returned as is, so a hot loop pays no extra
+    call layer and on floats no numpy call is made.  ``t`` is a float; the
+    states are floats, or arrays of states taken elementwise.
+    """
+    return _drift(get_model(model).tag, p, make_beta_fast(theta))
 
 
 def noise_coeff_numbers(state, p: SirParams):
@@ -136,23 +138,15 @@ def noise_coeff_proportions(state, p: SirParams) -> np.ndarray:
 def drift_beta_split(model_tag: str, state, p: SirParams):
     """Decompose the drift as g + beta(t) * v with v = (-X*Y, X*Y, 0).
 
-    Returns (g, v); both broadcast over leading state axes.  The residuals are
-    affine in the transmission coefficients through this split.
+    Returns (g, v); both broadcast over leading state axes.  g is the one
+    drift definition at zero transmission, so it has the drift's other terms
+    as they are computed everywhere else.  The residuals are affine in the
+    transmission coefficients through this split.
     """
     x, y, z = _split(state)
+    g = np.stack(_drift(model_tag, p, lambda t: 0.0)(0.0, x, y, z), axis=-1)
     xy = x * y
-    v = np.stack([-xy, xy, np.zeros_like(xy)], axis=-1)
-    if model_tag == "numbers":
-        g = np.stack(
-            [p.birth - p.death * x, -(p.death + p.gamma) * y, p.gamma * y - p.death * z],
-            axis=-1,
-        )
-    elif model_tag == "proportions":
-        ry = p.gamma * y
-        g = np.stack([np.zeros_like(ry), -ry, ry], axis=-1)
-    else:
-        raise ValueError(f"unknown model tag {model_tag!r}")
-    return g, v
+    return g, np.stack([-xy, xy, np.zeros_like(xy)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -196,12 +190,3 @@ def get_model(model) -> SirModel:
     except KeyError:
         raise ValueError(f"unknown model {model!r}; expected 'numbers' or 'proportions'") from None
 
-
-def clamp_nonnegative(state: np.ndarray) -> tuple[np.ndarray, int]:
-    """Zero out negative components (discretization undershoot); count how many."""
-    neg = state < 0.0
-    if not neg.any():
-        return state, 0
-    out = state.copy()
-    out[neg] = 0.0
-    return out, int(neg.sum())

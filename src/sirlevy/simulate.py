@@ -6,11 +6,14 @@ supplied noise path, so jumps land exactly on integration nodes.  Observation
 times are integration nodes by construction; no interpolation happens
 anywhere.
 
-``simulate_sde`` integrates one path on Python floats.  ``simulate_many``
-integrates many paths in lockstep: every path takes each base interval of the
-uniform grid in one numpy operation over the paths, and a path with a jump
-inside the interval takes its extra sub-steps on its own.  Each row repeats
-the single-path arithmetic in the same order, so it equals ``simulate_sde`` on
+Both integrators take every grid interval through one Euler-Maruyama step
+(``_euler_step``), every jump through one jump (``_jump``), and clamp and
+check each result the same way (``_clamp``, ``_finite``).  ``simulate_sde``
+integrates one path on Python floats.  ``simulate_many`` integrates many paths
+in lockstep: every path takes each base interval of the uniform grid in one
+call of the step on arrays over the paths, and a path with a jump inside the
+interval takes its extra sub-steps on its own, on floats.  The step gives the
+same values on floats and on arrays, so each row equals ``simulate_sde`` on
 the same noise bit for bit.  Brownian increments are drawn in time chunks of
 at most ``INCREMENT_BUDGET`` values, and ``predict_ensemble`` simulates at most
 ``PATH_BLOCK`` paths per call, one call per retry round, so the memory an
@@ -27,7 +30,7 @@ import numpy as np
 
 from .levy import LevyPathNoise
 from .models import SirParams, get_model, make_drift_fast
-from .transmission import ThetaParams, make_beta_fast
+from .transmission import ThetaParams
 
 DEFAULT_SUBSTEPS = 10
 
@@ -82,14 +85,22 @@ class Trajectory:
 
 
 def _check_noise(noise: LevyPathNoise, model, horizon: float) -> None:
-    """Reject a noise path the integrators cannot take: wrong dimension, too short, jumps at t <= 0."""
+    """Reject a noise path the integrators cannot take: wrong dimension, too short,
+    jumps at t <= 0, jump times not strictly increasing."""
     if noise.dim != model.driver_dim:
         raise ValueError(f"noise dimension {noise.dim} does not match model {model.tag}")
     if noise.horizon < horizon:
         raise ValueError("noise path horizon is shorter than the simulation horizon")
-    if np.any(noise.jump_times <= 0.0):
+    times = noise.jump_times
+    if np.any(times <= 0.0):
         # the path starts at t = 0, so such a jump has no pre-jump state
-        raise ValueError(f"noise jump times must be positive, got {np.min(noise.jump_times)!r}")
+        raise ValueError(f"noise jump times must be positive, got {np.min(times)!r}")
+    back = np.flatnonzero(np.diff(times) <= 0.0)
+    if back.size:
+        # the grid holds each time once and in order, so a repeated or
+        # unsorted jump time has no one place on it: the integrators differ
+        a, b = times[back[0] : back[0] + 2].tolist()
+        raise ValueError(f"noise jump times must be strictly increasing, got {a!r} then {b!r}")
 
 
 def simulate_sde(
@@ -129,11 +140,8 @@ def simulate_sde(
     marks_list = jump_marks.tolist()
     obs_node = np.searchsorted(grid, base[::substeps]).tolist()
 
-    beta = make_beta_fast(theta)
-    eps_sigma = params.eps * params.sigma
-    birth, death, gamma = params.birth, params.death, params.gamma
-    numbers = model.tag == "numbers"
-
+    step = _euler_step(model, theta, params)
+    jump = _jump(model, params)
     x, y, z = (float(v) for v in np.asarray(s0, dtype=float))
     out = np.empty((n_obs + 1, 3))
     out[0] = (x, y, z)
@@ -143,60 +151,20 @@ def simulate_sde(
     n_jumps = len(jump_node)
 
     for i in range(len(grid_list) - 1):
-        t = grid_list[i]
-        dt = dts_list[i]
-        infections = beta(t) * x * y
-        c = eps_sigma * x * y * z
-        dw = incs[i]
-        if numbers:
-            x, y, z = (
-                x + dt * (birth - death * x - infections) + c * dw[0],
-                y + dt * (infections - (death + gamma) * y) + c * dw[1],
-                z + dt * (gamma * y - death * z) + c * dw[2],
-            )
-        else:
-            recoveries = gamma * y
-            cdw = c * dw[0]
-            x, y, z = (
-                x + dt * (-infections) - cdw,
-                y + dt * (infections - recoveries) + 2.0 * cdw,
-                z + dt * recoveries - cdw,
-            )
-        if x < 0.0:
-            x = 0.0
-            clamps += 1
-        if y < 0.0:
-            y = 0.0
-            clamps += 1
-        if z < 0.0:
-            z = 0.0
-            clamps += 1
+        x, y, z = step(grid_list[i], x, y, z, dts_list[i], incs[i])
+        if x < 0.0 or y < 0.0 or z < 0.0:
+            x, y, z, n = _clamp(x, y, z)
+            clamps += n
         t_next = grid_list[i + 1]
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        if not _finite(x, y, z):
             raise SimulationError(f"non-finite state at t={t_next}", time=t_next)
 
         while jump_ptr < n_jumps and jump_node[jump_ptr] == i + 1:
-            cj = eps_sigma * x * y * z
-            m = marks_list[jump_ptr]
-            if numbers:
-                x += cj * m[0]
-                y += cj * m[1]
-                z += cj * m[2]
-            else:
-                cjm = cj * m[0]
-                x += -cjm
-                y += 2.0 * cjm
-                z += -cjm
-            if x < 0.0:
-                x = 0.0
-                clamps += 1
-            if y < 0.0:
-                y = 0.0
-                clamps += 1
-            if z < 0.0:
-                z = 0.0
-                clamps += 1
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            x, y, z = jump(x, y, z, marks_list[jump_ptr])
+            if x < 0.0 or y < 0.0 or z < 0.0:
+                x, y, z, n = _clamp(x, y, z)
+                clamps += n
+            if not _finite(x, y, z):
                 raise SimulationError(f"non-finite state at jump t={t_next}", time=t_next)
             jump_ptr += 1
 
@@ -223,10 +191,13 @@ def simulate_sde(
 def _euler_step(model, theta: ThetaParams, params: SirParams):
     """Raw Euler-Maruyama step ``(t, x, y, z, dt, dw) -> (x, y, z)``, before clamping.
 
-    It works alike on floats and on arrays over paths, and gives the same
-    values as the loop in :func:`simulate_sde`: the drift of
-    :func:`~sirlevy.models.make_drift_fast` is that loop's drift, term for
-    term, and the noise terms are added in the same order.
+    This is the one grid step of both integrators: the drift of
+    :func:`~sirlevy.models.make_drift_fast` times dt, plus the noise
+    coefficient eps*sigma*X*Y*Z at the step's left state times the Brownian
+    increment (through the column (-1, 2, -1) on the proportions model).  It
+    works alike on floats, as :func:`simulate_sde` and a path's own sub-steps
+    in :func:`simulate_many` call it, and on arrays over paths, as the
+    lockstep base interval calls it; both give the same values bit for bit.
     """
     drift = make_drift_fast(model, theta, params)
     eps_sigma = params.eps * params.sigma
@@ -248,7 +219,11 @@ def _euler_step(model, theta: ThetaParams, params: SirParams):
 
 
 def _jump(model, params: SirParams):
-    """Raw jump ``(x, y, z, mark) -> (x, y, z)`` on floats, as in :func:`simulate_sde`."""
+    """Raw jump ``(x, y, z, mark) -> (x, y, z)`` on floats, before clamping.
+
+    The one jump of both integrators: the coefficient at the pre-jump state
+    times the mark, as in :func:`_euler_step`.
+    """
     eps_sigma = params.eps * params.sigma
     if model.tag == "numbers":
 
@@ -315,7 +290,7 @@ def simulate_many(
     first takes its sub-steps up to its last such jump on floats, and its own
     last sub-step replaces its share of the vectorized step; a jump on a base
     node is applied to its path alone after the step.  States, clamp counts
-    and the non-finite checks follow the single-path loop exactly, except that
+    and the non-finite checks follow ``simulate_sde`` exactly, except that
     a path reaching a non-finite state is flagged in ``fail_times`` instead of
     raising.  Each path's increments are drawn in time chunks, at most
     INCREMENT_BUDGET values over all paths at once; chunked draws continue one

@@ -18,7 +18,7 @@ from scipy import stats
 from .contrast import ContrastConfig
 from .estimator import BoxConstraints, EstimationError, EstimatorConfig, lsgd_estimate
 from .levy import MARK_WEIGHTS_1D, MARK_WEIGHTS_3D, MARKS_1D, MARKS_3D, LevyPathNoise, sample_lambda
-from .models import SirParams, get_model, noise_coeff_numbers
+from .models import SirParams, drift_beta_split, get_model, noise_coeff_numbers
 from .simulate import SimulationError, Trajectory, simulate_sde, solve_ode
 from .transmission import ThetaParams, beta_eval, beta_grad
 
@@ -165,7 +165,7 @@ class LimitSampler:
             kappa = c
         # per-node (driver_dim, p) coefficient of the driving increments
         if model.tag == "numbers":
-            v = np.stack([-xy, xy, np.zeros_like(xy)], axis=-1)  # (n+1, 3)
+            _, v = drift_beta_split(model.tag, path.states, params)  # (n+1, 3)
             coef = kappa[:, None, None] * v[:, :, None] * grads[:, None, :]
         else:
             # scalar driver: column (-1, 2, -1) contracted with v gives 3*X*Y

@@ -67,7 +67,7 @@ _positive = _nonnegative.filter(lambda x: x > 0.0)
 
 @st.composite
 def _sidecar_trajectories(draw):
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 6))  # load_trajectory rejects files with fewer than two rows
     floats = st.lists(_any_float, min_size=n, max_size=n)
     order = draw(st.integers(1, 2))
     coeffs = st.tuples(*[_any_float] * order)
@@ -168,6 +168,31 @@ def test_corrupt_dataset_becomes_failure_row(tmp_path, jobs):
     for row in rows[:1] + rows[2:]:
         assert row["error"] == ""
         assert np.isfinite(float(row["est_period"]))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_short_trajectory_file_is_rejected_by_name(tmp_path, n_rows):
+    traj = make_dataset(seed=3, eps=0.01)
+    path = tmp_path / "short.csv"
+    save_trajectory(sl.Trajectory(traj.times[:n_rows], traj.states[:n_rows], "numbers"), str(path))
+    with pytest.raises(ValueError, match=f"{path} has {n_rows} data rows"):
+        load_trajectory(str(path))
+
+
+def test_short_trajectory_files_become_failure_rows(tmp_path):
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=3, seed=3, cells=6)
+    out = str(tmp_path)
+    records = sl.generate_datasets(cfg, out)
+    for record, text in zip(records[:2], ("t,X,Y,Z\n", "t,X,Y,Z\n0.0,2.3,0.19,0.25\n")):
+        with open(record.path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    paths = sl.batch_estimate(records, cfg, out)
+    with open(paths[0.01]) as fh:
+        rows = list(csv.DictReader(fh))
+    for row, record in zip(rows[:2], records[:2]):
+        assert row["error"].startswith("ValueError: "), row["error"]
+        assert record.path in row["error"]
+    assert rows[2]["error"] == ""
 
 
 def test_proportions_config_forces_plain_contrast():

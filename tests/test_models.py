@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sirlevy as sl
-from sirlevy.models import clamp_nonnegative, drift_beta_split, make_drift_fast
+from sirlevy.models import drift_beta_split, make_drift_fast
 
 from conftest import THETA_REF, X0_NUMBERS, X0_PROPORTIONS
 
@@ -111,13 +111,6 @@ def test_param_validation():
         sl.SirParams(eps=1.0)
     with pytest.raises(ValueError):
         sl.get_model("something")
-
-
-def test_clamp_counts_negative_components():
-    s, n = clamp_nonnegative(np.array([0.2, -1e-9, -3.0]))
-    assert n == 2 and np.all(s >= 0.0) and s[0] == 0.2
-    s2, n2 = clamp_nonnegative(np.array([0.1, 0.2, 0.3]))
-    assert n2 == 0
 
 
 @pytest.mark.parametrize("model_tag", ["numbers", "proportions"])

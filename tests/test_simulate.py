@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sirlevy as sl
 
@@ -67,6 +69,32 @@ def test_proportions_conservation():
         noise = sl.LevyPathNoise(seed, 4.0, 1.0, 1)
         traj = sl.simulate_sde("proportions", THETA_REF, p, X0_PROPORTIONS, 1.0, 100, noise)
         assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=st.tuples(
+        st.floats(sl.PERIOD_FLOOR, 1.0), st.floats(1e-6, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0)
+    ),
+    eps=st.floats(0.0, 0.9, exclude_max=True),
+    paths=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.floats(0.0, 8.0)), min_size=1, max_size=4),
+)
+def test_unclamped_proportions_paths_conserve_mass(theta, eps, paths):
+    # the drift and both noise columns sum to zero, so only a clamp can move X + Y + Z
+    theta = sl.ThetaParams(*theta)
+    params = sl.proportions_defaults(eps=eps)
+
+    def noises():
+        return [sl.LevyPathNoise(seed, rate, 1.0, 1) for seed, rate in paths]
+
+    batch = sl.simulate.simulate_many("proportions", theta, params, X0_PROPORTIONS, 1.0, 50, noises())
+    assert not batch.failed.any()
+    for p, noise in enumerate(noises()):
+        traj = sl.simulate_sde("proportions", theta, params, X0_PROPORTIONS, 1.0, 50, noise)
+        if traj.clamp_count == 0:
+            assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-10
+        if batch.clamp_counts[p] == 0:
+            assert np.abs(batch.states[p].sum(axis=1) - 1.0).max() <= 1e-10
 
 
 def _reference_euler(model_tag, theta, params, s0, horizon, n_obs, noise, substeps):
@@ -279,6 +307,21 @@ def test_both_integrators_reject_a_jump_at_time_zero(model_tag):
     noises = [_hand_noise(3001, dim, 1.0, [], []), _hand_noise(3000, dim, 1.0, [0.0, 0.5], [mark, mark])]
     with pytest.raises(ValueError, match="jump times must be positive"):
         sl.simulate.simulate_many(model_tag, THETA_REF, params, x0, 1.0, 10, noises)
+
+
+@pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
+def test_both_integrators_reject_jump_times_that_do_not_increase(model_tag):
+    # two jumps at one time inside a base interval, and unsorted times: the
+    # integrators would place them differently on the grid, so both refuse
+    params, x0, dim = _model_setup(model_tag)
+    mark = [-0.1, 0.1, 0.0] if dim == 3 else [0.1]
+    for times, named in (([0.305, 0.305], "0.305 then 0.305"), ([0.7, 0.3], "0.7 then 0.3")):
+        noise = _hand_noise(3100, dim, 1.0, times, [mark, mark])
+        with pytest.raises(ValueError, match=f"strictly increasing, got {named}"):
+            sl.simulate_sde(model_tag, THETA_REF, params, x0, 1.0, 10, noise)
+        noises = [_hand_noise(3101, dim, 1.0, [], []), noise]
+        with pytest.raises(ValueError, match=f"strictly increasing, got {named}"):
+            sl.simulate.simulate_many(model_tag, THETA_REF, params, x0, 1.0, 10, noises)
 
 
 def test_predict_ensemble_mean_does_not_depend_on_the_path_block(monkeypatch):
