@@ -15,6 +15,18 @@ For a fixed period the residuals are affine in the transmission coefficients
 problem; :func:`alpha_quadratic` exposes that quadratic,
 :func:`linear_solve_alpha` solves it without bounds and
 :meth:`AlphaProfile.solve` solves it exactly under box bounds.
+
+The gram and linear term of that problem are weighted trig sums, so the
+profile over the period is a weighted, floating-mean generalised
+Lomb-Scargle periodogram.  :meth:`AlphaProfile.scan`, which ranks candidate
+periods for the estimator, evaluates it from the moments
+C_h + i S_h = sum_k vv_k e^{ihx_k} (h = 0..2K) and sum_k rv_k e^{ihx_k}
+(h = 0..K), x = 2 pi t / period, assembled by the product-to-sum identities.
+The moments factorize on the grid t_{aB} + b dt in blocks of B = ceil(sqrt(n))
+nodes, so a period costs about 2 sqrt(n) complex exponentials and no
+(periods, n, q) design is built.  The scan only ranks, and its entries
+differ from the design's in the last digits; every solve that is reported
+(the cells, the period search, the final coefficients) builds the design.
 """
 
 from __future__ import annotations
@@ -165,14 +177,60 @@ def contrast_gradient(
     return -2.0 * dt * cfg.scale(n) * (B.T @ (w * pv))
 
 
+def _check_periods(period) -> np.ndarray:
+    period = np.asarray(period, dtype=float)
+    if (period < PERIOD_FLOOR).any():
+        raise ValueError(f"period {period} is below the floor {PERIOD_FLOOR}")
+    return period
+
+
+@functools.lru_cache(maxsize=None)
+def _product_to_sum(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the gram reads its moments: index arrays (I, J), each (q, q), with
+
+        gram = dt**2 * (X[..., I] + X[..., J]) / 2,   X = (C, S, -C, -S),
+
+    each block holding harmonics 0..2K of C_h + i S_h = sum_k vv_k e^{ihx_k}.
+    The columns are cos_0 (the base), cos_1..cos_K and sin_1..sin_K, and the
+    entries follow the product-to-sum identities
+
+        cos_j cos_k = (C_{j-k} + C_{j+k}) / 2
+        sin_j sin_k = (C_{j-k} - C_{j+k}) / 2
+        cos_j sin_k = (S_{j+k} - S_{j-k}) / 2
+
+    with C_{-h} = C_h and S_{-h} = -S_h.
+    """
+    m = 2 * order + 1
+
+    def cos(h):  # C_h
+        return abs(h)
+
+    def sin(h):  # S_h
+        return m + h if h >= 0 else 3 * m - h
+
+    harmonic = [0, *range(1, order + 1), *range(1, order + 1)]
+    is_sin = [p > order for p in range(m)]
+    first, second = np.empty((m, m), dtype=int), np.empty((m, m), dtype=int)
+    for p, j in enumerate(harmonic):
+        for r, k in enumerate(harmonic):
+            if not is_sin[p] and not is_sin[r]:
+                first[p, r], second[p, r] = cos(j - k), cos(j + k)
+            elif is_sin[p] and is_sin[r]:
+                first[p, r], second[p, r] = cos(j - k), 2 * m + cos(j + k)  # -C_{j+k}
+            elif is_sin[r]:
+                first[p, r], second[p, r] = sin(j + k), sin(k - j)  # -S_{j-k} = S_{k-j}
+            else:
+                first[p, r], second[p, r] = sin(j + k), sin(j - k)  # sin_j cos_k = cos_k sin_j
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
 def _design_columns(t: np.ndarray, period, order: int) -> np.ndarray:
     """Columns (1, cos(2 pi k t / period), sin(...)) for k = 1..order; shape (n, 2K+1).
 
     An array of periods prepends its shape: (F,) periods give (F, n, 2K+1).
     """
-    period = np.asarray(period, dtype=float)
-    if (period < PERIOD_FLOOR).any():
-        raise ValueError(f"period {period} is below the floor {PERIOD_FLOOR}")
+    period = _check_periods(period)
     wphase = (2.0 * np.pi / period)[..., None, None] * np.multiply.outer(t, np.arange(1.0, order + 1.0))
     out = np.empty(wphase.shape[:-1] + (2 * order + 1,))
     out[..., 0] = 1.0
@@ -190,8 +248,6 @@ _FACE_SINGULAR_TOL = 1e-12
 # a certified face point's projected-gradient map, in coordinate units (gradient
 # over diagonal curvature), is at most this relative to the point's size
 _KKT_TOL = 1e-12
-# frequencies times grid nodes per block of the batched scan (bounds its memory)
-_SCAN_BLOCK = 1 << 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -439,29 +495,67 @@ class AlphaProfile:
         alpha = np.clip(alpha, lower, upper)
         return alpha, quad.value(alpha)
 
+    def _moment_gram_lin(self, periods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_gram_lin` of the design at each period, from trig moments: (F, q, q), (F, q).
+
+        With x = 2 pi t / period, the moments C_h + i S_h = sum_k vv_k e^{ihx_k}
+        for h = 0..2K give the gram by the product-to-sum identities
+        (:func:`_product_to_sum`), and R_h = sum_k rv_k e^{ihx_k} gives the
+        linear term (Re R_h for cos_h, Im R_h for sin_h).  The moments are
+        factorized on the grid: with B = ceil(sqrt(n)) and the node weights
+        zero-padded to A blocks of B nodes, node aB + b sits at t_{aB} + b dt
+        and
+
+            sum_k vv_k e^{ixt_k} = sum_a e^{ixt_{aB}} sum_b e^{ixb dt} vv_{aB+b},
+
+        one (F, B) @ (B, 2A) product per harmonic and a weighted sum over the
+        blocks.  Harmonic h takes the h-th powers of the first harmonic's
+        exponentials, so a period costs A + B complex exponentials (about
+        2 sqrt(n)) instead of the design's 2nK trig calls, and no (F, n, q)
+        design is built.  The offsets b dt are the ideal grid, which
+        :meth:`Trajectory.spacing` holds to 1e-8 relative, and the entries
+        differ from the design's in the last digits.
+        """
+        K, n, F = self.order, self.t.size, np.size(periods)
+        B = int(np.ceil(np.sqrt(n)))
+        A = -(-n // B)
+        weights = np.zeros((2, A * B))
+        weights[0, :n], weights[1, :n] = self.vv, self.rv
+        W = weights.reshape(2, A, B).transpose(2, 0, 1).reshape(B, 2 * A)  # column a: block a's vv, then rv
+        omega = 2.0 * np.pi / _check_periods(periods)
+        phase = np.multiply.outer(omega, np.concatenate([self.dt * np.arange(B), self.t[::B]]))
+        e = np.empty((2 * K,) + phase.shape, dtype=complex)  # e[h - 1] = e^{ih phase}
+        np.cos(phase, out=e[0].real)
+        np.sin(phase, out=e[0].imag)
+        for h in range(1, 2 * K):
+            np.multiply(e[h - 1], e[0], out=e[h])
+        blocks = (e[..., :B] @ W).reshape(2 * K, F, 2, A)
+        moments = np.einsum("hfa,hfwa->wfh", e[..., B:], blocks)  # (vv, rv), F, harmonics 1..2K
+        Z = np.concatenate([np.full((F, 1), self.vv.sum()), moments[0]], axis=1)
+        R = np.concatenate([np.full((F, 1), self.rv.sum()), moments[1, :, :K]], axis=1)
+        first_of, second_of = _product_to_sum(K)
+        X = np.concatenate([Z.real, Z.imag, -Z.real, -Z.imag], axis=1)
+        gram = 0.5 * self.dt**2 * (X[:, first_of] + X[:, second_of])
+        return gram, self.dt * np.concatenate([R.real, R.imag[:, 1:]], axis=1)
+
     def scan(self, periods, lower, upper) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`solve_clipped` at every period of an array: (alphas (F, q), values (F,)).
 
-        The periods go through in blocks, each one batched design
-        contraction, one batched solve, a clip and a vectorized value.
+        The grams and linear terms come from trig moments
+        (:meth:`_moment_gram_lin`), then one batched solve, a clip and a
+        vectorized value.  They match the design's to rounding, not bit for
+        bit; the scan only ranks candidate periods, and its winner is solved
+        again from the design by the period search and the cell solver.
         """
         periods = np.asarray(periods, dtype=float)
-        q = 2 * self.order + 1
-        alphas = np.empty((periods.size, q))
-        values = np.empty(periods.size)
-        step = max(1, _SCAN_BLOCK // self.t.size)
-        for start in range(0, periods.size, step):
-            block = slice(start, start + step)
-            gram, lin = self._gram_lin(_design_columns(self.t, periods[block], self.order))
-            try:
-                alpha = np.linalg.solve(gram, lin[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                # a singular gram in the block; solve one by one as solve_clipped does
-                alpha = np.array([self.solve_clipped(p, -np.inf, np.inf)[0] for p in periods[block]])
-            alpha = np.clip(alpha, lower, upper)
-            values[block] = _quad_values(gram, lin, self.rr, self.scale, alpha)
-            alphas[block] = alpha
-        return alphas, values
+        gram, lin = self._moment_gram_lin(periods)
+        try:
+            alpha = np.linalg.solve(gram, lin[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            # a singular gram; solve one by one as solve_clipped does
+            alpha = np.array([self.solve_clipped(p, -np.inf, np.inf)[0] for p in periods])
+        alpha = np.clip(alpha, lower, upper)
+        return alpha, _quad_values(gram, lin, self.rr, self.scale, alpha)
 
 
 def alpha_profile(

@@ -107,7 +107,6 @@ class EstimatorConfig:
     inner_solver: str = "linear"
     alpha_init: tuple[float, ...] | None = None
     refine: bool = True  # scan plus the zero search on the profile's slope after the cells
-    scan_cells: int | None = None  # top-ranked cells getting the dense period scan; None = all
     order: int = 1
 
     def __post_init__(self):
@@ -240,30 +239,31 @@ def _scan_frequencies(traj, cells, est, box) -> tuple[np.ndarray, float]:
     m = len(cells)
     f_cap = traj.n_intervals / (2.0 * horizon)
     df = 1.0 / (4.0 * horizon)
-    ranked = sorted(cells, key=lambda c: (c.value, c.index))
-    if est.scan_cells is not None:
-        ranked = ranked[: est.scan_cells]
-    grids = []
-    for cell in ranked:
-        lo_p = max((cell.index - 1) / m, box.period[0])
-        hi_p = min(cell.index / m, box.period[1])
-        f_lo = 1.0 / hi_p
-        f_hi = min(1.0 / lo_p, f_cap)
-        if f_hi <= f_lo:
-            continue  # the whole cell is below the resolvable period range
-        n_scan = max(2, int(np.ceil((f_hi - f_lo) / df)) + 1)
-        grids.append(np.linspace(f_lo, f_hi, n_scan))
-    return (np.concatenate(grids) if grids else np.empty(0)), df
+    index = np.array([c.index for c in sorted(cells, key=lambda c: (c.value, c.index))])
+    f_lo = 1.0 / np.minimum(index / m, box.period[1])
+    f_hi = np.minimum(1.0 / np.maximum((index - 1) / m, box.period[0]), f_cap)
+    # a cell with f_hi <= f_lo lies wholly below the resolvable period range (or outside the box)
+    keep = f_hi > f_lo
+    f_lo, f_hi = f_lo[keep], f_hi[keep]
+    counts = np.maximum(2, np.ceil((f_hi - f_lo) / df).astype(int) + 1)
+    # np.linspace(f_lo, f_hi, count) per cell: i * step + f_lo, the last point f_hi
+    ends = np.cumsum(counts)
+    i = np.arange(counts.sum()) - np.repeat(ends - counts, counts)
+    freqs = i * np.repeat((f_hi - f_lo) / (counts - 1), counts) + np.repeat(f_lo, counts)
+    freqs[ends - 1] = f_hi
+    return freqs, df
 
 
 def _scan_top_cells(traj, profile: AlphaProfile, cells, params, cfg, est, box, best):
     """Dense period scan over the best-ranked cells; returns (period, alpha, value, evaluations).
 
-    Scan points are ranked by the clipped normal-equations value, the first
-    of equal values winning; a zero search on the exact profile's slope
-    around the winner (:func:`_envelope_search`) sharpens it, and the cell
-    solver re-solves it.  The better of that point and the best cell is
-    returned, with the search's profile evaluations.
+    Scan points are ranked by the clipped normal-equations value
+    (:meth:`AlphaProfile.scan`, evaluated from trig moments), the first of
+    equal values winning.  The scan only picks the winning frequency: a zero
+    search on the exact profile's slope around it (:func:`_envelope_search`)
+    sharpens it, and the cell solver re-solves it from the design.  The
+    better of that point and the best cell is returned, with the search's
+    profile evaluations.
     """
     freqs, df = _scan_frequencies(traj, cells, est, box)
     candidates = [(best.period, best.alpha, best.value)]

@@ -431,6 +431,60 @@ def test_batched_scan_matches_scalar_loop_on_singular_grams():
         assert value == pytest.approx(ref_value, rel=1e-12)
 
 
+def _moment_scan_trajectory(order, n_obs, seed):
+    # a transmission of the fitted order, so every harmonic of the scan carries signal
+    osc = [0.3 / k for k in range(1, order + 1)]
+    theta = sl.ThetaParams(0.3, 0.6, tuple(osc), tuple(0.5 * x for x in osc))
+    return make_dataset(seed=seed, eps=0.01, theta=theta, n_obs=n_obs, substeps=1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n_obs", [100, 37, 2])
+def test_moment_gram_equals_the_design_gram(order, n_obs):
+    traj = _moment_scan_trajectory(order, n_obs, seed=order + n_obs)
+    profile = alpha_profile(traj, traj.params, ContrastConfig(form="weighted", eps=0.01), order=order)
+    # the scan's range, from the Nyquist period 2 dt up, and periods far beyond the horizon
+    periods = np.concatenate([np.linspace(2.0 * profile.dt, 1.0, 80), [1.0 / 3.0, 3.7, 250.0]])
+    gram, lin = profile._moment_gram_lin(periods)
+    ref_gram, ref_lin = profile._gram_lin(sl.contrast._design_columns(profile.t, periods, order))
+    assert gram.shape == ref_gram.shape and lin.shape == ref_lin.shape
+    assert np.array_equal(gram, np.swapaxes(gram, 1, 2))
+    # rounding relative to the entries' scale: every gram entry is bounded by
+    # dt^2 sum vv and every linear entry by dt sum |rv|; both sides round the
+    # phases, up to 2 pi 2K n / 2 radians at the Nyquist period
+    assert np.abs(gram - ref_gram).max() <= 1e-12 * profile.dt**2 * profile.vv.sum()
+    assert np.abs(lin - ref_lin).max() <= 1e-12 * profile.dt * np.abs(profile.rv).sum()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n_obs", [100, 37])
+def test_moment_scan_matches_scalar_loop(order, n_obs):
+    traj = _moment_scan_trajectory(order, n_obs, seed=10 * order + n_obs)
+    cfg = ContrastConfig(form="weighted", eps=0.01)
+    box = BoxConstraints()
+    lower, upper = box.alpha_bounds(order)
+    est = EstimatorConfig(refine=False, order=order)
+    cells = sl.lsgd_estimate(traj, est, box, cfg, seed=order).cells
+    freqs, _ = _scan_frequencies(traj, cells, est, box)
+    profile = alpha_profile(traj, traj.params, cfg, order=order)
+    alphas, values = profile.scan(1.0 / freqs, lower, upper)
+    ref = [profile.solve_clipped(1.0 / f, lower, upper) for f in freqs]
+    ref_values = np.array([value for _, value in ref])
+    assert np.argmin(values) == np.argmin(ref_values)
+    # the value cancels digits against scale * rr, as the scalar one does
+    assert values.min() == pytest.approx(ref_values.min(), abs=1e-12 * profile.scale * profile.rr)
+    # alphas to 1e-9 where the unit-diagonal gram is well conditioned and no
+    # column is rounding noise (the sine columns vanish at the Nyquist frequency)
+    well = 0
+    for f, alpha, (ref_alpha, _) in zip(freqs, alphas, ref):
+        gram = profile.quadratic(1.0 / f).gram
+        diag = np.diag(gram)
+        if np.linalg.eigvalsh(gram / np.sqrt(np.outer(diag, diag)))[0] > 1e-2 and diag.min() > 1e-3 * diag.max():
+            np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-9, atol=1e-9)
+            well += 1
+    assert well >= freqs.size // 2, (well, freqs.size)
+
+
 @st.composite
 def stacked_box_problems(draw):
     """Several least-squares quadratics of one size sharing one box, stacked: (gram, lin, lower, upper)."""

@@ -3,6 +3,7 @@ import pytest
 
 import sirlevy as sl
 from sirlevy import BoxConstraints, ContrastConfig, EstimationError, EstimatorConfig
+from sirlevy.estimator import CellResult, _scan_frequencies
 
 from conftest import THETA_REF, make_dataset
 
@@ -179,3 +180,60 @@ def test_period_search_stops_at_a_sign_change_of_the_profile_slope(monkeypatch):
         assert res.theta.period == pytest.approx(1.0 / f_star, rel=1e-15)
         slopes = profile.solve_slope(np.array([f_star * (1.0 - 1e-9), f_star * (1.0 + 1e-9)]), box)[2]
         assert slopes[0] < 0.0 < slopes[1]
+
+
+def _per_cell_linspace(traj, cells, box):
+    """The scan grid built cell by cell with np.linspace, the reference for _scan_frequencies."""
+    horizon = float(traj.times[-1] - traj.times[0])
+    m = len(cells)
+    f_cap = traj.n_intervals / (2.0 * horizon)
+    df = 1.0 / (4.0 * horizon)
+    grids = []
+    for cell in sorted(cells, key=lambda c: (c.value, c.index)):
+        lo_p = max((cell.index - 1) / m, box.period[0])
+        hi_p = min(cell.index / m, box.period[1])
+        f_lo = 1.0 / hi_p
+        f_hi = min(1.0 / lo_p, f_cap)
+        if f_hi <= f_lo:
+            continue
+        grids.append(np.linspace(f_lo, f_hi, max(2, int(np.ceil((f_hi - f_lo) / df)) + 1)))
+    return (np.concatenate(grids) if grids else np.empty(0)), df
+
+
+@pytest.mark.parametrize(
+    "n_obs,horizon,period_box",
+    [
+        (100, 1.0, (1e-3, 1.0)),  # cell 1 capped at the Nyquist frequency
+        # the Nyquist-capped cell 1 is one where i * step + f_lo misses f_hi in the last digit
+        (120, 0.95, (1e-3, 1.0)),
+        (100, 1.0, (0.13, 0.87)),  # cells 1-2 and 19-20 dropped, cells 3 and 18 clipped by the box
+        (10, 1.0, (0.07, 0.62)),  # cells 1-4 below the resolvable range, 14-20 outside the box, 13 clipped
+        (37, 1.0, (0.21, 0.21)),  # a one-point box: every cell dropped
+    ],
+)
+def test_scan_frequencies_equal_per_cell_linspace(n_obs, horizon, period_box):
+    states = np.tile([2.0, 0.2, 0.3], (n_obs + 1, 1))
+    traj = sl.Trajectory(times=np.linspace(0.0, horizon, n_obs + 1), states=states, model="numbers")
+    box = BoxConstraints(period=period_box)
+    est = EstimatorConfig()
+    rng = np.random.default_rng(n_obs)
+    values = rng.permutation(20).astype(float)
+    values[5] = values[11]  # a tie, broken by the cell index
+    cells = [CellResult(i, (i - 0.5) / 20, np.zeros(3), values[i - 1], 0, True) for i in range(1, 21)]
+    freqs, df = _scan_frequencies(traj, cells, est, box)
+    ref, ref_df = _per_cell_linspace(traj, cells, box)
+    assert df == ref_df
+    assert np.array_equal(freqs, ref)
+    if period_box == (0.21, 0.21):
+        assert freqs.size == 0
+
+
+@pytest.mark.parametrize("seed,eps", [(2, 0.3), (5, 0.1), (8, 0.01), (13, 0.001)])
+def test_scan_frequencies_equal_per_cell_linspace_on_estimates(seed, eps):
+    traj = make_dataset(seed=seed, eps=eps)
+    box = BoxConstraints()
+    est = EstimatorConfig(refine=False)
+    cells = sl.lsgd_estimate(traj, est, box, ContrastConfig(form="weighted", eps=eps), seed=seed).cells
+    freqs, _ = _scan_frequencies(traj, cells, est, box)
+    assert freqs.size > 100
+    assert np.array_equal(freqs, _per_cell_linspace(traj, cells, box)[0])
