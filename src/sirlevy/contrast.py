@@ -41,8 +41,6 @@ from .models import SirParams, drift_beta_split, get_model, noise_coeff_numbers
 from .simulate import Trajectory
 from .transmission import PERIOD_FLOOR, ThetaParams, beta_grad
 
-ALPHA_INIT_DEFAULT = (0.51, 0.31, 0.21)
-
 
 class DegenerateWeightsError(RuntimeError):
     """Weighted form with a vanishing noise coefficient somewhere on the grid."""
@@ -545,15 +543,23 @@ class AlphaProfile:
         (:meth:`_moment_gram_lin`), then one batched solve, a clip and a
         vectorized value.  They match the design's to rounding, not bit for
         bit; the scan only ranks candidate periods, and its winner is solved
-        again from the design by the period search and the cell solver.
+        again from the design by the period search.  A period whose gram is
+        exactly singular (at orders >= 2, a harmonic on a multiple of the
+        sampling rate makes a cos column equal the base column) is solved
+        from the design by :meth:`solve_clipped`; the other rows keep the
+        batched solve, which treats each row alone.
         """
         periods = np.asarray(periods, dtype=float)
         gram, lin = self._moment_gram_lin(periods)
         try:
             alpha = np.linalg.solve(gram, lin[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            # a singular gram; solve one by one as solve_clipped does
-            alpha = np.array([self.solve_clipped(p, -np.inf, np.inf)[0] for p in periods])
+            # the solve raises on an exact zero pivot of its LU factorization;
+            # slogdet factorizes the same way and gives those rows the sign 0
+            singular = np.linalg.slogdet(gram)[0] == 0.0
+            alpha = np.empty(lin.shape)  # C order, as the batched solve returns it
+            alpha[~singular] = np.linalg.solve(gram[~singular], lin[~singular, :, None])[:, :, 0]
+            alpha[singular] = [self.solve_clipped(p, -np.inf, np.inf)[0] for p in periods[singular]]
         alpha = np.clip(alpha, lower, upper)
         return alpha, _quad_values(gram, lin, self.rr, self.scale, alpha)
 

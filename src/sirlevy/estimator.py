@@ -3,19 +3,19 @@
 The objective is a convex quadratic in (base, cos_k, sin_k) once the period
 is fixed, so the estimator searches the period axis over M uniform cells,
 drawing one test period per cell and minimizing over the remaining
-coefficients there.  By default that minimization is exact under the box
-and all cells are solved in one batch (:meth:`AlphaProfile.solve_many`: the
-normal-equations solution when it is inside, else a KKT-certified face, else
-face enumeration); projected gradient descent (:func:`pgd_alpha`), the
-paper's solver, stays available as the reference behind
-``inner_solver="pgd"``.  With the coefficients solved exactly at every
-period, the joint fit is a one-dimensional search over the profile objective
-in the period (variable projection): a dense frequency scan over the ranked
-cells finds the basin, and a zero search on the exact profile's slope in the
-frequency (the envelope theorem's derivative,
-:meth:`AlphaProfile.solve_slope`, found by Brent's method) places the period
-beyond the cell resolution.  The winning table entry is updated in place so
-the reported objective is the table minimum.
+coefficients there.  That minimization is exact under the box and all
+cells are solved in one batch (:meth:`AlphaProfile.solve_many`: the
+normal-equations solution when it is inside, else a KKT-certified face,
+else face enumeration).  Projected gradient descent (:func:`pgd_alpha`),
+the paper's solver, is kept as the reference the exact solve is checked
+against; the estimator does not call it.  With the coefficients solved
+exactly at every period, the joint fit is a one-dimensional search over
+the profile objective in the period (variable projection): a dense
+frequency scan over the ranked cells finds the basin, and a zero search on
+the exact profile's slope in the frequency (the envelope theorem's
+derivative, :meth:`AlphaProfile.solve_slope`, found by Brent's method)
+places the period beyond the cell resolution.  The winning table entry is
+updated in place so the reported objective is the table minimum.
 """
 
 from __future__ import annotations
@@ -39,7 +39,12 @@ from .models import SirParams
 from .simulate import Trajectory
 from .transmission import PERIOD_FLOOR, ThetaParams
 
+# step settings of the reference solver (pgd_quadratic)
+_ETA0 = 1e-2  # initial learning rate; backtracking adapts it
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
 _ETA_MIN = 1e-300
+_PGD_TOL = 1e-11  # curvature-scaled projected-gradient tolerance
 # the period search stops when its frequency bracket is this narrow relative to the bracket's top
 _SEARCH_XTOL = 1e-12
 
@@ -96,32 +101,12 @@ def default_alpha_init(order: int = 1) -> np.ndarray:
 @dataclass(frozen=True)
 class EstimatorConfig:
     cells: int = 20  # M, the number of period line-search cells
-    # settings of the reference solver (pgd_alpha / pgd_quadratic) only
-    eta0: float = 1e-2  # initial learning rate; backtracking adapts it
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    max_inner_iter: int = 50_000
-    inner_tol: float = 1e-11  # curvature-scaled projected-gradient tolerance
-    # "linear": exact coefficient solve under the box | "pgd": the paper's
-    # projected gradient descent, kept as the reference solver
-    inner_solver: str = "linear"
-    alpha_init: tuple[float, ...] | None = None
     refine: bool = True  # scan plus the zero search on the profile's slope after the cells
     order: int = 1
 
     def __post_init__(self):
-        if self.cells < 1 or self.eta0 <= 0.0 or not 0.0 < self.backtrack < 1.0:
+        if self.cells < 1 or self.order < 1:
             raise ValueError("invalid estimator configuration")
-        if self.inner_solver not in ("linear", "pgd"):
-            raise ValueError(f"unknown inner solver {self.inner_solver!r}")
-
-    def alpha_start(self) -> np.ndarray:
-        if self.alpha_init is not None:
-            start = np.asarray(self.alpha_init, dtype=float)
-            if start.size != 2 * self.order + 1:
-                raise ValueError("alpha_init length must be 2*order + 1")
-            return start
-        return default_alpha_init(self.order)
 
 
 @dataclass
@@ -139,8 +124,6 @@ class CellResult:
     period: float
     alpha: np.ndarray
     value: float
-    iterations: int
-    converged: bool
     refined: bool = False
 
 
@@ -149,7 +132,7 @@ class EstimationResult:
     theta: ThetaParams
     objective: float
     cells: list[CellResult] = field(default_factory=list)
-    converged: bool = True
+    converged: bool = True  # the exact solves always converge; kept for the results column
     refine_iterations: int = 0  # profile evaluations of the period search
     degenerate: bool = False
 
@@ -163,46 +146,49 @@ def pgd_alpha(
     period: float,
     params: SirParams | None = None,
     cfg: ContrastConfig | None = None,
-    est: EstimatorConfig | None = None,
     box: BoxConstraints | None = None,
     start: np.ndarray | None = None,
+    order: int = 1,
 ) -> AlphaSolve:
     """Projected gradient descent on the coefficients at a fixed period.
 
+    The paper's inner solver, kept as the reference for the exact solve.
     Backtracking halves the step until sufficient decrease, then the step is
     allowed to grow again; accepted iterates never increase the objective.
     Convergence is declared when the curvature-scaled projected-gradient map
     is below tolerance.
     """
-    est = est or EstimatorConfig()
     box = box or BoxConstraints()
-    quad = alpha_quadratic(traj, period, params, cfg, order=est.order)
-    lo, hi = box.alpha_bounds(est.order)
-    return pgd_quadratic(quad, lo, hi, est, start)
+    quad = alpha_quadratic(traj, period, params, cfg, order=order)
+    lo, hi = box.alpha_bounds(order)
+    return pgd_quadratic(quad, lo, hi, start)
 
 
 def pgd_quadratic(
     quad: AlphaQuadratic,
     lo: np.ndarray,
     hi: np.ndarray,
-    est: EstimatorConfig | None = None,
     start: np.ndarray | None = None,
+    max_iter: int = 50_000,
 ) -> AlphaSolve:
-    """The descent of :func:`pgd_alpha` on a given quadratic and bounds."""
-    est = est or EstimatorConfig()
-    alpha = np.clip(start if start is not None else est.alpha_start(), lo, hi)
+    """The descent of :func:`pgd_alpha` on a given quadratic and bounds.
+
+    Starts from ``start``, by default :func:`default_alpha_init`, clipped
+    into the bounds.
+    """
+    alpha = np.clip(start if start is not None else default_alpha_init(quad.order), lo, hi)
     curv = quad.lipschitz()
     if curv <= 0.0:
         # objective does not depend on the coefficients (e.g. X*Y identically 0)
         return AlphaSolve(alpha, quad.value(alpha), 0, True)
 
     f = quad.value(alpha)
-    eta = est.eta0
+    eta = _ETA0
     history = [f]
-    for it in range(1, est.max_inner_iter + 1):
+    for it in range(1, max_iter + 1):
         g = quad.grad(alpha)
         pg = alpha - np.clip(alpha - g / curv, lo, hi)
-        if np.abs(pg).max() <= est.inner_tol * (1.0 + np.abs(alpha).max()):
+        if np.abs(pg).max() <= _PGD_TOL * (1.0 + np.abs(alpha).max()):
             return AlphaSolve(alpha, f, it - 1, True, history)
         accepted = False
         while eta >= _ETA_MIN:
@@ -212,19 +198,19 @@ def pgd_quadratic(
             if gstep <= 0.0:
                 break  # projection blocks every direction: stationary
             fc = quad.value(cand)
-            if fc <= f - est.armijo * gstep:
+            if fc <= f - _ARMIJO * gstep:
                 accepted = True
                 break
-            eta *= est.backtrack
+            eta *= _BACKTRACK
         if not accepted:
             return AlphaSolve(alpha, f, it, True, history)
         alpha, f = cand, fc
         history.append(f)
         eta *= 2.0
-    return AlphaSolve(alpha, f, est.max_inner_iter, False, history)
+    return AlphaSolve(alpha, f, max_iter, False, history)
 
 
-def _scan_frequencies(traj, cells, est, box) -> tuple[np.ndarray, float]:
+def _scan_frequencies(traj, cells, box) -> tuple[np.ndarray, float]:
     """Dense scan grid over the best-ranked cells, best cell first; returns (frequencies, spacing).
 
     A single test period per cell cannot land inside the objective's basin
@@ -254,22 +240,22 @@ def _scan_frequencies(traj, cells, est, box) -> tuple[np.ndarray, float]:
     return freqs, df
 
 
-def _scan_top_cells(traj, profile: AlphaProfile, cells, params, cfg, est, box, best):
+def _scan_top_cells(traj, profile: AlphaProfile, cells, box, best):
     """Dense period scan over the best-ranked cells; returns (period, alpha, value, evaluations).
 
     Scan points are ranked by the clipped normal-equations value
     (:meth:`AlphaProfile.scan`, evaluated from trig moments), the first of
     equal values winning.  The scan only picks the winning frequency: a zero
     search on the exact profile's slope around it (:func:`_envelope_search`)
-    sharpens it, and the cell solver re-solves it from the design.  The
+    sharpens it, and it is solved again exactly from the design.  The
     better of that point and the best cell is returned, with the search's
     profile evaluations.
     """
-    freqs, df = _scan_frequencies(traj, cells, est, box)
+    freqs, df = _scan_frequencies(traj, cells, box)
     candidates = [(best.period, best.alpha, best.value)]
     evaluations = 0
     if freqs.size:
-        lo, hi = box.alpha_bounds(est.order)
+        lo, hi = box.alpha_bounds(profile.order)
         f_best = freqs[np.argmin(profile.scan(1.0 / freqs, lo, hi)[1])]
         # the basin is narrow at small periods, so the search runs in frequency,
         # inside the scan bracket and the box
@@ -277,8 +263,7 @@ def _scan_top_cells(traj, profile: AlphaProfile, cells, params, cfg, est, box, b
         f_hi = min(f_best + df, 1.0 / box.period[0])
         f_star, evaluations = _envelope_search(profile, box, f_lo, f_hi)
         period = min(max(1.0 / f_star, box.period[0]), box.period[1])
-        sol = _solve_cells(traj, profile, [period], params, cfg, est, box)[0]
-        candidates.append((period, sol.alpha, sol.value))
+        candidates.append((period, *profile.solve(period, box)))
     return (*min(candidates, key=lambda c: c[2]), evaluations)
 
 
@@ -309,14 +294,6 @@ def _envelope_search(profile: AlphaProfile, box, lo: float, hi: float) -> tuple[
     return f_star, info.function_calls
 
 
-def _solve_cells(traj, profile: AlphaProfile, periods, params, cfg, est, box) -> list[AlphaSolve]:
-    if est.inner_solver == "pgd":
-        return [pgd_alpha(traj, period, params, cfg, est, box) for period in periods]
-    # exact under the box, resonant (rank-deficient) test periods included
-    alphas, values = profile.solve_many(periods, box)
-    return [AlphaSolve(alpha, value, 0, True) for alpha, value in zip(alphas, values)]
-
-
 def lsgd_estimate(
     traj: Trajectory,
     est: EstimatorConfig | None = None,
@@ -328,12 +305,13 @@ def lsgd_estimate(
     """Line-search over period cells with exact inner solves, then a period search.
 
     Cell i tests one period drawn uniformly from ((i-1)/M, i/M); all cells
-    are solved in one batch.  The best cell seeds a dense frequency scan and
-    a zero search on the exact profile's slope in the frequency, whose cell
-    solve gives the coefficients (with ``inner_solver="pgd"`` they
-    are re-solved exactly); the objective there is evaluated from the
-    residuals.  The table entry of the cell holding the refined point is
-    replaced by it, so the reported objective equals the table minimum.
+    are solved exactly under the box in one batch, resonant (rank-deficient)
+    test periods included.  The best cell seeds a dense frequency scan and
+    a zero search on the exact profile's slope in the frequency, whose
+    exact solve gives the coefficients; the objective there is evaluated
+    from the residuals.  The table entry of the cell holding the refined
+    point is replaced by it, so the reported objective equals the table
+    minimum.
     """
     est = est or EstimatorConfig()
     box = box or BoxConstraints()
@@ -356,23 +334,19 @@ def lsgd_estimate(
     m = est.cells
     periods = [float(rng.uniform((i - 1) / m, i / m)) for i in range(1, m + 1)]
     periods = [min(max(period, box.period[0]), box.period[1]) for period in periods]
-    sols = _solve_cells(traj, profile, periods, params, cfg, est, box)
+    alphas, values = profile.solve_many(periods, box)
     cells = [
-        CellResult(i, period, sol.alpha, sol.value, sol.iterations, sol.converged)
-        for i, (period, sol) in enumerate(zip(periods, sols), start=1)
+        CellResult(i, period, alpha, value)
+        for i, (period, alpha, value) in enumerate(zip(periods, alphas, values), start=1)
     ]
 
     best = min(cells, key=lambda c: (c.value, c.index))
     theta_vec = np.concatenate([[best.period], best.alpha])
     refine_iters = 0
-    converged = all(c.converged for c in cells)
     value = best.value
 
     if est.refine:
-        period, alpha, _, refine_iters = _scan_top_cells(traj, profile, cells, params, cfg, est, box, best)
-        if est.inner_solver == "pgd":
-            # the reference solver stops at its tolerance; solve the coefficients exactly
-            alpha = profile.solve(period, box)[0]
+        period, alpha, _, refine_iters = _scan_top_cells(traj, profile, cells, box, best)
         theta_vec = np.concatenate([[period], alpha])
         # the reported objective is evaluated from the residuals
         value = contrast_value(traj, ThetaParams.from_vector(theta_vec), params, cfg)
@@ -388,6 +362,5 @@ def lsgd_estimate(
         theta=theta,
         objective=value,
         cells=cells,
-        converged=converged,
         refine_iterations=refine_iters,
     )

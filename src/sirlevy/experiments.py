@@ -169,7 +169,6 @@ class RunConfig:
     sigma: float = 0.5
     x0: tuple[float, float, float] = NUMBERS_X0
     cells: int = 20
-    inner_solver: str = "linear"
     contrast_form: str = "weighted"
     order: int = 1
     seed: int = 0
@@ -178,6 +177,9 @@ class RunConfig:
     def __post_init__(self):
         get_model(self.model)
         _check_eps_levels(self.eps_list)
+        for name in ("n_obs", "n_datasets", "substeps", "cells", "order"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if self.model == "proportions" and self.contrast_form != "plain":
             # the proportional model's noise matrix is rank one
             object.__setattr__(self, "contrast_form", "plain")
@@ -198,7 +200,7 @@ class RunConfig:
         return SirParams(birth=self.birth, death=self.death, gamma=self.gamma, sigma=self.sigma, eps=eps)
 
     def estimator(self) -> EstimatorConfig:
-        return EstimatorConfig(cells=self.cells, inner_solver=self.inner_solver, order=self.order)
+        return EstimatorConfig(cells=self.cells, order=self.order)
 
     def contrast(self, eps: float) -> ContrastConfig:
         return ContrastConfig(form=self.contrast_form, eps=eps)
@@ -219,6 +221,10 @@ class RunConfig:
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         raw = load_keyvalues(path)
+        # trees written while the estimator had a second inner solver record the exact one
+        legacy = raw.pop("inner_solver", "linear")
+        if legacy != "linear":
+            raise ValueError(f"config key inner_solver in {path} must be 'linear', the only solver; got {legacy!r}")
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
@@ -602,8 +608,9 @@ def emit_reports(out_dir: str) -> dict:
     eps_sorted = sorted(cfg.eps_list, reverse=True)
     meds = [medians_l2[e] for e in eps_sorted]
     non_increasing = all(a >= b or np.isnan(a) or np.isnan(b) for a, b in zip(meds, meds[1:]))
-    ratio = meds[0] / meds[-1] if meds[-1] > 0 else float("inf")
-    verdict = non_increasing and ratio >= 5.0
+    ratio = meds[0] / meds[-1] if meds[-1] != 0.0 else float("inf")
+    # a level without a single estimate cannot show the trend
+    verdict = non_increasing and ratio >= 5.0 and not np.isnan(meds).any()
     verdict_path = os.path.join(out_dir, "consistency_verdict.txt")
     with open(verdict_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"non_increasing={_fmt(non_increasing)}\n")

@@ -314,7 +314,7 @@ def test_box_solve_beats_clipped_solve_and_pgd(problem):
     quad, lower, upper = problem
     alpha = quad.minimize_box(lower, upper)
     clipped = _clipped_solve(quad, lower, upper)
-    pgd = pgd_quadratic(quad, lower, upper, EstimatorConfig(max_inner_iter=2000), start=clipped)
+    pgd = pgd_quadratic(quad, lower, upper, start=clipped, max_iter=2000)
     slack = _value_slack(quad, alpha, clipped, pgd.alpha)
     assert quad.value(alpha) <= quad.value(clipped) + slack
     assert quad.value(alpha) <= pgd.value + slack
@@ -392,7 +392,6 @@ def test_estimate_converges_when_cells_leave_the_box():
             outside += bool(np.any(alpha < lower) or np.any(alpha > upper))
     assert outside > 0
     assert res.converged
-    assert all(c.converged and c.iterations == 0 for c in res.cells)
 
 
 @pytest.mark.parametrize("seed,eps", [(1, 0.3), (4, 0.1), (7, 0.01), (11, 0.001)])
@@ -401,9 +400,8 @@ def test_batched_scan_matches_scalar_loop(seed, eps):
     cfg = ContrastConfig(form="weighted", eps=eps)
     box = BoxConstraints()
     lower, upper = box.alpha_bounds(1)
-    est = EstimatorConfig(refine=False)
-    cells = sl.lsgd_estimate(traj, est, box, cfg, seed=seed).cells
-    freqs, _ = _scan_frequencies(traj, cells, est, box)
+    cells = sl.lsgd_estimate(traj, EstimatorConfig(refine=False), box, cfg, seed=seed).cells
+    freqs, _ = _scan_frequencies(traj, cells, box)
     profile = alpha_profile(traj, traj.params, cfg)
     _, values = profile.scan(1.0 / freqs, lower, upper)
     best = None
@@ -429,6 +427,35 @@ def test_batched_scan_matches_scalar_loop_on_singular_grams():
         ref_alpha, ref_value = profile.solve_clipped(period, lower, upper)
         assert np.array_equal(alpha, ref_alpha)
         assert value == pytest.approx(ref_value, rel=1e-12)
+
+
+def test_scan_solves_only_the_singular_rows_from_the_design():
+    # the scan grid of cell 1 at n = 100, 20 to 50 in quarter steps; at order 2
+    # a harmonic of f = 25 or 50 lands on the sampling rate, and whether the
+    # moment gram is then exactly singular depends on its rounding: on these
+    # profiles it is at f = 50 on an x86-64 box with numpy's OpenBLAS build
+    freqs = np.linspace(20.0, 50.0, 121)
+    assert 25.0 in freqs and 50.0 in freqs
+    lower, upper = BoxConstraints().alpha_bounds(2)
+    singular_rows = 0
+    for seed, eps in [(0, 0.3), (2, 0.3), (8, 0.01), (9, 0.01)]:
+        traj = make_dataset(seed=seed, eps=eps)
+        profile = alpha_profile(traj, traj.params, ContrastConfig(form="weighted", eps=eps), order=2)
+        gram, lin = profile._moment_gram_lin(1.0 / freqs)
+        singular = np.zeros(freqs.size, dtype=bool)
+        for i in range(freqs.size):
+            try:
+                np.linalg.solve(gram[i], lin[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        singular_rows += singular.sum()
+        alphas, values = profile.scan(1.0 / freqs, lower, upper)
+        for f, alpha in zip(freqs[singular], alphas[singular]):
+            assert np.array_equal(alpha, profile.solve_clipped(1.0 / f, lower, upper)[0])
+        rest_alphas, rest_values = profile.scan(1.0 / freqs[~singular], lower, upper)
+        assert np.array_equal(alphas[~singular], rest_alphas)
+        assert np.array_equal(values[~singular], rest_values)
+    assert singular_rows > 0
 
 
 def _moment_scan_trajectory(order, n_obs, seed):
@@ -463,9 +490,8 @@ def test_moment_scan_matches_scalar_loop(order, n_obs):
     cfg = ContrastConfig(form="weighted", eps=0.01)
     box = BoxConstraints()
     lower, upper = box.alpha_bounds(order)
-    est = EstimatorConfig(refine=False, order=order)
-    cells = sl.lsgd_estimate(traj, est, box, cfg, seed=order).cells
-    freqs, _ = _scan_frequencies(traj, cells, est, box)
+    cells = sl.lsgd_estimate(traj, EstimatorConfig(refine=False, order=order), box, cfg, seed=order).cells
+    freqs, _ = _scan_frequencies(traj, cells, box)
     profile = alpha_profile(traj, traj.params, cfg, order=order)
     alphas, values = profile.scan(1.0 / freqs, lower, upper)
     ref = [profile.solve_clipped(1.0 / f, lower, upper) for f in freqs]

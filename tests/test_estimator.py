@@ -3,7 +3,7 @@ import pytest
 
 import sirlevy as sl
 from sirlevy import BoxConstraints, ContrastConfig, EstimationError, EstimatorConfig
-from sirlevy.estimator import CellResult, _scan_frequencies
+from sirlevy.estimator import CellResult, _scan_frequencies, default_alpha_init
 
 from conftest import THETA_REF, make_dataset
 
@@ -70,7 +70,7 @@ def test_pgd_respects_bounds():
 
 
 def test_single_cell_without_refinement_is_one_least_squares_solve(numbers_traj, numbers_params):
-    est = EstimatorConfig(cells=1, refine=False, inner_solver="linear")
+    est = EstimatorConfig(cells=1, refine=False)
     res = sl.lsgd_estimate(numbers_traj, est, BoxConstraints(), CFG_W, seed=3, params=numbers_params)
     assert len(res.cells) == 1
     vt = res.cells[0].period
@@ -112,14 +112,6 @@ def test_estimate_deterministic_given_seed():
     assert a.objective == b.objective
 
 
-def test_estimate_with_pgd_inner_solver_close_to_linear():
-    traj = make_dataset(seed=14, eps=0.01, substeps=1)
-    cfg = ContrastConfig(form="weighted", eps=0.01)
-    a = sl.lsgd_estimate(traj, EstimatorConfig(inner_solver="linear"), BoxConstraints(), cfg, seed=2)
-    b = sl.lsgd_estimate(traj, EstimatorConfig(inner_solver="pgd"), BoxConstraints(), cfg, seed=2)
-    assert np.abs(a.theta.to_vector() - b.theta.to_vector()).max() <= 1e-4
-
-
 def test_estimation_error_when_weights_degenerate():
     times = np.linspace(0, 1, 4)
     states = np.array([[1.0, 0.0, 1.0], [1.0, 0.5, 1.0], [1.0, 0.4, 1.0], [1.0, 0.3, 1.0]])
@@ -138,10 +130,8 @@ def test_plain_contrast_estimation_on_proportions():
 
 
 def test_default_alpha_start_matches_convention():
-    assert np.allclose(EstimatorConfig().alpha_start(), [0.51, 0.31, 0.21])
-    assert np.allclose(EstimatorConfig(order=2).alpha_start(), [0.51, 0.31, 0.31, 0.21, 0.21])
-    with pytest.raises(ValueError):
-        EstimatorConfig(alpha_init=(0.1, 0.2)).alpha_start()
+    assert np.allclose(default_alpha_init(), [0.51, 0.31, 0.21])
+    assert np.allclose(default_alpha_init(2), [0.51, 0.31, 0.31, 0.21, 0.21])
 
 
 def test_estimator_behavior_with_fine_generation_grid():
@@ -215,12 +205,11 @@ def test_scan_frequencies_equal_per_cell_linspace(n_obs, horizon, period_box):
     states = np.tile([2.0, 0.2, 0.3], (n_obs + 1, 1))
     traj = sl.Trajectory(times=np.linspace(0.0, horizon, n_obs + 1), states=states, model="numbers")
     box = BoxConstraints(period=period_box)
-    est = EstimatorConfig()
     rng = np.random.default_rng(n_obs)
     values = rng.permutation(20).astype(float)
     values[5] = values[11]  # a tie, broken by the cell index
-    cells = [CellResult(i, (i - 0.5) / 20, np.zeros(3), values[i - 1], 0, True) for i in range(1, 21)]
-    freqs, df = _scan_frequencies(traj, cells, est, box)
+    cells = [CellResult(i, (i - 0.5) / 20, np.zeros(3), values[i - 1]) for i in range(1, 21)]
+    freqs, df = _scan_frequencies(traj, cells, box)
     ref, ref_df = _per_cell_linspace(traj, cells, box)
     assert df == ref_df
     assert np.array_equal(freqs, ref)
@@ -234,6 +223,6 @@ def test_scan_frequencies_equal_per_cell_linspace_on_estimates(seed, eps):
     box = BoxConstraints()
     est = EstimatorConfig(refine=False)
     cells = sl.lsgd_estimate(traj, est, box, ContrastConfig(form="weighted", eps=eps), seed=seed).cells
-    freqs, _ = _scan_frequencies(traj, cells, est, box)
+    freqs, _ = _scan_frequencies(traj, cells, box)
     assert freqs.size > 100
     assert np.array_equal(freqs, _per_cell_linspace(traj, cells, box)[0])

@@ -150,6 +150,60 @@ def test_config_load_rejects_unknown_keys(tmp_path):
         RunConfig.load(str(path))
 
 
+def test_config_load_accepts_the_retired_inner_solver_key_only_as_linear(tmp_path):
+    # trees written while the estimator had a PGD inner solver record inner_solver=linear
+    path = tmp_path / "config.txt"
+    RunConfig(n_datasets=7, cells=9).save(str(path))
+    current = RunConfig.load(str(path))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("inner_solver=linear\n")
+    assert RunConfig.load(str(path)) == current
+    text = path.read_text(encoding="utf-8").replace("inner_solver=linear", "inner_solver=pgd")
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="inner_solver"):
+        RunConfig.load(str(path))
+
+
+@pytest.mark.parametrize(
+    "name,value", [("cells", 0), ("order", 0), ("n_obs", 0), ("substeps", 0), ("n_datasets", 0), ("n_datasets", -3)]
+)
+def test_run_config_rejects_counts_below_one(tmp_path, capsys, name, value):
+    with pytest.raises(ValueError, match=name):
+        RunConfig(**{name: value})
+    path = tmp_path / "config.txt"
+    RunConfig().save(str(path))
+    text = path.read_text(encoding="utf-8")
+    text = "".join(f"{name}={value}\n" if line.startswith(f"{name}=") else line for line in text.splitlines(True))
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=name):
+        RunConfig.load(str(path))
+    out = tmp_path / "run"
+    assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failed_eps", [0.01, 0.1, 0.3])
+def test_consistency_verdict_fails_when_a_level_has_no_estimate(tmp_path, failed_eps):
+    cfg = RunConfig(eps_list=(0.3, 0.1, 0.01), n_datasets=2, seed=0, cells=6)
+    out = str(tmp_path)
+    records = sl.generate_datasets(cfg, out)
+    sl.batch_estimate(records, cfg, out)
+    assert sl.emit_reports(out)["consistency_pass"]
+    for record in records:
+        if record.eps == failed_eps:
+            with open(record.path, "w", encoding="utf-8") as fh:
+                fh.write("t,X,Y,Z\n")
+    sl.batch_estimate(records, cfg, out)
+    report = sl.emit_reports(out)
+    assert np.isnan(report["medians_l2"][failed_eps])
+    assert not report["consistency_pass"]
+    verdict = load_keyvalues(report["verdict"])
+    assert verdict["verdict"] == "FAIL"
+    if failed_eps != 0.1:
+        assert verdict["ratio_largest_to_smallest"] == "nan"
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_corrupt_dataset_becomes_failure_row(tmp_path, jobs):
     cfg = RunConfig(eps_list=(0.01,), n_datasets=4, seed=3, cells=6, jobs=jobs)
