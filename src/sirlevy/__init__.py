@@ -37,7 +37,7 @@ from .experiments import (
     sample_true_theta,
     save_trajectory,
 )
-from .levy import LevyPathNoise, sample_jump_skeleton, sample_lambda
+from .levy import LevyPathNoise, sample_lambda
 from .models import (
     NUMBERS,
     NUMBERS_X0,

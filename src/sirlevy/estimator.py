@@ -35,6 +35,7 @@ from .contrast import (
     contrast_value,
     linear_solve_alpha,  # noqa: F401
 )
+from .levy import _make_rng
 from .models import SirParams
 from .simulate import Trajectory
 from .transmission import PERIOD_FLOOR, ThetaParams
@@ -134,7 +135,6 @@ class EstimationResult:
     cells: list[CellResult] = field(default_factory=list)
     converged: bool = True  # the exact solves always converge; kept for the results column
     refine_iterations: int = 0  # profile evaluations of the period search
-    degenerate: bool = False
 
     @property
     def table(self) -> list[tuple[float, float]]:
@@ -327,9 +327,7 @@ def lsgd_estimate(
         raise EstimationError(
             "weighted objective is identically zero (degenerate noise weights); cannot estimate"
         ) from err
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed))
-    )
+    rng = _make_rng(seed)
 
     m = est.cells
     periods = [float(rng.uniform((i - 1) / m, i / m)) for i in range(1, m + 1)]

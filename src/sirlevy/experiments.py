@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .contrast import ContrastConfig
+from .contrast import ContrastConfig, alpha_column_names
 from .estimator import BoxConstraints, EstimatorConfig, lsgd_estimate
-from .levy import LevyPathNoise, sample_lambda
+from .levy import LevyPathNoise, sample_lambda, stream
 from .models import NUMBERS_X0, PROPORTIONS_X0, SirParams, get_model
 from .simulate import SimulationError, Trajectory, predict_ensemble, simulate_sde, solve_ode
 from .transmission import PERIOD_FLOOR, ThetaParams
@@ -233,9 +233,7 @@ class RunConfig:
             if f.name not in raw:
                 continue
             text = raw[f.name]
-            if f.name == "eps_list":
-                kwargs[f.name] = tuple(float(v) for v in text.split(","))
-            elif f.name == "x0":
+            if f.name in ("eps_list", "x0"):
                 kwargs[f.name] = tuple(float(v) for v in text.split(","))
             elif f.type in ("int",):
                 kwargs[f.name] = int(text)
@@ -315,9 +313,7 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
             # dataset i shares its true parameters and driving noise across
             # the eps sweep (common random numbers), so per-level medians
             # compare like with like at desk scale
-            draw_rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i, 0)))
-            )
+            draw_rng = stream(cfg.seed, i, 0)
             theta0 = sample_true_theta(draw_rng, cfg.order)
             lam = sample_lambda(draw_rng)
             noise = LevyPathNoise(
@@ -370,9 +366,7 @@ def _estimate_one(args) -> tuple[float, int, list]:
     params = cfg.params(eps)
     # common random numbers across the sweep here too: the line-search cell
     # draws for dataset i are shared between eps levels
-    est_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(dataset_id, 7)))
-    )
+    est_rng = stream(cfg.seed, dataset_id, 7)
     true_vec = theta0.to_vector() if theta0 is not None else np.full(2 + 2 * cfg.order, np.nan)
     try:
         traj = load_trajectory(record_path, record_meta)
@@ -391,12 +385,14 @@ def _estimate_one(args) -> tuple[float, int, list]:
     return eps, dataset_id, row
 
 
+def _parameter_names(order: int) -> list[str]:
+    """Names of the parameter vector's entries, in ``ThetaParams.to_vector`` order."""
+    return ["period", *alpha_column_names(order)]
+
+
 def _result_header(order: int) -> list[str]:
-    names = ["period", "base"] + [f"cos{k}" for k in range(1, order + 1)] + [
-        f"sin{k}" for k in range(1, order + 1)
-    ]
     cols = ["dataset"]
-    for name in names:
+    for name in _parameter_names(order):
         cols.extend([f"true_{name}", f"est_{name}"])
     cols.extend(["objective", "converged", "error"])
     return cols
@@ -456,15 +452,11 @@ def prediction_study(
     _check_eps_levels(eps_values)
     os.makedirs(out_dir, exist_ok=True)
     model = get_model(cfg.model)
-    names = ["period", "base"] + [f"cos{k}" for k in range(1, cfg.order + 1)] + [
-        f"sin{k}" for k in range(1, cfg.order + 1)
-    ]
+    names = _parameter_names(cfg.order)
     estimates: dict[float, ThetaParams] = {}
     for ei, eps in enumerate(eps_values):
         params = cfg.params(eps)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(50, ei)))
-        )
+        rng = stream(cfg.seed, 50, ei)
         fit_x0 = _sample_prediction_x0(rng, model.tag)
         lam = sample_lambda(rng)
         noise = LevyPathNoise(
@@ -476,7 +468,7 @@ def prediction_study(
             cfg.estimator(),
             cfg.box(),
             cfg.contrast(eps),
-            seed=np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(52, ei)))),
+            seed=stream(cfg.seed, 52, ei),
             params=params,
         )
         estimates[eps] = result.theta
@@ -489,7 +481,7 @@ def prediction_study(
         for eps in eps_values:
             writer.writerow([f"estimate_eps_{_eps_tag(eps)}", *(_fmt(v) for v in estimates[eps].to_vector())])
 
-    pred_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(53,))))
+    pred_rng = stream(cfg.seed, 53)
     pred_x0 = _sample_prediction_x0(pred_rng, model.tag)
     n_pred_obs = max(1, round(cfg.n_obs * predict_horizon))
     det = solve_ode(model, theta0, cfg.params(0.0), pred_x0, predict_horizon, n_pred_obs)
@@ -551,9 +543,7 @@ def emit_reports(out_dir: str) -> dict:
     if missing:
         raise FileNotFoundError(f"missing results files: {', '.join(missing)}")
 
-    names = ["period", "base"] + [f"cos{k}" for k in range(1, cfg.order + 1)] + [
-        f"sin{k}" for k in range(1, cfg.order + 1)
-    ]
+    names = _parameter_names(cfg.order)
     summary_rows = []
     medians_l2 = {}
     for eps in cfg.eps_list:

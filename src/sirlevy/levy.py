@@ -1,5 +1,8 @@
 """Sampling of the driving noise: Brownian increments plus compound-Poisson jumps.
 
+The mark law, the rate law and the seeding of every random stream are decided
+here alone, for the simulated data, the prediction ensembles and the limit law.
+
 The jump part is a compound Poisson process of total rate ``lam`` whose marks
 come from a two-point law.  For the 3-dimensional driver the marks are
 
@@ -16,7 +19,10 @@ large-jump classification is inherited from the vector law (all marks clear
 the threshold strictly), so neither driver ever produces a compensated
 small-jump term.
 
-A whole noise path is a pure function of (seed, lam, horizon, dim): the jump
+A jump rate that is not fixed is drawn uniformly from {1, 2, 3, 4} by
+:func:`sample_lambda`.  Every random stream is a Philox generator on a
+``SeedSequence``, built by :func:`stream` from a master seed and a spawn key.  A
+whole noise path is a pure function of (seed, lam, horizon, dim): the jump
 skeleton is drawn eagerly, then the remaining generator state serves Brownian
 increments on demand, one interval at a time, in call order.
 """
@@ -33,8 +39,6 @@ MARK_WEIGHTS_3D = np.array([2.0 / 3.0, 1.0 / 3.0])
 MARKS_1D = np.array([[-0.1], [0.1]])
 MARK_WEIGHTS_1D = np.array([0.5, 0.5])
 
-JUMP_RATE_CHOICES = (1, 2, 3, 4)
-
 
 def sample_lambda(rng: np.random.Generator) -> int:
     """Jump rate drawn uniformly from {1, 2, 3, 4}."""
@@ -48,6 +52,24 @@ def _make_rng(seed) -> np.random.Generator:
         seed = np.random.SeedSequence(seed)
     # Philox is counter-based: cheap to spawn in bulk and stable across runs
     return np.random.Generator(np.random.Philox(seed))
+
+
+def stream(seed, *key) -> np.random.Generator:
+    """The random stream of spawn key ``key`` under the master seed ``seed``."""
+    return _make_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def draw_jumps(rng: np.random.Generator, rate: float, horizon: float, dim: int):
+    """Jumps of one compound-Poisson path on (0, horizon]: (times, marks).
+
+    Draws, in this order, the Poisson(rate * horizon) count, the count's
+    uniform times (unsorted) and their marks from the two-point law of the
+    ``dim``-dimensional driver; marks has shape (count, dim).
+    """
+    marks, weights = (MARKS_3D, MARK_WEIGHTS_3D) if dim == 3 else (MARKS_1D, MARK_WEIGHTS_1D)
+    count = int(rng.poisson(rate * horizon))
+    times = rng.uniform(0.0, horizon, size=count)
+    return times, marks[rng.choice(len(marks), size=count, p=weights)]
 
 
 class LevyPathNoise:
@@ -71,17 +93,16 @@ class LevyPathNoise:
         self.dim = int(dim)
         self._rng = _make_rng(seed)
 
-        marks, weights = (MARKS_3D, MARK_WEIGHTS_3D) if dim == 3 else (MARKS_1D, MARK_WEIGHTS_1D)
         while True:
-            count = int(self._rng.poisson(self.rate * self.horizon))
-            times = np.sort(self._rng.uniform(0.0, self.horizon, size=count))
-            # ties or a time of exactly 0.0 have probability ~0; redraw rather
-            # than carry a skeleton outside (0, horizon) or not strictly increasing
-            if count == 0 or (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
+            times, marks = draw_jumps(self._rng, self.rate, self.horizon, self.dim)
+            times = np.sort(times)
+            # ties or a time of exactly 0.0 have probability ~2^-50; redraw rather
+            # than carry a skeleton outside (0, horizon) or not strictly
+            # increasing.  A redraw spends the rejected skeleton's marks draw too.
+            if times.size == 0 or (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
                 break
-        idx = self._rng.choice(len(marks), size=count, p=weights)
         self.jump_times = times
-        self.jump_marks = marks[idx]
+        self.jump_marks = marks
 
     @property
     def jump_count(self) -> int:
@@ -99,8 +120,3 @@ class LevyPathNoise:
         if np.any(dts <= 0.0):
             raise ValueError("all interval lengths must be positive")
         return self._rng.standard_normal((dts.size, self.dim)) * np.sqrt(dts)[:, None]
-
-
-def sample_jump_skeleton(rate: float, horizon: float, dim: int, seed) -> LevyPathNoise:
-    """Fresh noise path: Poisson(rate) jump times on (0, horizon] with two-point marks."""
-    return LevyPathNoise(seed, rate, horizon, dim)

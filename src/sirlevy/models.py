@@ -16,7 +16,7 @@ recovered).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -124,15 +124,14 @@ def make_drift_fast(model, theta: ThetaParams, p: SirParams) -> Callable:
 
 
 def noise_coeff_numbers(state, p: SirParams):
-    """Scalar sigma*X*Y*Z; the model's noise matrix is this times the identity."""
+    """Scalar sigma*X*Y*Z; the model's noise matrix is this times its noise direction."""
     x, y, z = _split(state)
     return p.sigma * x * y * z
 
 
 def noise_coeff_proportions(state, p: SirParams) -> np.ndarray:
     """Column (-1, 2, -1) * sigma*X*Y*Z; components sum to zero exactly."""
-    c = noise_coeff_numbers(state, p)
-    return np.stack([-c, 2.0 * c, -c], axis=-1)
+    return noise_coeff_numbers(state, p)[..., None] * PROPORTIONS.direction[:, 0]
 
 
 def drift_beta_split(model_tag: str, state, p: SirParams):
@@ -151,12 +150,22 @@ def drift_beta_split(model_tag: str, state, p: SirParams):
 
 @dataclass(frozen=True)
 class SirModel:
-    """One SIR variant: drift, noise matrix, and the driving-noise dimension."""
+    """One SIR variant: its drift and its read-only (3, driver_dim) noise direction."""
 
     tag: str
-    driver_dim: int
     drift: Callable
-    noise_matrix: Callable  # state, params -> (3, driver_dim)
+    direction: np.ndarray = field(compare=False)
+
+    def __post_init__(self):
+        self.direction.flags.writeable = False
+
+    @property
+    def driver_dim(self) -> int:
+        return self.direction.shape[1]
+
+    def noise_matrix(self, state, p: SirParams) -> np.ndarray:
+        """(..., 3, driver_dim) noise matrix sigma*X*Y*Z * direction."""
+        return noise_coeff_numbers(state, p)[..., None, None] * self.direction
 
     def validate_state(self, state, tol: float = 1e-10) -> None:
         s = np.asarray(state, dtype=float)
@@ -168,16 +177,8 @@ class SirModel:
             raise ValueError(f"proportions state must sum to 1 within {tol}, got {s}")
 
 
-def _noise_matrix_numbers(state, p: SirParams) -> np.ndarray:
-    return noise_coeff_numbers(state, p) * np.eye(3)
-
-
-def _noise_matrix_proportions(state, p: SirParams) -> np.ndarray:
-    return noise_coeff_proportions(state, p).reshape(3, 1)
-
-
-NUMBERS = SirModel("numbers", 3, drift_numbers, _noise_matrix_numbers)
-PROPORTIONS = SirModel("proportions", 1, drift_proportions, _noise_matrix_proportions)
+NUMBERS = SirModel("numbers", drift_numbers, np.eye(3))
+PROPORTIONS = SirModel("proportions", drift_proportions, np.array([[-1.0], [2.0], [-1.0]]))
 
 _MODELS = {"numbers": NUMBERS, "proportions": PROPORTIONS}
 

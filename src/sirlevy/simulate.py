@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levy import LevyPathNoise
+from .levy import LevyPathNoise, sample_lambda, stream
 from .models import SirParams, get_model, make_drift_fast
 from .transmission import ThetaParams
 
@@ -453,10 +453,9 @@ def solve_ode(
 
 def _ensemble_noise(seed: int, path: int, attempt: int, lam: float | None, horizon: float, dim: int):
     """Noise of one ensemble path at one attempt: spawn key (path, attempt) of ``seed``."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path, attempt))
-    rng = np.random.Generator(np.random.Philox(ss))
-    rate = lam if lam is not None else int(rng.integers(1, 5))
-    return LevyPathNoise(ss.spawn(1)[0], rate, horizon, dim)
+    rate = lam if lam is not None else sample_lambda(stream(seed, path, attempt))
+    # the noise's seed is the first child of the rate's spawn key
+    return LevyPathNoise(np.random.SeedSequence(entropy=seed, spawn_key=(path, attempt, 0)), rate, horizon, dim)
 
 
 def predict_ensemble(

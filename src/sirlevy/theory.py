@@ -17,7 +17,7 @@ from scipy import stats
 
 from .contrast import ContrastConfig
 from .estimator import BoxConstraints, EstimationError, EstimatorConfig, lsgd_estimate
-from .levy import MARK_WEIGHTS_1D, MARK_WEIGHTS_3D, MARKS_1D, MARKS_3D, LevyPathNoise, sample_lambda
+from .levy import LevyPathNoise, _make_rng, draw_jumps, sample_lambda, stream
 from .models import SirParams, drift_beta_split, get_model, noise_coeff_numbers
 from .simulate import SimulationError, Trajectory, simulate_sde, solve_ode
 from .transmission import ThetaParams, beta_eval, beta_grad
@@ -36,11 +36,10 @@ def _quadrature_weights(times: np.ndarray) -> np.ndarray:
     n = times.size - 1
     h = (times[-1] - times[0]) / n
     w = np.zeros(times.size)
-    pairs = n // 2
-    for j in range(pairs):
-        w[2 * j] += h / 3.0
-        w[2 * j + 1] += 4.0 * h / 3.0
-        w[2 * j + 2] += h / 3.0
+    end = n - n % 2  # the last node of the Simpson pairs
+    w[0:end:2] += h / 3.0
+    w[1:end:2] += 4.0 * h / 3.0
+    w[2 : end + 1 : 2] += h / 3.0
     if n % 2 == 1:
         w[-2] += 0.5 * h
         w[-1] += 0.5 * h
@@ -155,7 +154,7 @@ class LimitSampler:
             raise EstimationError("information matrix is singular; the limit is undefined")
         self.info = info
 
-        path, t, grads, xy = pieces
+        path, t, grads, _ = pieces
         c = noise_coeff_numbers(path.states, params)
         if weighted:
             if np.any(c == 0.0):
@@ -163,14 +162,10 @@ class LimitSampler:
             kappa = 1.0 / c
         else:
             kappa = c
-        # per-node (driver_dim, p) coefficient of the driving increments
-        if model.tag == "numbers":
-            _, v = drift_beta_split(model.tag, path.states, params)  # (n+1, 3)
-            coef = kappa[:, None, None] * v[:, :, None] * grads[:, None, :]
-        else:
-            # scalar driver: column (-1, 2, -1) contracted with v gives 3*X*Y
-            proj = 3.0 * xy * kappa
-            coef = (proj[:, None] * grads)[:, None, :]
+        # per-node (driver_dim, p) coefficient of the driving increments: the
+        # beta-direction v = (-X*Y, X*Y, 0) seen through the model's noise direction
+        _, v = drift_beta_split(model.tag, path.states, params)  # (n+1, 3)
+        coef = kappa[:, None, None] * (v @ model.direction)[:, :, None] * grads[:, None, :]
         self.times = t
         self.coef = coef  # (n_grid + 1, driver_dim, p)
         self.dt = float(t[1] - t[0])
@@ -191,22 +186,16 @@ class LimitSampler:
         include_jumps: bool = True,
     ) -> np.ndarray:
         """One draw of the stochastic integral before the information-matrix solve."""
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = _make_rng(seed)
         out = np.zeros(self.p)
         if include_brownian:
             dB = rng.standard_normal((self.coef.shape[0] - 1, self.dim)) * np.sqrt(self.dt)
             out += np.einsum("td,tdp->p", dB, self.coef[:-1])
         if include_jumps:
             rate = sample_lambda(rng) if lam is None else lam
-            count = int(rng.poisson(rate * self.horizon))
-            if count:
-                taus = rng.uniform(0.0, self.horizon, size=count)
-                marks, weights = (MARKS_3D, MARK_WEIGHTS_3D) if self.dim == 3 else (MARKS_1D, MARK_WEIGHTS_1D)
-                idx = rng.choice(len(marks), size=count, p=weights)
-                for tau, j in zip(taus, idx):
-                    out += marks[j] @ self._interp_coef(tau)
+            taus, marks = draw_jumps(rng, rate, self.horizon, self.dim)
+            for tau, mark in zip(taus, marks):
+                out += mark @ self._interp_coef(tau)
         return out
 
     def sample(self, seed, lam=None, include_brownian=True, include_jumps=True) -> np.ndarray:
@@ -321,14 +310,10 @@ def rate_experiment(
         rows = np.full((replications, p), np.nan)
         fails = 0
         for r in range(replications):
-            gen_rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(ei, r, 0)))
-            )
+            gen_rng = stream(seed, ei, r, 0)
             rate = sample_lambda(gen_rng) if lam is None else lam
             noise_seed = np.random.SeedSequence(entropy=seed, spawn_key=(ei, r, 1))
-            est_rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(ei, r, 2)))
-            )
+            est_rng = stream(seed, ei, r, 2)
             try:
                 noise = LevyPathNoise(noise_seed, rate, 1.0, model.driver_dim)
                 traj = simulate_sde(model, theta0, run_params, s0, 1.0, n_obs, noise, substeps)

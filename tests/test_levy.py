@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from sirlevy import LevyPathNoise, sample_jump_skeleton, sample_lambda
-from sirlevy.levy import LARGE_JUMP_THRESHOLD, MARKS_1D, MARKS_3D
+from sirlevy import LevyPathNoise, sample_lambda
+from sirlevy.levy import (
+    LARGE_JUMP_THRESHOLD,
+    MARK_WEIGHTS_1D,
+    MARK_WEIGHTS_3D,
+    MARKS_1D,
+    MARKS_3D,
+    draw_jumps,
+    stream,
+)
 
 
 def _rng(seed):
@@ -56,7 +64,7 @@ def test_every_mark_clears_large_jump_threshold():
 
 
 def test_jump_times_sorted_in_range():
-    noise = sample_jump_skeleton(3.0, 5.0, 3, seed=9)
+    noise = LevyPathNoise(9, 3.0, 5.0, 3)
     t = noise.jump_times
     assert np.all(np.diff(t) > 0)
     assert t.size == 0 or (t[0] > 0.0 and t[-1] <= 5.0)
@@ -102,3 +110,34 @@ def test_constructor_validation():
         LevyPathNoise(1, -1.0, 1.0, 3)
     with pytest.raises(ValueError):
         LevyPathNoise(1, 1.0, 0.0, 3)
+
+
+def _skeleton_drawn_inline(seed, rate, horizon, dim):
+    """The jump skeleton in its historical draw order, written out without draw_jumps."""
+    rng = _rng(seed)
+    count = int(rng.poisson(rate * horizon))
+    times = np.sort(rng.uniform(0.0, horizon, size=count))
+    marks, weights = (MARKS_3D, MARK_WEIGHTS_3D) if dim == 3 else (MARKS_1D, MARK_WEIGHTS_1D)
+    return rng, times, marks[rng.choice(len(marks), size=count, p=weights)]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_draw_jumps_sorted_is_the_path_skeleton(dim):
+    for seed in range(300):
+        ref_rng, ref_times, ref_marks = _skeleton_drawn_inline(seed, 3.0, 2.0, dim)
+        rng = _rng(seed)
+        times, marks = draw_jumps(rng, 3.0, 2.0, dim)
+        noise = LevyPathNoise(seed, 3.0, 2.0, dim)
+        assert np.sort(times).tobytes() == ref_times.tobytes() == noise.jump_times.tobytes()
+        assert marks.tobytes() == ref_marks.tobytes() == noise.jump_marks.tobytes()
+        assert marks.shape == (times.size, dim)
+        # the Brownian draws start where the skeleton's draws end
+        inc = ref_rng.standard_normal(dim)
+        assert np.array_equal(rng.standard_normal(dim), inc)
+        assert np.array_equal(noise.brownian_increment(0.0, 1.0), inc)
+
+
+def test_stream_is_the_hand_built_generator():
+    for seed, key in ((0, (1,)), (20250809, (3, 0)), (7, (0, 2, 1)), (11, (53,))):
+        hand = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+        assert np.array_equal(stream(seed, *key).random(8), hand.random(8))

@@ -128,3 +128,18 @@ def test_scalar_drift_matches_model_drift(model_tag, theta):
         expect = model.drift(t, state, theta, params)
         got = np.array(fast(t, *state.tolist()))
         assert np.allclose(got, expect, rtol=1e-14, atol=0), (t, state)
+
+
+def test_noise_direction_is_read_only_and_sets_the_noise():
+    rng = np.random.default_rng(3)
+    states = rng.uniform(0.0, 2.0, size=(40, 3))
+    states[0, 1] = 0.0
+    c = sl.noise_coeff_numbers(states, PARAMS_P)
+    assert sl.noise_coeff_proportions(states, PARAMS_P).tobytes() == np.stack([-c, 2.0 * c, -c], axis=-1).tobytes()
+    for model, dim in ((sl.NUMBERS, 3), (sl.PROPORTIONS, 1)):
+        assert model.direction.shape == (3, dim) and model.driver_dim == dim
+        with pytest.raises(ValueError):
+            model.direction[0, 0] = 5.0
+        m = model.noise_matrix(states, PARAMS_N)
+        assert m.shape == (40, 3, dim)
+        assert np.array_equal(m[7], model.noise_matrix(states[7], PARAMS_N))

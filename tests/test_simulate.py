@@ -333,3 +333,15 @@ def test_predict_ensemble_mean_does_not_depend_on_the_path_block(monkeypatch):
     blocks = sim.predict_ensemble("numbers", THETA_REF, params, x0, horizon=1.0, n_paths=7, seed=4)
     assert np.array_equal(whole.states, blocks.states)
     assert whole.clamp_count == blocks.clamp_count
+
+
+def test_ensemble_noise_rate_is_sample_lambda_on_its_stream():
+    from sirlevy.levy import stream
+    from sirlevy.simulate import _ensemble_noise
+
+    for path in range(12):
+        for attempt in range(2):
+            noise = _ensemble_noise(31, path, attempt, None, 1.0, 3)
+            assert noise.rate == sl.sample_lambda(stream(31, path, attempt))
+            assert noise.seed.spawn_key == (path, attempt, 0)
+            assert _ensemble_noise(31, path, attempt, 2.5, 1.0, 1).rate == 2.5

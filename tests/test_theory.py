@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import sirlevy as sl
-from sirlevy.theory import LimitSampler, SingularWeightError
+from sirlevy.theory import LimitSampler, SingularWeightError, _quadrature_weights
 
-from conftest import THETA_REF, X0_NUMBERS
+from conftest import THETA_REF, X0_NUMBERS, X0_PROPORTIONS
 
 PARAMS = sl.numbers_defaults()
 
@@ -126,3 +126,44 @@ def test_limit_sampler_information_matrix_is_information_matrix(weighted):
     sampler = LimitSampler("numbers", THETA_REF, PARAMS, X0_NUMBERS, n_grid=500, weighted=weighted)
     info = sl.information_matrix("numbers", THETA_REF, PARAMS, X0_NUMBERS, weighted=weighted, n_quad=500)
     assert sampler.info.matrix.tobytes() == info.matrix.tobytes()
+
+
+@pytest.mark.parametrize("tag, weighted", [("numbers", False), ("numbers", True), ("proportions", False)])
+def test_limit_sampler_coef_equals_the_per_model_formulas(tag, weighted):
+    # kappa*v*grads with v = (-X*Y, X*Y, 0) on the 3-dimensional driver;
+    # 3*X*Y*kappa*grads on the scalar one, (-1, 2, -1) contracted with v
+    params, s0 = (PARAMS, X0_NUMBERS) if tag == "numbers" else (sl.proportions_defaults(), X0_PROPORTIONS)
+    sampler = LimitSampler(tag, THETA_REF, params, s0, n_grid=200, weighted=weighted)
+    path = sl.solve_ode(tag, THETA_REF, params, s0, 1.0, 200)
+    grads = sl.beta_grad(path.times, THETA_REF)
+    xy = path.states[:, 0] * path.states[:, 1]
+    c = sl.noise_coeff_numbers(path.states, params)
+    kappa = 1.0 / c if weighted else c
+    if tag == "numbers":
+        v = np.stack([-xy, xy, np.zeros_like(xy)], axis=-1)
+        expected = kappa[:, None, None] * v[:, :, None] * grads[:, None, :]
+    else:
+        expected = ((3.0 * xy * kappa)[:, None] * grads)[:, None, :]
+    assert sampler.coef.shape == expected.shape
+    assert sampler.coef.tobytes() == expected.tobytes()
+
+
+def _simpson_weights_pairwise(times):
+    """Composite Simpson weights added pair by pair, trapezoid on an odd last interval."""
+    n = times.size - 1
+    h = (times[-1] - times[0]) / n
+    w = np.zeros(times.size)
+    for j in range(n // 2):
+        w[2 * j] += h / 3.0
+        w[2 * j + 1] += 4.0 * h / 3.0
+        w[2 * j + 2] += h / 3.0
+    if n % 2 == 1:
+        w[-2] += 0.5 * h
+        w[-1] += 0.5 * h
+    return w
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_quadrature_weights_equal_the_pairwise_sum(n):
+    times = np.linspace(0.0, 1.3, n + 1)
+    assert _quadrature_weights(times).tobytes() == _simpson_weights_pairwise(times).tobytes()
