@@ -20,13 +20,15 @@ import numpy as np
 from .experiments import (
     REFERENCE_THETA,
     RunConfig,
+    _check_eps_levels,
+    _eps_tag,
     batch_estimate,
     emit_reports,
     generate_datasets,
     load_records,
     prediction_study,
 )
-from .theory import information_matrix, rate_experiment
+from .theory import information_matrix, rate_eps_levels, rate_experiment
 from .transmission import ThetaParams
 
 
@@ -101,13 +103,16 @@ def cmd_predict(args) -> int:
 def cmd_theory(args) -> int:
     cfg = _load_config(args)
     theta0 = _parse_theta(args.theta0) if args.theta0 else REFERENCE_THETA
+    eps_values = tuple(float(v) for v in args.eps.split(",")) if args.eps else (0.01, 0.001)
+    # checked before anything is written, so a bad level leaves no partial tree
+    _check_eps_levels(eps_values)
+    rate_eps_levels(eps_values)
     os.makedirs(args.out, exist_ok=True)
     info = information_matrix(cfg.model, theta0, cfg.params(0.0), cfg.x0, weighted=False)
     info_path = os.path.join(args.out, "information_matrix.csv")
     np.savetxt(info_path, info.matrix, delimiter=",", fmt="%.17g")
     print(f"information matrix ({info_path}); min eigenvalue {info.min_eigenvalue():.6g}")
 
-    eps_values = tuple(float(v) for v in args.eps.split(",")) if args.eps else (0.01, 0.001)
     result = rate_experiment(
         cfg.model,
         theta0,
@@ -121,7 +126,7 @@ def cmd_theory(args) -> int:
         substeps=cfg.substeps,
     )
     for eps in eps_values:
-        path = os.path.join(args.out, f"scaled_errors_eps_{eps:g}.csv")
+        path = os.path.join(args.out, f"scaled_errors_eps_{_eps_tag(eps)}.csv")
         np.savetxt(path, result.scaled[eps], delimiter=",", fmt="%.17g")
         print(f"eps={eps:g}: IQR per component {np.array2string(result.iqr(eps), precision=4)}")
     if result.limit_draws is not None:

@@ -5,10 +5,13 @@ For a trajectory observed on a regular grid with spacing dt, the residuals are
     P_k = S_{t_k} - S_{t_{k-1}} - dt * drift(t_{k-1}, S_{t_{k-1}}, theta)
 
 and the objective is ``scale * sum_k P_k' W_{k-1} P_k`` with W the identity
-(plain form) or the inverse of the squared noise coefficient (weighted form,
-population-numbers model only).  The scale factor is n / eps**2 (or n when
-eps == 0); it never moves the argmin, it only keeps reported values comparable
-across noise levels.
+(plain form) or 1 / c**2, c = sigma*X*Y*Z the noise coefficient (weighted
+form).  The scale factor is n / eps**2 (or n when eps == 0); it never moves
+the argmin, it only keeps reported values comparable across noise levels.
+
+The weighted form is defined only for the population-numbers model and only
+where c is nonzero; :func:`weighted_coefficient` is that rule's one home,
+read by the objectives, the estimator's profile and the limit theory.
 
 For a fixed period the residuals are affine in the transmission coefficients
 (base, cos_k, sin_k), so the inner minimization is a linear least-squares
@@ -68,45 +71,50 @@ class ContrastConfig:
     def scale(self, n: int) -> float:
         return n / self.eps**2 if self.eps > 0.0 else float(n)
 
-    def check_model(self, model_tag: str) -> None:
-        # the proportional model's noise matrix is rank one, so the weighted
-        # form is only valid for the numbers model
-        if self.form == "weighted" and model_tag != "numbers":
-            raise ValueError("the weighted form requires the population-numbers model")
+
+def weighted_coefficient(model_tag: str, states, params: SirParams) -> np.ndarray:
+    """sigma*X*Y*Z at ``states``: the weighted form's coefficient, under its one rule.
+
+    Raises ValueError off the population-numbers model (the proportions
+    model's noise matrix is rank one) and DegenerateWeightsError where it is 0.
+    """
+    if model_tag != "numbers":
+        raise ValueError("the weighted form requires the population-numbers model")
+    c = noise_coeff_numbers(states, params)
+    if np.any(c == 0.0):
+        raise DegenerateWeightsError("the weighted form's noise coefficient sigma*X*Y*Z vanishes on the path")
+    return c
 
 
-def _resolve(traj: Trajectory, params: SirParams | None, cfg: ContrastConfig | None):
+def _resolve(traj: Trajectory, params: SirParams | None, cfg: ContrastConfig | None, form: str = "plain"):
+    """(params, cfg, w): params default to the trajectory's, cfg to ``form`` at their eps.
+
+    w is ones, or 1 / c**2 (c from :func:`weighted_coefficient` at the left
+    nodes) when ``form`` or cfg's form is weighted; None where c vanishes,
+    the weighted objective then being identically zero by its indicator.
+    """
     if params is None:
         params = traj.params
     if params is None:
         raise ValueError("params not given and trajectory carries none")
     if cfg is None:
-        cfg = ContrastConfig(form="plain", eps=params.eps)
-    cfg.check_model(traj.model)
-    return params, cfg
+        cfg = ContrastConfig(form=form, eps=params.eps)
+    if "weighted" not in (form, cfg.form):
+        return params, cfg, np.ones(traj.n_intervals)
+    try:
+        return params, cfg, 1.0 / weighted_coefficient(traj.model, traj.states[:-1], params) ** 2
+    except DegenerateWeightsError:
+        return params, cfg, None
 
 
 def residuals(traj: Trajectory, theta: ThetaParams, params: SirParams | None = None) -> np.ndarray:
     """One-step Euler residuals, shape (n, 3)."""
-    if params is None:
-        params = traj.params
+    params = _resolve(traj, params, None)[0]
     model = get_model(traj.model)
     dt = traj.spacing()
     t0 = traj.times[:-1]
     s0 = traj.states[:-1]
     return traj.states[1:] - s0 - dt * model.drift(t0, s0, theta, params)
-
-
-def inverse_weights(traj: Trajectory, params: SirParams) -> tuple[np.ndarray, bool]:
-    """Per-interval weights 1 / (sigma*X*Y*Z)^2 at the left nodes; flags degeneracy.
-
-    Degenerate means some state component vanishes on the grid, in which case
-    the weighted objective is identically zero by its indicator.
-    """
-    c = noise_coeff_numbers(traj.states[:-1], params)
-    if np.any(c == 0.0):
-        return np.zeros(c.size), True
-    return 1.0 / c**2, False
 
 
 def contrast_plain(
@@ -115,7 +123,7 @@ def contrast_plain(
     params: SirParams | None = None,
     cfg: ContrastConfig | None = None,
 ) -> float:
-    params, cfg = _resolve(traj, params, cfg)
+    params, cfg, _ = _resolve(traj, params, cfg)
     P = residuals(traj, theta, params)
     return cfg.scale(len(P)) * float(np.einsum("ki,ki->", P, P))
 
@@ -127,13 +135,8 @@ def contrast_weighted(
     cfg: ContrastConfig | None = None,
 ) -> tuple[float, bool]:
     """Weighted objective value and the degeneracy flag (value 0 when degenerate)."""
-    if params is None:
-        params = traj.params
-    if cfg is None:
-        cfg = ContrastConfig(form="weighted", eps=params.eps)
-    cfg.check_model(traj.model)
-    w, degenerate = inverse_weights(traj, params)
-    if degenerate:
+    params, cfg, w = _resolve(traj, params, cfg, form="weighted")
+    if w is None:
         return 0.0, True
     P = residuals(traj, theta, params)
     return cfg.scale(len(P)) * float(np.einsum("k,ki,ki->", w, P, P)), False
@@ -145,8 +148,7 @@ def contrast_value(
     params: SirParams | None = None,
     cfg: ContrastConfig | None = None,
 ) -> float:
-    params, cfg = _resolve(traj, params, cfg)
-    if cfg.form == "weighted":
+    if cfg is not None and cfg.form == "weighted":
         return contrast_weighted(traj, theta, params, cfg)[0]
     return contrast_plain(traj, theta, params, cfg)
 
@@ -158,16 +160,12 @@ def contrast_gradient(
     cfg: ContrastConfig | None = None,
 ) -> np.ndarray:
     """Analytic gradient in (period, base, cos_k, sin_k); zeros if degenerate weighted."""
-    params, cfg = _resolve(traj, params, cfg)
+    params, cfg, w = _resolve(traj, params, cfg)
     dt = traj.spacing()
+    if w is None:
+        return np.zeros(theta.dim)
     t0 = traj.times[:-1]
     n = t0.size
-    if cfg.form == "weighted":
-        w, degenerate = inverse_weights(traj, params)
-        if degenerate:
-            return np.zeros(theta.dim)
-    else:
-        w = np.ones(n)
     P = residuals(traj, theta, params)
     _, v = drift_beta_split(traj.model, traj.states[:-1], params)
     B = beta_grad(t0, theta)  # (n, p)
@@ -570,16 +568,12 @@ def alpha_profile(
     cfg: ContrastConfig | None = None,
     order: int = 1,
 ) -> AlphaProfile:
-    params, cfg = _resolve(traj, params, cfg)
+    params, cfg, w = _resolve(traj, params, cfg)
     dt = traj.spacing()
+    if w is None:
+        raise DegenerateWeightsError("weighted objective is identically zero on this trajectory")
     t0 = traj.times[:-1]
     n = t0.size
-    if cfg.form == "weighted":
-        w, degenerate = inverse_weights(traj, params)
-        if degenerate:
-            raise DegenerateWeightsError("weighted objective is identically zero on this trajectory")
-    else:
-        w = np.ones(n)
     g, v = drift_beta_split(traj.model, traj.states[:-1], params)
     r = traj.states[1:] - traj.states[:-1] - dt * g  # residual with beta term removed
     return AlphaProfile(t=t0, r=r, v=v, w=w, dt=dt, scale=cfg.scale(n), order=order)

@@ -311,16 +311,10 @@ def lsgd_estimate(
     exact solve gives the coefficients; the objective there is evaluated
     from the residuals.  The table entry of the cell holding the refined
     point is replaced by it, so the reported objective equals the table
-    minimum.
+    minimum.  ``params`` and ``cfg`` default as in :func:`alpha_profile`.
     """
     est = est or EstimatorConfig()
     box = box or BoxConstraints()
-    if params is None:
-        params = traj.params
-    if params is None:
-        raise ValueError("params not given and trajectory carries none")
-    if cfg is None:
-        cfg = ContrastConfig(form="plain", eps=params.eps)
     try:
         profile = alpha_profile(traj, params, cfg, order=est.order)
     except DegenerateWeightsError as err:

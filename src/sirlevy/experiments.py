@@ -20,7 +20,7 @@ import numpy as np
 
 from .contrast import ContrastConfig, alpha_column_names
 from .estimator import BoxConstraints, EstimatorConfig, lsgd_estimate
-from .levy import LevyPathNoise, sample_lambda, stream
+from .levy import LevyPathNoise, sample_lambda, seed_sequence, stream
 from .models import NUMBERS_X0, PROPORTIONS_X0, SirParams, get_model
 from .simulate import SimulationError, Trajectory, predict_ensemble, simulate_sde, solve_ode
 from .transmission import PERIOD_FLOOR, ThetaParams
@@ -316,9 +316,7 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
             draw_rng = stream(cfg.seed, i, 0)
             theta0 = sample_true_theta(draw_rng, cfg.order)
             lam = sample_lambda(draw_rng)
-            noise = LevyPathNoise(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i, 1)), lam, 1.0, model.driver_dim
-            )
+            noise = LevyPathNoise(seed_sequence(cfg.seed, i, 1), lam, 1.0, model.driver_dim)
             try:
                 traj = simulate_sde(model, theta0, params, cfg.x0, 1.0, cfg.n_obs, noise, cfg.substeps)
             except SimulationError as err:
@@ -459,9 +457,7 @@ def prediction_study(
         rng = stream(cfg.seed, 50, ei)
         fit_x0 = _sample_prediction_x0(rng, model.tag)
         lam = sample_lambda(rng)
-        noise = LevyPathNoise(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(51, ei)), lam, 1.0, model.driver_dim
-        )
+        noise = LevyPathNoise(seed_sequence(cfg.seed, 51, ei), lam, 1.0, model.driver_dim)
         traj = simulate_sde(model, theta0, params, fit_x0, 1.0, cfg.n_obs, noise, cfg.substeps)
         result = lsgd_estimate(
             traj,
@@ -497,9 +493,7 @@ def prediction_study(
             horizon=predict_horizon,
             n_obs=n_pred_obs,
             n_paths=n_paths,
-            seed=int(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(54, ei)).generate_state(1, np.uint32)[0]
-            ),
+            seed=int(seed_sequence(cfg.seed, 54, ei).generate_state(1, np.uint32)[0]),
             substeps=cfg.substeps,
         )
         path = os.path.join(out_dir, f"ensemble_eps_{_eps_tag(eps)}.csv")

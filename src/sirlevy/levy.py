@@ -21,10 +21,11 @@ small-jump term.
 
 A jump rate that is not fixed is drawn uniformly from {1, 2, 3, 4} by
 :func:`sample_lambda`.  Every random stream is a Philox generator on a
-``SeedSequence``, built by :func:`stream` from a master seed and a spawn key.  A
-whole noise path is a pure function of (seed, lam, horizon, dim): the jump
-skeleton is drawn eagerly, then the remaining generator state serves Brownian
-increments on demand, one interval at a time, in call order.
+``SeedSequence`` that :func:`seed_sequence` alone builds from a master seed
+and a spawn key; :func:`stream` is the generator on it.  A whole noise path
+is a pure function of (seed, lam, horizon, dim): the jump skeleton is drawn
+eagerly, then the remaining generator state serves Brownian increments on
+demand, one interval at a time, in call order.
 """
 
 from __future__ import annotations
@@ -54,9 +55,14 @@ def _make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def seed_sequence(seed, *key) -> np.random.SeedSequence:
+    """The seed sequence of spawn key ``key`` under the master seed ``seed``."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+
+
 def stream(seed, *key) -> np.random.Generator:
     """The random stream of spawn key ``key`` under the master seed ``seed``."""
-    return _make_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    return _make_rng(seed_sequence(seed, *key))
 
 
 def draw_jumps(rng: np.random.Generator, rate: float, horizon: float, dim: int):

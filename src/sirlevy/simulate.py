@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levy import LevyPathNoise, sample_lambda, stream
+from .levy import LevyPathNoise, sample_lambda, seed_sequence, stream
 from .models import SirParams, get_model, make_drift_fast
 from .transmission import ThetaParams
 
@@ -455,7 +455,7 @@ def _ensemble_noise(seed: int, path: int, attempt: int, lam: float | None, horiz
     """Noise of one ensemble path at one attempt: spawn key (path, attempt) of ``seed``."""
     rate = lam if lam is not None else sample_lambda(stream(seed, path, attempt))
     # the noise's seed is the first child of the rate's spawn key
-    return LevyPathNoise(np.random.SeedSequence(entropy=seed, spawn_key=(path, attempt, 0)), rate, horizon, dim)
+    return LevyPathNoise(seed_sequence(seed, path, attempt, 0), rate, horizon, dim)
 
 
 def predict_ensemble(

@@ -6,6 +6,10 @@ asymptotic objective measures drift separation between two parameter points,
 and the limit sampler draws the random variable that the noise-rescaled
 estimation error approaches (a stochastic integral of the sensitivities
 against the driving noise, premultiplied by the inverse information matrix).
+
+The weighted forms read sigma*X*Y*Z from :func:`contrast.weighted_coefficient`
+and fail as it does; ``SingularWeightError`` is an alias of its
+:class:`contrast.DegenerateWeightsError`.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .contrast import ContrastConfig
+from .contrast import ContrastConfig, DegenerateWeightsError, weighted_coefficient
 from .estimator import BoxConstraints, EstimationError, EstimatorConfig, lsgd_estimate
-from .levy import LevyPathNoise, _make_rng, draw_jumps, sample_lambda, stream
+from .levy import LevyPathNoise, _make_rng, draw_jumps, sample_lambda, seed_sequence, stream
 from .models import SirParams, drift_beta_split, get_model, noise_coeff_numbers
 from .simulate import SimulationError, Trajectory, simulate_sde, solve_ode
 from .transmission import ThetaParams, beta_eval, beta_grad
@@ -25,8 +29,7 @@ from .transmission import ThetaParams, beta_eval, beta_grad
 DEFAULT_QUAD_STEPS = 2000
 
 
-class SingularWeightError(RuntimeError):
-    """Weighted quadrature along a path touching a zero state component."""
+SingularWeightError = DegenerateWeightsError  # the name existing imports of this module use
 
 
 def _quadrature_weights(times: np.ndarray) -> np.ndarray:
@@ -82,23 +85,19 @@ def information_matrix(
     """
     model = get_model(model)
     pieces = _sensitivity_pieces(model, theta, params, s0, n_quad, horizon)
-    return _information_from_pieces(model, theta, params, pieces, weighted, n_quad)
+    c = weighted_coefficient(model.tag, pieces[0].states, params) if weighted else None
+    return _information_from_pieces(theta, pieces, n_quad, c)
 
 
-def _information_from_pieces(model, theta, params, pieces, weighted, n_quad) -> InfoMatrix:
-    """The quadrature of :func:`information_matrix` over already solved sensitivity pieces."""
+def _information_from_pieces(theta, pieces, n_quad, c=None) -> InfoMatrix:
+    """:func:`information_matrix` over solved pieces; ``c`` is the weighted form's coefficient or None."""
     path, t, grads, xy = pieces
     weight = 2.0 * xy**2  # |v|^2 with v = (-X*Y, X*Y, 0)
-    if weighted:
-        if model.tag != "numbers":
-            raise ValueError("weighted information matrix requires the numbers model")
-        c = noise_coeff_numbers(path.states, params)
-        if np.any(c == 0.0):
-            raise SingularWeightError("drift-only path touches a zero component")
+    if c is not None:
         weight = weight / c**2
     w = weight * _quadrature_weights(t)
     matrix = np.einsum("t,ti,tj->ij", w, grads, grads)
-    return InfoMatrix(matrix=matrix, theta=theta, weighted=weighted, n_quad=n_quad)
+    return InfoMatrix(matrix=matrix, theta=theta, weighted=c is not None, n_quad=n_quad)
 
 
 def asymptotic_contrast(
@@ -149,19 +148,17 @@ class LimitSampler:
         self.weighted = weighted
         # one drift-only solve feeds both the information matrix and the integrand
         pieces = _sensitivity_pieces(model, theta0, params, s0, n_grid, horizon)
-        info = _information_from_pieces(model, theta0, params, pieces, weighted, n_grid)
+        path, t, grads, _ = pieces
+        if weighted:
+            c = weighted_coefficient(model.tag, path.states, params)
+            info = _information_from_pieces(theta0, pieces, n_grid, c)
+            kappa = 1.0 / c
+        else:
+            info = _information_from_pieces(theta0, pieces, n_grid)
+            kappa = noise_coeff_numbers(path.states, params)
         if abs(np.linalg.det(info.matrix)) < 1e-300:
             raise EstimationError("information matrix is singular; the limit is undefined")
         self.info = info
-
-        path, t, grads, _ = pieces
-        c = noise_coeff_numbers(path.states, params)
-        if weighted:
-            if np.any(c == 0.0):
-                raise SingularWeightError("drift-only path touches a zero component")
-            kappa = 1.0 / c
-        else:
-            kappa = c
         # per-node (driver_dim, p) coefficient of the driving increments: the
         # beta-direction v = (-X*Y, X*Y, 0) seen through the model's noise direction
         _, v = drift_beta_split(model.tag, path.states, params)  # (n+1, 3)
@@ -268,6 +265,15 @@ class RateResult:
         )
 
 
+def rate_eps_levels(eps_list) -> list[float]:
+    """The rate experiment's noise levels as floats; eps <= 0 is rejected, the errors being scaled by 1 / eps."""
+    eps_list = [float(e) for e in eps_list]
+    if any(e <= 0.0 for e in eps_list):
+        bad = ", ".join(repr(e) for e in eps_list if e <= 0.0)
+        raise ValueError(f"eps values must be positive; the eps = 0 row is excluded: {bad}")
+    return eps_list
+
+
 def rate_experiment(
     model,
     theta0: ThetaParams,
@@ -294,9 +300,7 @@ def rate_experiment(
     uniformly from {1, 2, 3, 4} per replication and per draw).
     """
     model = get_model(model)
-    eps_list = [float(e) for e in eps_list]
-    if any(e <= 0.0 for e in eps_list):
-        raise ValueError("eps values must be positive; the eps = 0 row is excluded")
+    eps_list = rate_eps_levels(eps_list)
     est = est or EstimatorConfig()
     box = box or BoxConstraints()
     theta_vec = theta0.to_vector()
@@ -312,7 +316,7 @@ def rate_experiment(
         for r in range(replications):
             gen_rng = stream(seed, ei, r, 0)
             rate = sample_lambda(gen_rng) if lam is None else lam
-            noise_seed = np.random.SeedSequence(entropy=seed, spawn_key=(ei, r, 1))
+            noise_seed = seed_sequence(seed, ei, r, 1)
             est_rng = stream(seed, ei, r, 2)
             try:
                 noise = LevyPathNoise(noise_seed, rate, 1.0, model.driver_dim)
@@ -329,9 +333,7 @@ def rate_experiment(
         sampler = LimitSampler(
             model, theta0, params, s0, n_grid=n_grid, weighted=(contrast_form == "weighted")
         )
-        draws = sampler.sample_many(
-            limit_draws, seed=np.random.SeedSequence(entropy=seed, spawn_key=(999,)), lam=lam
-        )
+        draws = sampler.sample_many(limit_draws, seed=seed_sequence(seed, 999), lam=lam)
     return RateResult(
         theta0=theta0,
         eps_list=eps_list,

@@ -559,3 +559,16 @@ def test_prediction_study_rejects_bad_eps_levels(tmp_path, capsys, eps_values, n
     assert code != 0
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "eps_arg,named", [("0.01,0.0100000001", "0.0100000001"), ("0.01,1.5", "1.5"), ("0.01,0", "0.0")]
+)
+def test_cli_theory_rejects_bad_eps_levels_before_writing(tmp_path, capsys, eps_arg, named):
+    # two levels sharing a file tag would overwrite one scaled-errors file, and
+    # a level checked late would leave the information matrix behind
+    out = tmp_path / "theory"
+    code = cli_main(["theory", "--out", str(out), "--seed", "2", "--eps", eps_arg, "--replications", "2"])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()

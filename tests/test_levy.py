@@ -9,6 +9,7 @@ from sirlevy.levy import (
     MARKS_1D,
     MARKS_3D,
     draw_jumps,
+    seed_sequence,
     stream,
 )
 
@@ -141,3 +142,11 @@ def test_stream_is_the_hand_built_generator():
     for seed, key in ((0, (1,)), (20250809, (3, 0)), (7, (0, 2, 1)), (11, (53,))):
         hand = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
         assert np.array_equal(stream(seed, *key).random(8), hand.random(8))
+
+
+def test_seed_sequence_is_the_hand_built_one():
+    for seed, key in ((0, (1,)), (20250809, (3, 0)), (7, (0, 2, 1)), (11, (999,))):
+        hand = np.random.SeedSequence(entropy=seed, spawn_key=key)
+        ours = seed_sequence(seed, *key)
+        assert ours.spawn_key == hand.spawn_key and ours.entropy == hand.entropy
+        assert np.array_equal(ours.generate_state(4), hand.generate_state(4))
