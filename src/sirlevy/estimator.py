@@ -15,11 +15,14 @@ frequency scan over the ranked cells finds the basin, and a zero search on
 the exact profile's slope in the frequency (the envelope theorem's
 derivative, :meth:`AlphaProfile.solve_slope`, found by Brent's method)
 places the period beyond the cell resolution.  The winning table entry is
-updated in place so the reported objective is the table minimum.
+updated in place so the reported objective is the table minimum.  Brent's
+method is :func:`_brentq`, a port of scipy's ``brentq`` that takes its steps
+exactly, so the estimator loads no scipy module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +51,9 @@ _ETA_MIN = 1e-300
 _PGD_TOL = 1e-11  # curvature-scaled projected-gradient tolerance
 # the period search stops when its frequency bracket is this narrow relative to the bracket's top
 _SEARCH_XTOL = 1e-12
+# Brent's method: relative tolerance and iteration cap of the zero search (fixed)
+_BRENT_RTOL = 4 * math.ulp(1.0)  # 4 * DBL_EPSILON
+_BRENT_MAXITER = 100
 
 
 class EstimationError(RuntimeError):
@@ -267,31 +273,77 @@ def _scan_top_cells(traj, profile: AlphaProfile, cells, box, best):
     return (*min(candidates, key=lambda c: c[2]), evaluations)
 
 
+def _brentq(f, xa: float, fa: float, xb: float, fb: float, xtol: float) -> tuple[float, int]:
+    """Zero of ``f`` in [xa, xb] by Brent's method; returns (root, function calls).
+
+    A port of scipy's ``brentq.c`` taking its steps exactly, with its
+    defaults ``rtol = 4 * DBL_EPSILON`` and 100 iterations.  The end values
+    ``fa`` and ``fb`` are given and counted as its first two calls.  A
+    non-finite value, ends of equal sign or a search that does not converge
+    raise :class:`EstimationError`.
+    """
+    xpre, fpre, xcur, fcur, xtol = float(xa), float(fa), float(xb), float(fb), float(xtol)
+    xblk = fblk = spre = scur = 0.0
+    calls = 2
+    if not (math.isfinite(fpre) and math.isfinite(fcur)):
+        raise EstimationError("non-finite slope at an end of the period bracket")
+    if fpre == 0.0:
+        return xpre, calls
+    if fcur == 0.0:
+        return xcur, calls
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise EstimationError("the slope has equal signs at both ends of the period bracket")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        calls += 1
+        if not math.isfinite(fcur):
+            raise EstimationError(f"non-finite slope at frequency {xcur!r}")
+    raise EstimationError(f"the slope search did not converge in {_BRENT_MAXITER} iterations")
+
+
 def _envelope_search(profile: AlphaProfile, box, lo: float, hi: float) -> tuple[float, int]:
     """Minimize the profile over the frequencies [lo, hi] by a zero of its slope.
 
     Both ends are evaluated in one stacked call.  When the slope is negative
     at ``lo`` and positive at ``hi`` the bracket holds a minimum, and Brent's
-    method (:func:`scipy.optimize.brentq`) finds the zero of the slope;
-    otherwise the end of lower value wins.  Returns the frequency and the
-    number of profile evaluations.
+    method (:func:`_brentq`) finds the zero of the slope from those two end
+    values; otherwise the end of lower value wins.  Returns the frequency
+    and the number of profile evaluations.
     """
-    # imported on first use: at module level it loads scipy.optimize ahead of
-    # the scipy.stats import of sirlevy.theory, which measured about 60 ms
-    # slower `import sirlevy` (2-vCPU x86 VM, Python 3.11, scipy 1.17)
-    from scipy.optimize import brentq
-
     ends = np.array([lo, hi])
     _, values, slopes = profile.solve_slope(ends, box)
     if not slopes[0] < 0.0 < slopes[1]:
         return float(ends[np.argmin(values)]), 2
-    known = {lo: slopes[0], hi: slopes[1]}  # brentq starts by asking for the ends
 
     def slope(f):
-        return known[f] if f in known else profile.solve_slope(np.array([f]), box)[2][0]
+        return profile.solve_slope(np.array([f]), box)[2][0]
 
-    f_star, info = brentq(slope, lo, hi, xtol=_SEARCH_XTOL * hi, full_output=True)
-    return f_star, info.function_calls
+    return _brentq(slope, lo, slopes[0], hi, slopes[1], _SEARCH_XTOL * hi)
 
 
 def lsgd_estimate(
@@ -324,8 +376,8 @@ def lsgd_estimate(
     rng = _make_rng(seed)
 
     m = est.cells
-    periods = [float(rng.uniform((i - 1) / m, i / m)) for i in range(1, m + 1)]
-    periods = [min(max(period, box.period[0]), box.period[1]) for period in periods]
+    draws = rng.uniform(np.arange(m) / m, np.arange(1, m + 1) / m)  # cell i draws from ((i-1)/M, i/M)
+    periods = np.clip(draws, box.period[0], box.period[1]).tolist()
     alphas, values = profile.solve_many(periods, box)
     cells = [
         CellResult(i, period, alpha, value)

@@ -10,6 +10,9 @@ against the driving noise, premultiplied by the inverse information matrix).
 The weighted forms read sigma*X*Y*Z from :func:`contrast.weighted_coefficient`
 and fail as it does; ``SingularWeightError`` is an alias of its
 :class:`contrast.DegenerateWeightsError`.
+
+Only :meth:`RateResult.location_pvalues` uses scipy (``scipy.stats``), and it
+imports it when called, so the rest of the module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .contrast import ContrastConfig, DegenerateWeightsError, weighted_coefficient
 from .estimator import BoxConstraints, EstimationError, EstimatorConfig, lsgd_estimate
@@ -255,7 +257,12 @@ class RateResult:
         return self.iqr(eps_a) / self.iqr(eps_b)
 
     def location_pvalues(self, eps: float) -> np.ndarray:
-        """Per-component two-sample rank test of scaled errors against limit draws."""
+        """Per-component two-sample rank test of scaled errors against limit draws.
+
+        The package's one use of scipy, imported here so that nothing else loads it.
+        """
+        from scipy import stats
+
         if self.limit_draws is None:
             raise ValueError("no limit draws were recorded")
         rows = self.scaled[eps]
