@@ -11,12 +11,12 @@ output tree byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
+from .estimator import EstimatorConfig
 from .experiments import (
     REFERENCE_THETA,
     RunConfig,
@@ -28,6 +28,7 @@ from .experiments import (
     load_records,
     prediction_study,
 )
+from .models import get_model
 from .theory import information_matrix, rate_eps_levels, rate_experiment
 from .transmission import ThetaParams
 
@@ -52,8 +53,11 @@ def _load_config(args, tree: str | None = None) -> RunConfig:
     return cfg
 
 
-def _parse_theta(text: str) -> ThetaParams:
-    return ThetaParams.from_vector(np.array([float(v) for v in text.split(",")]))
+def _theta0(args) -> ThetaParams:
+    """``--theta0`` if given, else the reference point; checked, since the box holds only valid parameters."""
+    theta0 = ThetaParams.from_vector([float(v) for v in args.theta0.split(",")]) if args.theta0 else REFERENCE_THETA
+    theta0.validate()
+    return theta0
 
 
 def cmd_generate(args) -> int:
@@ -91,7 +95,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
-    theta0 = _parse_theta(args.theta0) if args.theta0 else REFERENCE_THETA
+    theta0 = _theta0(args)
     eps_values = tuple(float(v) for v in args.eps.split(",")) if args.eps else (0.3, 0.001)
     out = prediction_study(theta0, cfg, args.out, eps_values=eps_values)
     print(f"parameter table: {out['table']}")
@@ -102,11 +106,12 @@ def cmd_predict(args) -> int:
 
 def cmd_theory(args) -> int:
     cfg = _load_config(args)
-    theta0 = _parse_theta(args.theta0) if args.theta0 else REFERENCE_THETA
+    theta0 = _theta0(args)
     eps_values = tuple(float(v) for v in args.eps.split(",")) if args.eps else (0.01, 0.001)
-    # checked before anything is written, so a bad level leaves no partial tree
+    # checked before anything is written, so a bad level or initial state leaves no partial tree
     _check_eps_levels(eps_values)
     rate_eps_levels(eps_values)
+    get_model(cfg.model).validate_state(cfg.x0)
     os.makedirs(args.out, exist_ok=True)
     info = information_matrix(cfg.model, theta0, cfg.params(0.0), cfg.x0, weighted=False)
     info_path = os.path.join(args.out, "information_matrix.csv")
@@ -121,6 +126,7 @@ def cmd_theory(args) -> int:
         eps_values,
         replications=args.replications,
         seed=cfg.seed,
+        est=EstimatorConfig(cells=cfg.cells, order=theta0.order),
         contrast_form=cfg.contrast_form,
         n_obs=cfg.n_obs,
         substeps=cfg.substeps,

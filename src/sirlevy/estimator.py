@@ -62,7 +62,7 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoxConstraints:
-    """Componentwise bounds: period in (floor, 1], base > 0, oscillation >= 0."""
+    """Componentwise bounds: period in [floor, 1], base > 0, oscillation >= 0."""
 
     period: tuple[float, float] = (PERIOD_FLOOR, 1.0)
     base: tuple[float, float] = (1e-6, 2.0)
@@ -84,9 +84,10 @@ class BoxConstraints:
         lower, upper = self.theta_bounds(order)
         return lower[1:], upper[1:]
 
-    def contains(self, vec, order: int = 1) -> bool:
-        lower, upper = self.theta_bounds(order)
+    def contains(self, vec) -> bool:
+        """Whether a parameter vector lies in the box; its order is taken from its length."""
         v = np.asarray(vec, dtype=float)
+        lower, upper = self.theta_bounds((v.size - 2) // 2)
         return bool(np.all(v >= lower) and np.all(v <= upper))
 
 
@@ -217,15 +218,16 @@ def pgd_quadratic(
 
 
 def _scan_frequencies(traj, cells, box) -> tuple[np.ndarray, float]:
-    """Dense scan grid over the best-ranked cells, best cell first; returns (frequencies, spacing).
+    """Dense scan grid over every cell, in value order (best first); returns (frequencies, spacing).
 
     A single test period per cell cannot land inside the objective's basin
     when the true period is small: phase coherence over the horizon T bounds
-    the basin half-width by roughly period^2 / (2 T).  Scanning each top cell
+    the basin half-width by roughly period^2 / (2 T).  Scanning each cell
     on a uniform frequency grid (spacing 1/(4T), a quarter cycle across the
     horizon) makes the capture probability independent of the period, and the
     grid is capped at the observation Nyquist frequency, below which no period
-    is distinguishable from its aliases anyway.
+    is distinguishable from its aliases anyway; a cell wholly past the cap is
+    left out.
     """
     horizon = float(traj.times[-1] - traj.times[0])
     m = len(cells)
@@ -247,7 +249,7 @@ def _scan_frequencies(traj, cells, box) -> tuple[np.ndarray, float]:
 
 
 def _scan_top_cells(traj, profile: AlphaProfile, cells, box, best):
-    """Dense period scan over the best-ranked cells; returns (period, alpha, value, evaluations).
+    """Dense period scan over every cell below the Nyquist cap; returns (period, alpha, value, evaluations).
 
     Scan points are ranked by the clipped normal-equations value
     (:meth:`AlphaProfile.scan`, evaluated from trig moments), the first of

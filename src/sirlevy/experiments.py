@@ -31,6 +31,7 @@ _log = logging.getLogger(__name__)
 
 # parameter point exercised by the bundled prediction studies and tests
 REFERENCE_THETA = ThetaParams(0.26836304, 0.15114833, 0.0621514, 0.096762)
+PREDICT_HORIZON = 3.0  # a prediction study forecasts on [0, PREDICT_HORIZON] from a fit on [0, 1]
 
 
 def _fmt(x) -> str:
@@ -205,9 +206,6 @@ class RunConfig:
     def contrast(self, eps: float) -> ContrastConfig:
         return ContrastConfig(form=self.contrast_form, eps=eps)
 
-    def box(self) -> BoxConstraints:
-        return BoxConstraints()
-
     def save(self, path: str) -> None:
         mapping = {}
         for f in fields(self):
@@ -249,10 +247,8 @@ class DatasetRecord:
     dataset_id: int
     eps: float
     theta0: ThetaParams
-    lam: float
     path: str
     meta_path: str
-    model: str
 
 
 def sample_true_theta(rng: np.random.Generator, order: int = 1) -> ThetaParams:
@@ -300,9 +296,11 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
     A dataset whose simulation fails is skipped (recorded in the index as
     missing) and generation continues.
     """
+    model = get_model(cfg.model)
+    # checked before anything is written, so a bad initial state leaves no partial tree
+    model.validate_state(cfg.x0)
     os.makedirs(out_dir, exist_ok=True)
     cfg.save(os.path.join(out_dir, "config.txt"))
-    model = get_model(cfg.model)
     records: list[DatasetRecord] = []
     index_rows = []
     for ei, eps in enumerate(cfg.eps_list):
@@ -325,7 +323,7 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
             path = os.path.join(eps_dir, f"dataset_{i:05d}.csv")
             meta_path = os.path.join(eps_dir, f"dataset_{i:05d}.meta")
             save_trajectory(traj, path, meta_path)
-            records.append(DatasetRecord(i, eps, theta0, lam, path, meta_path, cfg.model))
+            records.append(DatasetRecord(i, eps, theta0, path, meta_path))
             index_rows.append([_eps_exact(eps), i, os.path.relpath(path, out_dir), ""])
     with open(os.path.join(out_dir, "datasets.csv"), "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -348,13 +346,8 @@ def load_records(out_dir: str) -> list[DatasetRecord]:
                 continue
             path = os.path.join(out_dir, file)
             meta_path = os.path.splitext(path)[0] + ".meta"
-            meta = load_keyvalues(meta_path)
-            theta0 = _theta_from_meta(meta)
-            records.append(
-                DatasetRecord(
-                    int(ds), float(eps), theta0, float(meta["lambda"]), path, meta_path, meta["model"]
-                )
-            )
+            theta0 = _theta_from_meta(load_keyvalues(meta_path))
+            records.append(DatasetRecord(int(ds), float(eps), theta0, path, meta_path))
     return records
 
 
@@ -368,7 +361,7 @@ def _estimate_one(args) -> tuple[float, int, list]:
     true_vec = theta0.to_vector() if theta0 is not None else np.full(2 + 2 * cfg.order, np.nan)
     try:
         traj = load_trajectory(record_path, record_meta)
-        result = lsgd_estimate(traj, cfg.estimator(), cfg.box(), cfg.contrast(eps), seed=est_rng, params=params)
+        result = lsgd_estimate(traj, cfg.estimator(), BoxConstraints(), cfg.contrast(eps), seed=est_rng, params=params)
         est_vec = result.theta.to_vector()
         row = [dataset_id]
         for tv, ev in zip(true_vec, est_vec):
@@ -437,20 +430,20 @@ def prediction_study(
     out_dir: str,
     eps_values: tuple[float, ...] = (0.3, 0.001),
     n_paths: int = 100,
-    predict_horizon: float = 3.0,
 ) -> dict:
     """Estimate at each eps from fresh data, then compare forward ensembles.
 
     Writes a parameter comparison table (one true row, one row per eps), the
     drift-only path of the true parameter on the prediction window, and the
     ``n_paths``-path ensemble mean for each estimate, all from one freshly
-    drawn initial state.  The eps levels are checked as ``RunConfig`` checks
-    its own: each in [0, 1), and no two sharing an output file tag.
+    drawn initial state, the estimates at theta0's Fourier order.  The eps
+    levels are checked as ``RunConfig`` checks its own: each in [0, 1), and
+    no two sharing an output file tag.
     """
     _check_eps_levels(eps_values)
     os.makedirs(out_dir, exist_ok=True)
     model = get_model(cfg.model)
-    names = _parameter_names(cfg.order)
+    est = EstimatorConfig(cells=cfg.cells, order=theta0.order)
     estimates: dict[float, ThetaParams] = {}
     for ei, eps in enumerate(eps_values):
         params = cfg.params(eps)
@@ -461,8 +454,8 @@ def prediction_study(
         traj = simulate_sde(model, theta0, params, fit_x0, 1.0, cfg.n_obs, noise, cfg.substeps)
         result = lsgd_estimate(
             traj,
-            cfg.estimator(),
-            cfg.box(),
+            est,
+            BoxConstraints(),
             cfg.contrast(eps),
             seed=stream(cfg.seed, 52, ei),
             params=params,
@@ -472,15 +465,15 @@ def prediction_study(
     table_path = os.path.join(out_dir, "parameter_table.csv")
     with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", *names])
+        writer.writerow(["row", *_parameter_names(theta0.order)])
         writer.writerow(["true", *(_fmt(v) for v in theta0.to_vector())])
         for eps in eps_values:
             writer.writerow([f"estimate_eps_{_eps_tag(eps)}", *(_fmt(v) for v in estimates[eps].to_vector())])
 
     pred_rng = stream(cfg.seed, 53)
     pred_x0 = _sample_prediction_x0(pred_rng, model.tag)
-    n_pred_obs = max(1, round(cfg.n_obs * predict_horizon))
-    det = solve_ode(model, theta0, cfg.params(0.0), pred_x0, predict_horizon, n_pred_obs)
+    n_pred_obs = max(1, round(cfg.n_obs * PREDICT_HORIZON))
+    det = solve_ode(model, theta0, cfg.params(0.0), pred_x0, PREDICT_HORIZON, n_pred_obs)
     det_path = os.path.join(out_dir, "deterministic_true.csv")
     save_trajectory(det, det_path)
     ensemble_paths = {}
@@ -490,7 +483,7 @@ def prediction_study(
             estimates[eps],
             cfg.params(eps),
             pred_x0,
-            horizon=predict_horizon,
+            horizon=PREDICT_HORIZON,
             n_obs=n_pred_obs,
             n_paths=n_paths,
             seed=int(seed_sequence(cfg.seed, 54, ei).generate_state(1, np.uint32)[0]),

@@ -82,8 +82,9 @@ class LevyPathNoise:
     """One realization of the driving noise on (0, horizon].
 
     Jump times and marks are fixed at construction; Brownian increments are
-    drawn on demand via :meth:`brownian_increment` and are deterministic given
-    the seed and the sequence of requested intervals.
+    drawn on demand via :meth:`brownian_increments`, one batch per run of
+    intervals, and are deterministic given the seed and the sequence of
+    requested intervals.
     """
 
     def __init__(self, seed, rate: float, horizon: float, dim: int):

@@ -65,6 +65,7 @@ def proportions_defaults(eps: float = 0.0) -> SirParams:
 # initial states used in the simulation studies
 NUMBERS_X0 = (2.3, 0.19, 0.25)
 PROPORTIONS_X0 = (0.82, 0.07, 0.11)
+SIMPLEX_TOL = 1e-10  # how far a proportions state's sum may stray from 1
 
 
 def _split(state):
@@ -167,14 +168,15 @@ class SirModel:
         """(..., 3, driver_dim) noise matrix sigma*X*Y*Z * direction."""
         return noise_coeff_numbers(state, p)[..., None, None] * self.direction
 
-    def validate_state(self, state, tol: float = 1e-10) -> None:
+    def validate_state(self, state) -> None:
+        """Raise ValueError unless ``state`` is a nonnegative (X, Y, Z), on the simplex for proportions."""
         s = np.asarray(state, dtype=float)
         if s.shape[-1] != 3:
             raise ValueError("state must have 3 components (X, Y, Z)")
         if np.any(s < 0.0):
             raise ValueError(f"state components must be nonnegative, got {s}")
-        if self.tag == "proportions" and np.any(np.abs(s.sum(axis=-1) - 1.0) > tol):
-            raise ValueError(f"proportions state must sum to 1 within {tol}, got {s}")
+        if self.tag == "proportions" and np.any(np.abs(s.sum(axis=-1) - 1.0) > SIMPLEX_TOL):
+            raise ValueError(f"proportions state must sum to 1 within {SIMPLEX_TOL}, got {s}")
 
 
 NUMBERS = SirModel("numbers", drift_numbers, np.eye(3))

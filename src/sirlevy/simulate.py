@@ -39,6 +39,7 @@ DEFAULT_SUBSTEPS = 10
 # INCREMENT_BUDGET drawn increment values (1 MB) at once
 PATH_BLOCK = 256
 INCREMENT_BUDGET = 1 << 17
+SPACING_RTOL = 1e-8  # a regular grid's intervals are this close to the first, relatively
 
 
 class SimulationError(RuntimeError):
@@ -75,11 +76,11 @@ class Trajectory:
     def n_intervals(self) -> int:
         return self.times.size - 1
 
-    def spacing(self, rtol: float = 1e-8) -> float:
-        """Grid spacing; raises if the grid is not (numerically) regular."""
+    def spacing(self) -> float:
+        """Grid spacing; raises if the grid is not regular within ``SPACING_RTOL``."""
         diffs = np.diff(self.times)
         dt = diffs[0]
-        if np.any(np.abs(diffs - dt) > rtol * dt):
+        if np.any(np.abs(diffs - dt) > SPACING_RTOL * dt):
             raise ValueError("trajectory grid is not regularly spaced")
         return float(dt)
 

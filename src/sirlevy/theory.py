@@ -25,10 +25,11 @@ from .contrast import ContrastConfig, DegenerateWeightsError, weighted_coefficie
 from .estimator import BoxConstraints, EstimationError, EstimatorConfig, lsgd_estimate
 from .levy import LevyPathNoise, _make_rng, draw_jumps, sample_lambda, seed_sequence, stream
 from .models import SirParams, drift_beta_split, get_model, noise_coeff_numbers
-from .simulate import SimulationError, Trajectory, simulate_sde, solve_ode
+from .simulate import SimulationError, simulate_sde, solve_ode
 from .transmission import ThetaParams, beta_eval, beta_grad
 
 DEFAULT_QUAD_STEPS = 2000
+HORIZON = 1.0  # the observation window [0, HORIZON] of the data, the estimator and the limit law
 
 
 SingularWeightError = DegenerateWeightsError  # the name existing imports of this module use
@@ -51,9 +52,9 @@ def _quadrature_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _sensitivity_pieces(model, theta, params, s0, n_quad, horizon):
-    """Path, times, beta gradient (n+1, p) and X*Y along the drift-only path."""
-    path = solve_ode(model, theta, params, s0, horizon, n_quad)
+def _sensitivity_pieces(model, theta, params, s0, n_quad):
+    """Path, times, beta gradient (n+1, p) and X*Y along the drift-only path on [0, HORIZON]."""
+    path = solve_ode(model, theta, params, s0, HORIZON, n_quad)
     t = path.times
     xy = path.states[:, 0] * path.states[:, 1]
     return path, t, beta_grad(t, theta), xy
@@ -64,7 +65,6 @@ class InfoMatrix:
     matrix: np.ndarray
     theta: ThetaParams
     weighted: bool
-    n_quad: int
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())
@@ -77,7 +77,6 @@ def information_matrix(
     s0,
     weighted: bool = False,
     n_quad: int = DEFAULT_QUAD_STEPS,
-    horizon: float = 1.0,
 ) -> InfoMatrix:
     """Gram matrix of drift parameter-sensitivities along the drift-only path.
 
@@ -86,12 +85,12 @@ def information_matrix(
     (sigma*X*Y*Z)^2 and requires the path to stay off the coordinate planes.
     """
     model = get_model(model)
-    pieces = _sensitivity_pieces(model, theta, params, s0, n_quad, horizon)
+    pieces = _sensitivity_pieces(model, theta, params, s0, n_quad)
     c = weighted_coefficient(model.tag, pieces[0].states, params) if weighted else None
-    return _information_from_pieces(theta, pieces, n_quad, c)
+    return _information_from_pieces(theta, pieces, c)
 
 
-def _information_from_pieces(theta, pieces, n_quad, c=None) -> InfoMatrix:
+def _information_from_pieces(theta, pieces, c=None) -> InfoMatrix:
     """:func:`information_matrix` over solved pieces; ``c`` is the weighted form's coefficient or None."""
     path, t, grads, xy = pieces
     weight = 2.0 * xy**2  # |v|^2 with v = (-X*Y, X*Y, 0)
@@ -99,7 +98,7 @@ def _information_from_pieces(theta, pieces, n_quad, c=None) -> InfoMatrix:
         weight = weight / c**2
     w = weight * _quadrature_weights(t)
     matrix = np.einsum("t,ti,tj->ij", w, grads, grads)
-    return InfoMatrix(matrix=matrix, theta=theta, weighted=c is not None, n_quad=n_quad)
+    return InfoMatrix(matrix=matrix, theta=theta, weighted=c is not None)
 
 
 def asymptotic_contrast(
@@ -108,14 +107,9 @@ def asymptotic_contrast(
     theta0: ThetaParams,
     params: SirParams,
     s0,
-    n_quad: int = DEFAULT_QUAD_STEPS,
-    horizon: float = 1.0,
 ) -> float:
     """Integrated squared drift separation along the theta0 path; zero iff drifts agree."""
-    model = get_model(model)
-    path = solve_ode(model, theta0, params, s0, horizon, n_quad)
-    t = path.times
-    xy = path.states[:, 0] * path.states[:, 1]
+    _, t, _, xy = _sensitivity_pieces(get_model(model), theta0, params, s0, DEFAULT_QUAD_STEPS)
     dbeta = beta_eval(t, theta) - beta_eval(t, theta0)
     integrand = 2.0 * (xy * dbeta) ** 2
     return float(np.sum(integrand * _quadrature_weights(t)))
@@ -139,24 +133,22 @@ class LimitSampler:
         params: SirParams,
         s0,
         n_grid: int = DEFAULT_QUAD_STEPS,
-        horizon: float = 1.0,
         weighted: bool = False,
     ):
         model = get_model(model)
         self.model = model
         self.theta0 = theta0
         self.params = params
-        self.horizon = float(horizon)
         self.weighted = weighted
         # one drift-only solve feeds both the information matrix and the integrand
-        pieces = _sensitivity_pieces(model, theta0, params, s0, n_grid, horizon)
+        pieces = _sensitivity_pieces(model, theta0, params, s0, n_grid)
         path, t, grads, _ = pieces
         if weighted:
             c = weighted_coefficient(model.tag, path.states, params)
-            info = _information_from_pieces(theta0, pieces, n_grid, c)
+            info = _information_from_pieces(theta0, pieces, c)
             kappa = 1.0 / c
         else:
-            info = _information_from_pieces(theta0, pieces, n_grid)
+            info = _information_from_pieces(theta0, pieces)
             kappa = noise_coeff_numbers(path.states, params)
         if abs(np.linalg.det(info.matrix)) < 1e-300:
             raise EstimationError("information matrix is singular; the limit is undefined")
@@ -192,7 +184,7 @@ class LimitSampler:
             out += np.einsum("td,tdp->p", dB, self.coef[:-1])
         if include_jumps:
             rate = sample_lambda(rng) if lam is None else lam
-            taus, marks = draw_jumps(rng, rate, self.horizon, self.dim)
+            taus, marks = draw_jumps(rng, rate, HORIZON, self.dim)
             for tau, mark in zip(taus, marks):
                 out += mark @ self._interp_coef(tau)
         return out
@@ -290,26 +282,26 @@ def rate_experiment(
     replications: int,
     seed: int = 0,
     est: EstimatorConfig | None = None,
-    box: BoxConstraints | None = None,
     contrast_form: str = "weighted",
     n_obs: int = 100,
     substeps: int = 10,
     limit_draws: int = 2000,
     n_grid: int = DEFAULT_QUAD_STEPS,
-    lam: float | None = None,
 ) -> RateResult:
     """Generate-estimate loops per eps; record (theta_hat - theta0) / eps.
 
-    eps = 0 is rejected (the scaling is undefined there).  Estimation failures
-    are recorded as NaN rows and counted, never fatal.  Limit draws matching
-    the chosen objective form are attached for distributional comparison.
-    ``lam`` fixes the jump rate for data and limit draws alike (default: drawn
-    uniformly from {1, 2, 3, 4} per replication and per draw).
+    eps = 0 is rejected (the scaling is undefined there).  The estimator fits
+    theta0's Fourier order; an ``est`` of another order is rejected before
+    anything is simulated.  Each replication and each limit draw takes a
+    drawn jump rate (:func:`levy.sample_lambda`).  Failures are recorded as
+    NaN rows and counted, never fatal.  Limit draws matching the chosen
+    objective form are attached for distributional comparison.
     """
     model = get_model(model)
     eps_list = rate_eps_levels(eps_list)
-    est = est or EstimatorConfig()
-    box = box or BoxConstraints()
+    est = est or EstimatorConfig(order=theta0.order)
+    if est.order != theta0.order:
+        raise ValueError(f"estimator order {est.order} differs from theta0's Fourier order {theta0.order}")
     theta_vec = theta0.to_vector()
     p = theta_vec.size
 
@@ -321,14 +313,13 @@ def rate_experiment(
         rows = np.full((replications, p), np.nan)
         fails = 0
         for r in range(replications):
-            gen_rng = stream(seed, ei, r, 0)
-            rate = sample_lambda(gen_rng) if lam is None else lam
+            rate = sample_lambda(stream(seed, ei, r, 0))
             noise_seed = seed_sequence(seed, ei, r, 1)
             est_rng = stream(seed, ei, r, 2)
             try:
-                noise = LevyPathNoise(noise_seed, rate, 1.0, model.driver_dim)
-                traj = simulate_sde(model, theta0, run_params, s0, 1.0, n_obs, noise, substeps)
-                result = lsgd_estimate(traj, est, box, cfg, seed=est_rng, params=run_params)
+                noise = LevyPathNoise(noise_seed, rate, HORIZON, model.driver_dim)
+                traj = simulate_sde(model, theta0, run_params, s0, HORIZON, n_obs, noise, substeps)
+                result = lsgd_estimate(traj, est, BoxConstraints(), cfg, seed=est_rng, params=run_params)
                 rows[r] = (result.theta.to_vector() - theta_vec) / eps
             except (EstimationError, SimulationError, np.linalg.LinAlgError):
                 fails += 1
@@ -340,7 +331,7 @@ def rate_experiment(
         sampler = LimitSampler(
             model, theta0, params, s0, n_grid=n_grid, weighted=(contrast_form == "weighted")
         )
-        draws = sampler.sample_many(limit_draws, seed=seed_sequence(seed, 999), lam=lam)
+        draws = sampler.sample_many(limit_draws, seed=seed_sequence(seed, 999))
     return RateResult(
         theta0=theta0,
         eps_list=eps_list,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# beta diverges as period -> 0, so the admissible box is clipped to stay
-# strictly above this floor; evaluation refuses anything at or below it.
+# beta diverges as period -> 0, so the admissible box is clipped at this
+# floor; the box is closed, so the floor itself is admissible and evaluates.
 PERIOD_FLOOR = 1e-3
 
 
@@ -73,8 +73,8 @@ class ThetaParams:
 
     def validate(self) -> None:
         """Check the invariants expected of a model parameter (not of an optimizer iterate)."""
-        if not PERIOD_FLOOR < self.period <= 1.0:
-            raise ValueError(f"period must lie in ({PERIOD_FLOOR}, 1], got {self.period}")
+        if not PERIOD_FLOOR <= self.period <= 1.0:
+            raise ValueError(f"period must lie in [{PERIOD_FLOOR}, 1], got {self.period}")
         if self.base <= 0.0:
             raise ValueError(f"base rate must be positive, got {self.base}")
         if any(c < 0.0 for c in self.cos_coeffs) or any(s < 0.0 for s in self.sin_coeffs):
