@@ -390,7 +390,18 @@ def _result_header(order: int) -> list[str]:
 
 
 def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -> dict[float, str]:
-    """Estimate every dataset; one results CSV per eps that has records, rows ordered by dataset id."""
+    """Estimate every dataset; one results CSV per eps that has records, rows ordered by dataset id.
+
+    A record whose true parameter has another Fourier order than ``cfg.order``
+    raises ``ValueError`` before anything is written: its results row would
+    not match the header's columns.
+    """
+    for r in records:
+        if r.theta0 is not None and r.theta0.order != cfg.order:
+            raise ValueError(
+                f"dataset {r.dataset_id} has a true parameter of Fourier order {r.theta0.order}, "
+                f"but the config estimates at order {cfg.order}"
+            )
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(r.path, r.meta_path, r.dataset_id, r.eps, r.theta0, cfg) for r in records]
     if cfg.jobs > 1:

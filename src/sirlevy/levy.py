@@ -24,8 +24,12 @@ A jump rate that is not fixed is drawn uniformly from {1, 2, 3, 4} by
 ``SeedSequence`` that :func:`seed_sequence` alone builds from a master seed
 and a spawn key; :func:`stream` is the generator on it.  A whole noise path
 is a pure function of (seed, lam, horizon, dim): the jump skeleton is drawn
-eagerly, then the remaining generator state serves Brownian increments on
-demand, one interval at a time, in call order.
+eagerly, then the remaining generator state serves the Brownian part on
+demand, in call order.  :meth:`LevyPathNoise.fill_normals` is its one draw:
+it fills rows of standard normals, one row per interval, and consecutive
+fills continue the stream, so a run of intervals can be drawn in one call or
+in pieces with the same values.  The increments are those normals times the
+square root of each interval's length.
 """
 
 from __future__ import annotations
@@ -81,10 +85,10 @@ def draw_jumps(rng: np.random.Generator, rate: float, horizon: float, dim: int):
 class LevyPathNoise:
     """One realization of the driving noise on (0, horizon].
 
-    Jump times and marks are fixed at construction; Brownian increments are
-    drawn on demand via :meth:`brownian_increments`, one batch per run of
-    intervals, and are deterministic given the seed and the sequence of
-    requested intervals.
+    Jump times and marks are fixed at construction; the Brownian part is
+    drawn on demand, as raw normals by :meth:`fill_normals` or as increments
+    by :meth:`brownian_increments`, which scales those normals.  It is
+    deterministic given the seed and the number of intervals requested so far.
     """
 
     def __init__(self, seed, rate: float, horizon: float, dim: int):
@@ -115,15 +119,28 @@ class LevyPathNoise:
     def jump_count(self) -> int:
         return len(self.jump_times)
 
+    def fill_normals(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, a C-contiguous (n, dim) array, with the path's next n rows
+        of standard normals, and return it.
+
+        This is the one draw of the Brownian stream: fills of n and then m rows
+        equal one fill of n + m rows, and row i times sqrt(dt_i) is the
+        increment over an interval of length dt_i.
+        """
+        if out.ndim != 2 or out.shape[1] != self.dim or not out.flags.c_contiguous:
+            raise ValueError(f"need a C-contiguous (n, {self.dim}) array, got shape {out.shape}")
+        return self._rng.standard_normal(out=out)
+
     def brownian_increment(self, t0: float, t1: float) -> np.ndarray:
         """Gaussian increment over [t0, t1]: mean 0, variance (t1 - t0) per component."""
         if t0 >= t1:
             raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-        return self._rng.standard_normal(self.dim) * np.sqrt(t1 - t0)
+        return self.brownian_increments(np.array([t1 - t0]))[0]
 
     def brownian_increments(self, dts: np.ndarray) -> np.ndarray:
-        """Batch of per-interval increments; identical to sequential single draws."""
+        """Batch of per-interval increments: the next ``dts.size`` rows of
+        :meth:`fill_normals` times sqrt(dts); identical to sequential single draws."""
         dts = np.asarray(dts, dtype=float)
         if np.any(dts <= 0.0):
             raise ValueError("all interval lengths must be positive")
-        return self._rng.standard_normal((dts.size, self.dim)) * np.sqrt(dts)[:, None]
+        return self.fill_normals(np.empty((dts.size, self.dim))) * np.sqrt(dts)[:, None]

@@ -14,16 +14,19 @@ in lockstep: every path takes each base interval of the uniform grid in one
 call of the step on arrays over the paths, and a path with a jump inside the
 interval takes its extra sub-steps on its own, on floats.  The step gives the
 same values on floats and on arrays, so each row equals ``simulate_sde`` on
-the same noise bit for bit.  Brownian increments are drawn in time chunks of
-at most ``INCREMENT_BUDGET`` values, and ``predict_ensemble`` simulates at most
-``PATH_BLOCK`` paths per call, one call per retry round, so the memory an
-ensemble holds stays bounded whatever the number of paths.
+the same noise bit for bit.  Both draw the Brownian part through
+:meth:`~sirlevy.levy.LevyPathNoise.fill_normals`: ``simulate_sde`` as one
+batch of increments over its whole grid, ``simulate_many`` as raw normals in
+time chunks of at most ``INCREMENT_BUDGET`` values over all paths, each path
+filling its runs of base intervals in place and one multiply per chunk
+scaling them.  ``predict_ensemble`` simulates at most ``PATH_BLOCK`` paths per
+call, one call per retry round, so the memory an ensemble holds stays bounded
+whatever the number of paths.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,9 +296,19 @@ def simulate_many(
     node is applied to its path alone after the step.  States, clamp counts
     and the non-finite checks follow ``simulate_sde`` exactly, except that
     a path reaching a non-finite state is flagged in ``fail_times`` instead of
-    raising.  Each path's increments are drawn in time chunks, at most
-    INCREMENT_BUDGET values over all paths at once; chunked draws continue one
-    stream, so they equal the single draw of ``simulate_sde``.
+    raising.
+
+    The increments are drawn in time chunks, at most INCREMENT_BUDGET values
+    over all paths at once, into one (paths, chunk, dim) buffer.  Each path
+    fills its row with raw normals in stream order, one fill per run of base
+    intervals, and draws the m + 1 sub-step normals of an interval with m
+    jumps inside it on its own, scaled on floats by the root of each
+    sub-interval; one multiply by the precomputed roots of the base
+    intervals then scales the whole chunk.  Fills continue one stream, and
+    the root and product are the same IEEE operations on floats and arrays,
+    so the increments equal the single draw of ``simulate_sde``.  Where the
+    paths' jumps fall on the grid is found once, by one ``searchsorted``
+    over all of them.
     """
     model = get_model(model)
     if n_obs < 1 or substeps < 1:
@@ -304,58 +317,78 @@ def simulate_many(
         _check_noise(noise, model, horizon)
 
     n_paths = len(noises)
+    dim = model.driver_dim
     n_steps = n_obs * substeps
     base = np.linspace(0.0, horizon, n_steps + 1)
     base_dts = np.diff(base)
+    root_dts = np.sqrt(base_dts)[:, None]
     base_list = base.tolist()
     dts_list = base_dts.tolist()
     step = _euler_step(model, theta, params)
     jump = _jump(model, params)
     clamps = np.zeros(n_paths, dtype=np.int64)
     fail_times = np.full(n_paths, np.nan)
+    chunk = max(1, INCREMENT_BUDGET // max(1, n_paths * dim))
 
-    # a jump strictly inside base interval k becomes a sub-step of that
-    # interval; a jump on base node k + 1 is applied after interval k
-    inside = []  # per path: interval indices, times and marks of its inside jumps
+    # every path's jumps up to the horizon go on the base grid in one
+    # searchsorted: a jump on base node k + 1 is applied after interval k, and
+    # the jumps strictly inside interval k become sub-steps of it.  Those are
+    # kept path by path in time order, path p's at indices first[p]..ends[p]-1
+    # of the sub_* lists; first[p] moves past them as they are drawn.
+    times = np.concatenate([np.empty(0), *(noise.jump_times for noise in noises)])
+    marks = np.concatenate([np.empty((0, dim)), *(noise.jump_marks for noise in noises)])
+    owner = np.repeat(np.arange(n_paths), [noise.jump_count for noise in noises])
+    keep = times <= horizon
+    times, marks, owner = times[keep], marks[keep], owner[keep]
+    node = np.searchsorted(base, times)
+    hit = base[node] == times
     on_node: dict[int, list] = {}
-    for p, noise in enumerate(noises):
-        keep = noise.jump_times <= horizon
-        times = noise.jump_times[keep]
-        marks = noise.jump_marks[keep].tolist()
-        node = np.searchsorted(base, times)
-        hit = base[node] == times
-        for j in np.flatnonzero(hit).tolist():
-            on_node.setdefault(int(node[j]) - 1, []).append((p, marks[j]))
-        within = np.flatnonzero(~hit).tolist()
-        inside.append(((node[within] - 1).tolist(), times[within].tolist(), [marks[j] for j in within]))
+    for j in np.flatnonzero(hit).tolist():
+        on_node.setdefault(int(node[j]) - 1, []).append((int(owner[j]), marks[j].tolist()))
+    within = ~hit
+    sub_ks = (node[within] - 1).tolist()
+    sub_times = times[within].tolist()
+    sub_marks = marks[within].tolist()
+    ends = np.cumsum(np.bincount(owner[within], minlength=n_paths)).tolist()
+    first = [0, *ends[:-1]]
 
-    chunk = max(1, INCREMENT_BUDGET // max(1, n_paths * model.driver_dim))
-    buffer = np.empty((min(chunk, n_steps), model.driver_dim, n_paths))
+    buffer = np.empty((n_paths, min(chunk, n_steps), dim))
 
     def draw(k0: int, k1: int):
-        """Increments of base intervals k0..k1-1: each path's first sub-interval
-        in ``incs[k - k0, :, p]``, and its sub-steps by interval where it jumps inside."""
-        incs = buffer[: k1 - k0]
+        """Increments of base intervals k0..k1-1, as ``incs[k - k0]`` of shape
+        (dim, paths), and by interval the sub-step increments of the paths
+        that jump inside it.  A path's row of the buffer is not filled at an
+        interval it jumps inside: its sub-steps replace its share of the
+        lockstep step there."""
+        n = k1 - k0
         sub_steps: dict[int, list] = {}
         for p, noise in enumerate(noises):
-            ks, taus, marks = inside[p]
-            lo, hi = bisect_left(ks, k0), bisect_left(ks, k1)
-            if lo == hi:
-                incs[:, :, p] = noise.brownian_increments(base_dts[k0:k1])
-                continue
-            grid = np.union1d(base[k0 : k1 + 1], taus[lo:hi])
-            path_incs = noise.brownian_increments(np.diff(grid))
-            first = np.searchsorted(grid, base[k0:k1])
-            incs[:, :, p] = path_incs[first]
-            j = lo
-            while j < hi:
-                k = ks[j]
-                m = bisect_right(ks, k, j, hi) - j
-                i0 = int(first[k - k0])
-                rows = path_incs[i0 : i0 + m + 1].tolist()
-                sub_steps.setdefault(k, []).append((p, taus[j : j + m], marks[j : j + m], rows))
-                j += m
-        return incs, sub_steps
+            row = buffer[p]
+            at = 0
+            j, end = first[p], ends[p]
+            while j < end and sub_ks[j] < k1:
+                k = sub_ks[j]
+                i = j + 1
+                while i < end and sub_ks[i] == k:
+                    i += 1
+                if k - k0 > at:
+                    noise.fill_normals(row[at : k - k0])
+                normals = noise.fill_normals(np.empty((i - j + 1, dim))).tolist()
+                t = base_list[k]
+                rows = []
+                for z, tau in zip(normals, [*sub_times[j:i], base_list[k + 1]]):
+                    root = math.sqrt(tau - t)
+                    rows.append([v * root for v in z])
+                    t = tau
+                sub_steps.setdefault(k, []).append((p, sub_times[j:i], sub_marks[j:i], rows))
+                at = k - k0 + 1
+                j = i
+            first[p] = j
+            if at < n:
+                noise.fill_normals(row[at:n])
+        incs = buffer[:, :n]
+        incs *= root_dts[k0:k1]
+        return incs.transpose(1, 2, 0), sub_steps
 
     def fail(p: int, t: float) -> None:
         if math.isnan(fail_times[p]):

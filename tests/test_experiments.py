@@ -415,15 +415,20 @@ def _ensemble_path_noise(seed, path, attempt, horizon, dim):
 
 
 def _nan_increments_for(monkeypatch, failing):
-    """Brownian increments turn NaN on the noises whose (path, attempt) spawn key satisfies ``failing``."""
-    real = sl.LevyPathNoise.brownian_increments
+    """Brownian normals turn NaN on the noises whose (path, attempt) spawn key satisfies ``failing``.
 
-    def patched(self, dts):
-        incs = real(self, dts)
+    Both integrators draw through ``fill_normals``, so both see the fault.
+    """
+    real = sl.LevyPathNoise.fill_normals
+
+    def patched(self, out):
+        real(self, out)
         key = getattr(self.seed, "spawn_key", ())
-        return np.full_like(incs, np.nan) if failing(tuple(key[:2])) else incs
+        if failing(tuple(key[:2])):
+            out[:] = np.nan
+        return out
 
-    monkeypatch.setattr(sl.LevyPathNoise, "brownian_increments", patched)
+    monkeypatch.setattr(sl.LevyPathNoise, "fill_normals", patched)
 
 
 def test_predict_ensemble_retries_failed_paths(monkeypatch):
@@ -492,6 +497,22 @@ def test_cli_estimate_reads_the_trees_own_config(tmp_path, capsys):
     with open(os.path.join(out, "results_eps_0.01.csv"), encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 and all(row["error"] == "" for row in rows)
+
+
+def test_cli_estimate_rejects_a_config_of_another_order(tmp_path, capsys):
+    # an order-1 tree estimated with an order-2 config: the rows would hold
+    # fewer fields than the header names, so nothing is written and the run fails
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=2, cells=6)
+    out = str(tmp_path / "tree")
+    cfg.save(str(tmp_path / "order1.txt"))
+    assert cli_main(["generate", "--config", str(tmp_path / "order1.txt"), "--out", out]) == 0
+    RunConfig(eps_list=(0.01,), n_datasets=2, cells=6, order=2).save(str(tmp_path / "order2.txt"))
+    capsys.readouterr()
+    code = cli_main(["estimate", "--config", str(tmp_path / "order2.txt"), "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Fourier order 1" in err and "order 2" in err
+    assert not any(name.startswith("results_") for name in os.listdir(out))
 
 
 def test_cli_config_overrides_apply_to_the_trees_config(tmp_path):

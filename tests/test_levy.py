@@ -89,6 +89,26 @@ def test_brownian_batch_equals_sequential():
         inc = b.brownian_increment(bounds[i], bounds[i + 1])
         assert np.array_equal(batch[i], inc)
 
+    dts = np.diff(bounds)
+    for dim in (1, 3):
+        # fills of n and then m rows continue one stream: they equal one fill of n + m
+        whole = LevyPathNoise(5, 2.0, 1.0, dim).fill_normals(np.empty((7, dim)))
+        split = LevyPathNoise(5, 2.0, 1.0, dim)
+        parts = [split.fill_normals(np.empty((n, dim))) for n in (3, 4)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        # the increments are the primitive's normals times sqrt(dts), bit for bit
+        incs = LevyPathNoise(5, 2.0, 1.0, dim).brownian_increments(dts)
+        normals = LevyPathNoise(5, 2.0, 1.0, dim).fill_normals(np.empty((dts.size, dim)))
+        assert incs.tobytes() == (normals * np.sqrt(dts)[:, None]).tobytes()
+
+
+def test_fill_normals_rejects_arrays_it_would_fill_out_of_order():
+    noise = LevyPathNoise(5, 2.0, 1.0, 3)
+    # wrong width, one dimension, column order, strided rows
+    for out in (np.empty((4, 1)), np.empty(3), np.empty((4, 3), order="F"), np.empty((4, 6))[:, ::2]):
+        with pytest.raises(ValueError):
+            noise.fill_normals(out)
+
 
 def test_brownian_requires_ordered_interval():
     noise = LevyPathNoise(5, 1.0, 1.0, 3)

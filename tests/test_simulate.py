@@ -222,6 +222,26 @@ def _hand_noises(dim, horizon, n_obs, substeps):
     return [_hand_noise(1000 + i, dim, horizon + 1.0, t, m) for i, (t, m) in enumerate(specs)]
 
 
+def _chunk_edge_noises(dim, horizon, n_obs, substeps, chunk):
+    """Jumps inside two consecutive base intervals; inside the first and the last
+    interval of one increment chunk of ``chunk`` intervals; inside the last
+    interval of one chunk and the first of the next."""
+    n_steps = n_obs * substeps
+    base = np.linspace(0.0, horizon, n_steps + 1)
+    dt = base[1] - base[0]
+    mark = [-0.1, 0.1, 0.0][:dim] if dim == 3 else [0.1]
+    chunk = min(chunk, n_steps)
+    first = chunk * (n_steps // chunk // 2)  # a chunk in the middle, or the only one
+    last = min(first + chunk, n_steps) - 1
+    edge = first if first else last + 1  # the first interval of the next chunk
+    specs = [
+        [base[25] + 0.5 * dt, base[26] + 0.5 * dt],
+        sorted([base[first] + 0.5 * dt, base[last] + 0.25 * dt, base[last] + 0.75 * dt]),
+        [base[edge] - 0.5 * dt, base[edge] + 0.5 * dt],
+    ]
+    return [_hand_noise(1100 + i, dim, horizon + 1.0, t, [mark] * len(t)) for i, t in enumerate(specs)]
+
+
 def _random_noises(dim, horizon, count):
     return [
         sl.LevyPathNoise(np.random.SeedSequence(entropy=77, spawn_key=(i,)), 1 + i % 4, horizon, dim)
@@ -230,23 +250,31 @@ def _random_noises(dim, horizon, count):
 
 
 @pytest.mark.parametrize("sigma", [None, 100.0], ids=["default_sigma", "clamping_sigma"])
-@pytest.mark.parametrize("budget", [None, 5])
+@pytest.mark.parametrize("budget", [None, 5, 204])
 @pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
 def test_simulate_many_rows_equal_simulate_sde(monkeypatch, model_tag, budget, sigma):
     import sirlevy.simulate as sim
 
-    if budget is not None:  # short increment chunks: jumps fall on and across chunk edges
+    # short increment chunks: jumps fall on and across chunk edges; 5 makes
+    # chunks of one base interval, 204 of 4 (numbers) or 12 (proportions)
+    if budget is not None:
         monkeypatch.setattr(sim, "INCREMENT_BUDGET", budget)
     params, x0, dim = _model_setup(model_tag)
     if sigma is not None:  # Brownian terms large enough to clamp inside the lockstep step
         params = replace(params, sigma=sigma)
     horizon, n_obs, substeps = 1.0, 20, 4
+    n_paths = 17
+    chunk = max(1, sim.INCREMENT_BUDGET // (n_paths * dim))
 
     def noises():
-        return _hand_noises(dim, horizon, n_obs, substeps) + _random_noises(dim, horizon, 8)
+        return (
+            _hand_noises(dim, horizon, n_obs, substeps)
+            + _random_noises(dim, horizon, 8)
+            + _chunk_edge_noises(dim, horizon, n_obs, substeps, chunk)
+        )
 
     batch = sim.simulate_many(model_tag, THETA_REF, params, x0, horizon, n_obs, noises(), substeps)
-    assert batch.states.shape == (14, n_obs + 1, 3)
+    assert batch.states.shape == (n_paths, n_obs + 1, 3)
     assert not batch.failed.any()
     for p, noise in enumerate(noises()):
         traj = sl.simulate_sde(model_tag, THETA_REF, params, x0, horizon, n_obs, noise, substeps)
@@ -261,7 +289,7 @@ def test_simulate_many_rows_equal_simulate_sde(monkeypatch, model_tag, budget, s
     if model_tag == "proportions":
         # clamping breaks conservation; every path that did not clamp keeps it
         kept = batch.states[batch.clamp_counts == 0]
-        assert len(kept) == 13
+        assert len(kept) == n_paths - 1
         assert np.abs(kept.sum(axis=2) - 1.0).max() <= 1e-10
 
 
