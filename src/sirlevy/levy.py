@@ -45,6 +45,16 @@ MARKS_1D = np.array([[-0.1], [0.1]])
 MARK_WEIGHTS_1D = np.array([0.5, 0.5])
 
 
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """The distribution function ``Generator.choice`` builds from ``p``."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return cdf
+
+
+_MARK_CDF = {3: _cdf(MARK_WEIGHTS_3D), 1: _cdf(MARK_WEIGHTS_1D)}
+
+
 def sample_lambda(rng: np.random.Generator) -> int:
     """Jump rate drawn uniformly from {1, 2, 3, 4}."""
     return int(rng.integers(1, 5))
@@ -76,10 +86,20 @@ def draw_jumps(rng: np.random.Generator, rate: float, horizon: float, dim: int):
     uniform times (unsorted) and their marks from the two-point law of the
     ``dim``-dimensional driver; marks has shape (count, dim).
     """
-    marks, weights = (MARKS_3D, MARK_WEIGHTS_3D) if dim == 3 else (MARKS_1D, MARK_WEIGHTS_1D)
     count = int(rng.poisson(rate * horizon))
     times = rng.uniform(0.0, horizon, size=count)
-    return times, marks[rng.choice(len(marks), size=count, p=weights)]
+    return times, (MARKS_3D if dim == 3 else MARKS_1D)[_mark_index(rng, count, dim)]
+
+
+def _mark_index(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """Indices of ``count`` marks of the ``dim``-dimensional driver.
+
+    This is numpy's own algorithm for ``rng.choice(2, size=count, p=weights)``,
+    one uniform per mark searched in the weights' distribution function, with
+    that function built once: the same indices and the same stream state
+    after, without the call's checks of ``p``.
+    """
+    return _MARK_CDF[dim].searchsorted(rng.random(count), side="right")
 
 
 class LevyPathNoise:

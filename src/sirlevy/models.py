@@ -77,7 +77,10 @@ def _drift(tag: str, p: SirParams, beta: Callable) -> Callable:
     """The drift ``(t, x, y, z) -> (dX, dY, dZ)`` of model ``tag`` with transmission rate ``beta(t)``.
 
     This is the one place the SIR drift is written; every drift form of the
-    package is built from it.  It works alike on floats and on arrays of
+    package is built from it, except the in-place array step of the lockstep
+    ensemble (``simulate._lockstep``), which takes these operations in the
+    same order into preallocated buffers and is pinned to this form bit for
+    bit by a property test.  It works alike on floats and on arrays of
     states taken elementwise, and ``beta`` decides which: ``beta_eval`` for
     times of any shape, ``make_beta_fast`` for float times in hot loops, zero
     for the beta-free part ``g`` of :func:`drift_beta_split`.
@@ -118,8 +121,8 @@ def make_drift_fast(model, theta: ThetaParams, p: SirParams) -> Callable:
 
     It is the closure of the one drift definition with the transmission rate
     of :func:`make_beta_fast`, returned as is, so a hot loop pays no extra
-    call layer and on floats no numpy call is made.  ``t`` is a float; the
-    states are floats, or arrays of states taken elementwise.
+    call layer and on floats no numpy call is made.  ``t`` is a float, and
+    so are the states in the package's loops.
     """
     return _drift(get_model(model).tag, p, make_beta_fast(theta))
 

@@ -11,10 +11,17 @@ Both integrators take every grid interval through one Euler-Maruyama step
 check each result the same way (``_clamp``, ``_finite``).  ``simulate_sde``
 integrates one path on Python floats.  ``simulate_many`` integrates many paths
 in lockstep: every path takes each base interval of the uniform grid in one
-call of the step on arrays over the paths, and a path with a jump inside the
-interval takes its extra sub-steps on its own, on floats.  The step gives the
-same values on floats and on arrays, so each row equals ``simulate_sde`` on
-the same noise bit for bit.  Both draw the Brownian part through
+in-place step over (3, paths) arrays (``_lockstep``), and a path with a jump
+inside the interval takes its extra sub-steps on its own, on floats, through
+``_euler_step``.  ``_lockstep`` is ``_euler_step`` written as a dozen or so
+ufunc calls into buffers allocated once per call: each path gets the same
+IEEE operations in the same order, with beta from the float step's own
+``make_beta_fast``, so each row equals ``simulate_sde`` on the same noise
+bit for bit.  A base step
+runs the clamp and the non-finite check only when one reduction over the
+state's bits finds a component that is negative (or -0.0) or non-finite.
+
+Both integrators draw the Brownian part through
 :meth:`~sirlevy.levy.LevyPathNoise.fill_normals`: ``simulate_sde`` as one
 batch of increments over its whole grid, ``simulate_many`` as raw normals in
 time chunks of at most ``INCREMENT_BUDGET`` values over all paths, each path
@@ -33,7 +40,7 @@ import numpy as np
 
 from .levy import LevyPathNoise, sample_lambda, seed_sequence, stream
 from .models import SirParams, get_model, make_drift_fast
-from .transmission import ThetaParams
+from .transmission import ThetaParams, make_beta_fast
 
 DEFAULT_SUBSTEPS = 10
 
@@ -43,6 +50,8 @@ DEFAULT_SUBSTEPS = 10
 PATH_BLOCK = 256
 INCREMENT_BUDGET = 1 << 17
 SPACING_RTOL = 1e-8  # a regular grid's intervals are this close to the first, relatively
+
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 class SimulationError(RuntimeError):
@@ -199,9 +208,10 @@ def _euler_step(model, theta: ThetaParams, params: SirParams):
     :func:`~sirlevy.models.make_drift_fast` times dt, plus the noise
     coefficient eps*sigma*X*Y*Z at the step's left state times the Brownian
     increment (through the column (-1, 2, -1) on the proportions model).  It
-    works alike on floats, as :func:`simulate_sde` and a path's own sub-steps
-    in :func:`simulate_many` call it, and on arrays over paths, as the
-    lockstep base interval calls it; both give the same values bit for bit.
+    works on floats: :func:`simulate_sde` calls it for every interval, and
+    :func:`simulate_many` for a path's own sub-steps.  The lockstep base
+    interval of :func:`simulate_many` takes it in its in-place array form,
+    :func:`_lockstep`, which gives the same values bit for bit.
     """
     drift = make_drift_fast(model, theta, params)
     eps_sigma = params.eps * params.sigma
@@ -220,6 +230,86 @@ def _euler_step(model, theta: ThetaParams, params: SirParams):
         return x + dt * dx - cdw, y + dt * dy + 2.0 * cdw, z + dt * dz - cdw
 
     return step_prop
+
+
+def _lockstep(model, theta: ThetaParams, params: SirParams, times, dts, n_paths: int):
+    """The step of :func:`_euler_step` on (3, n_paths) states, in place: ``(state, step)``.
+
+    ``state`` is the buffer of the current states, to be filled before the
+    first step.  ``step(k, dw)`` takes every path from ``times[k]`` over
+    ``dts[k]`` with the increments ``dw`` ((3, n_paths) on the numbers model,
+    (n_paths,) on the proportions model), writes the raw result into the
+    other of two state buffers and returns it; that buffer holds the current
+    states from then on.  Each path gets the IEEE operations of the float
+    step in the same order, so a column equals ``_euler_step`` on that path
+    bit for bit: beta(times[k]) comes from :func:`make_beta_fast`, as in the
+    float step; the drift's rows are built in one (3, n_paths) buffer, so
+    dt*D, the add to the state and the noise term are one call each over all
+    rows; and the noise column (-1, 2, -1) times the coefficient is exact,
+    since x + (-1*c) equals the float step's x - c.
+    """
+    beta = make_beta_fast(theta)
+    betas = [beta(t) for t in times]
+    # ufuncs take a 0-d array faster than a Python float, with the same value
+    eps_sigma = np.array(params.eps * params.sigma)
+    gamma = np.array(params.gamma)
+    bufs = [np.empty((3, n_paths)), np.empty((3, n_paths))]
+    rows = [tuple(b) for b in bufs]
+    cur = 0
+    infections = np.empty(n_paths)
+    c = np.empty(n_paths)
+    d = np.empty((3, n_paths))
+    d0, d1, d2 = d
+    noise = np.empty((3, n_paths))
+    mul, add, sub = np.multiply, np.add, np.subtract
+
+    def coefficient(k, x, y, z):
+        mul(betas[k], x, out=infections)
+        mul(infections, y, out=infections)
+        mul(eps_sigma, x, out=c)
+        mul(c, y, out=c)
+        mul(c, z, out=c)
+
+    if model.tag == "numbers":
+        birth, death = np.array(params.birth), params.death
+        rates = np.array([[death], [death + params.gamma], [death]])
+        recoveries = noise[2]  # free until the noise term is built
+
+        def step(k, dw):
+            nonlocal cur
+            s, (x, y, z) = bufs[cur], rows[cur]
+            cur ^= 1
+            coefficient(k, x, y, z)
+            mul(rates, s, out=d)
+            sub(birth, d0, out=d0)
+            sub(d0, infections, out=d0)
+            sub(infections, d1, out=d1)
+            mul(gamma, y, out=recoveries)
+            sub(recoveries, d2, out=d2)
+            mul(d, dts[k], out=d)
+            add(s, d, out=d)
+            mul(c, dw, out=noise)
+            return add(d, noise, out=bufs[cur])
+
+        return bufs[0], step
+
+    column = model.direction  # (-1, 2, -1)
+
+    def step_prop(k, dw):
+        nonlocal cur
+        s, (x, y, z) = bufs[cur], rows[cur]
+        cur ^= 1
+        coefficient(k, x, y, z)
+        mul(c, dw, out=c)
+        mul(gamma, y, out=d2)
+        np.negative(infections, out=d0)
+        sub(infections, d2, out=d1)
+        mul(d, dts[k], out=d)
+        add(s, d, out=d)
+        mul(column, c, out=noise)
+        return add(d, noise, out=bufs[cur])
+
+    return bufs[0], step_prop
 
 
 def _jump(model, params: SirParams):
@@ -289,14 +379,14 @@ def simulate_many(
 ) -> PathBatch:
     """Integrate many noise realizations in lockstep; row p equals ``simulate_sde`` on ``noises[p]``.
 
-    Every path takes each base interval of the uniform grid in one numpy
-    operation over the paths.  A path with jumps strictly inside the interval
-    first takes its sub-steps up to its last such jump on floats, and its own
-    last sub-step replaces its share of the vectorized step; a jump on a base
-    node is applied to its path alone after the step.  States, clamp counts
-    and the non-finite checks follow ``simulate_sde`` exactly, except that
-    a path reaching a non-finite state is flagged in ``fail_times`` instead of
-    raising.
+    Every path takes each base interval of the uniform grid in one in-place
+    step over the paths (:func:`_lockstep`).  A path with jumps strictly
+    inside the interval first takes its sub-steps up to its last such jump on
+    floats, and its own last sub-step replaces its share of the vectorized
+    step; a jump on a base node is applied to its path alone after the step.
+    States, clamp counts and the non-finite checks follow ``simulate_sde``
+    exactly, except that a path reaching a non-finite state is flagged in
+    ``fail_times`` instead of raising.
 
     The increments are drawn in time chunks, at most INCREMENT_BUDGET values
     over all paths at once, into one (paths, chunk, dim) buffer.  Each path
@@ -356,7 +446,8 @@ def simulate_many(
 
     def draw(k0: int, k1: int):
         """Increments of base intervals k0..k1-1, as ``incs[k - k0]`` of shape
-        (dim, paths), and by interval the sub-step increments of the paths
+        (3, paths) on the numbers model and (paths,) on the proportions
+        model, and by interval the sub-step increments of the paths
         that jump inside it.  A path's row of the buffer is not filled at an
         interval it jumps inside: its sub-steps replace its share of the
         lockstep step there."""
@@ -388,7 +479,8 @@ def simulate_many(
                 noise.fill_normals(row[at:n])
         incs = buffer[:, :n]
         incs *= root_dts[k0:k1]
-        return incs.transpose(1, 2, 0), sub_steps
+        incs = incs.transpose(1, 2, 0)
+        return (incs if dim == 3 else incs[:, 0]), sub_steps
 
     def fail(p: int, t: float) -> None:
         if math.isnan(fail_times[p]):
@@ -398,19 +490,23 @@ def simulate_many(
         """Path p through its jumps inside interval k; the raw result of its last sub-step."""
         t = base_list[k]
         for tau, mark, dw in zip(taus, marks, rows):
-            x, y, z, n_step = _clamp(*step(t, x, y, z, tau - t, dw))
+            x, y, z = step(t, x, y, z, tau - t, dw)
+            if x < 0.0 or y < 0.0 or z < 0.0:
+                x, y, z, n = _clamp(x, y, z)
+                clamps[p] += n
             if not _finite(x, y, z):
                 fail(p, tau)
-            x, y, z, n_jump = _clamp(*jump(x, y, z, mark))
+            x, y, z = jump(x, y, z, mark)
+            if x < 0.0 or y < 0.0 or z < 0.0:
+                x, y, z, n = _clamp(x, y, z)
+                clamps[p] += n
             if not _finite(x, y, z):
                 fail(p, tau)
-            clamps[p] += n_step + n_jump
             t = tau
         return step(t, x, y, z, base_list[k + 1] - t, rows[-1])
 
-    state = np.empty((3, n_paths))
+    state, lockstep = _lockstep(model, theta, params, base_list[:-1], dts_list, n_paths)
     state[:] = np.asarray(s0, dtype=float)[:, None]
-    nxt = np.empty_like(state)
     out = np.empty((n_paths, n_obs + 1, 3))
     out[:, 0] = state.T
     # a path that goes non-finite is flagged, not warned about
@@ -419,29 +515,32 @@ def simulate_many(
             k1 = min(k0 + chunk, n_steps)
             incs, sub_steps = draw(k0, k1)
             for k in range(k0, k1):
-                t_next = base_list[k + 1]
-                fixes = []
-                for p, taus, marks, rows in sub_steps.get(k, ()):
-                    fixes.append((p, advance(k, p, taus, marks, rows, *state[:, p].tolist())))
-                nxt[0], nxt[1], nxt[2] = step(base_list[k], *state, dts_list[k], incs[k - k0])
-                for p, raw in fixes:
-                    nxt[:, p] = raw
-                neg = nxt < 0.0
-                if np.count_nonzero(neg):
-                    nxt[neg] = 0.0
-                    clamps += neg.sum(axis=0)
-                if not np.isfinite(nxt).all():
-                    bad = ~np.isfinite(nxt).all(axis=0) & np.isnan(fail_times)
-                    fail_times[bad] = t_next
+                jumpers = sub_steps.get(k)
+                if jumpers:
+                    fixes = [(p, advance(k, p, *sub, *state[:, p].tolist())) for p, *sub in jumpers]
+                state = lockstep(k, incs[k - k0])
+                if jumpers:
+                    for p, raw in fixes:
+                        state[:, p] = raw
+                # read as unsigned integers, every negative number (and -0.0),
+                # +inf and nan lies at or above +inf's bits, so one max decides
+                # whether any path needs the clamp or the non-finite check
+                if np.maximum.reduce(state.view(np.uint64), axis=None, initial=0) >= _INF_BITS:
+                    neg = state < 0.0
+                    if np.count_nonzero(neg):
+                        state[neg] = 0.0
+                        clamps += neg.sum(axis=0)
+                    if not np.isfinite(state).all():
+                        bad = ~np.isfinite(state).all(axis=0) & np.isnan(fail_times)
+                        fail_times[bad] = base_list[k + 1]
                 for p, mark in on_node.get(k, ()):
-                    x, y, z, n_jump = _clamp(*jump(*nxt[:, p].tolist(), mark))
+                    x, y, z, n_jump = _clamp(*jump(*state[:, p].tolist(), mark))
                     clamps[p] += n_jump
                     if not _finite(x, y, z):
-                        fail(p, t_next)
-                    nxt[:, p] = (x, y, z)
+                        fail(p, base_list[k + 1])
+                    state[:, p] = (x, y, z)
                 if (k + 1) % substeps == 0:
-                    out[:, (k + 1) // substeps] = nxt.T
-                state, nxt = nxt, state
+                    out[:, (k + 1) // substeps] = state.T
     return PathBatch(times=base[::substeps].copy(), states=out, clamp_counts=clamps, fail_times=fail_times)
 
 

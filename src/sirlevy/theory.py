@@ -18,6 +18,7 @@ imports it when called, so the rest of the module runs on numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,10 +110,25 @@ def asymptotic_contrast(
     s0,
 ) -> float:
     """Integrated squared drift separation along the theta0 path; zero iff drifts agree."""
-    _, t, _, xy = _sensitivity_pieces(get_model(model), theta0, params, s0, DEFAULT_QUAD_STEPS)
-    dbeta = beta_eval(t, theta) - beta_eval(t, theta0)
+    s0 = tuple(np.asarray(s0, dtype=float).tolist())
+    t, xy, beta0, weights = _theta0_path(get_model(model).tag, theta0, params, s0)
+    dbeta = beta_eval(t, theta) - beta0
     integrand = 2.0 * (xy * dbeta) ** 2
-    return float(np.sum(integrand * _quadrature_weights(t)))
+    return float(np.sum(integrand * weights))
+
+
+@lru_cache(maxsize=8)
+def _theta0_path(tag: str, theta0: ThetaParams, params: SirParams, s0: tuple):
+    """Times, X*Y, beta and quadrature weights along the drift-only theta0 path.
+
+    :func:`asymptotic_contrast` compares many theta with one theta0, so the
+    solved path is shared between its calls; the arrays are read-only.
+    """
+    _, t, _, xy = _sensitivity_pieces(get_model(tag), theta0, params, s0, DEFAULT_QUAD_STEPS)
+    shared = t, xy, beta_eval(t, theta0), _quadrature_weights(t)
+    for a in shared:
+        a.flags.writeable = False
+    return shared
 
 
 class LimitSampler:

@@ -8,6 +8,7 @@ from sirlevy.levy import (
     MARK_WEIGHTS_3D,
     MARKS_1D,
     MARKS_3D,
+    _mark_index,
     draw_jumps,
     seed_sequence,
     stream,
@@ -156,6 +157,18 @@ def test_draw_jumps_sorted_is_the_path_skeleton(dim):
         inc = ref_rng.standard_normal(dim)
         assert np.array_equal(rng.standard_normal(dim), inc)
         assert np.array_equal(noise.brownian_increment(0.0, 1.0), inc)
+
+
+def test_mark_index_is_choice_with_weights():
+    # numpy's choice with p searches one uniform per draw in the weights' cdf;
+    # the constant cdfs must give its indices and leave the stream where it does
+    for seed in range(3000):
+        for dim, weights in ((3, MARK_WEIGHTS_3D), (1, MARK_WEIGHTS_1D)):
+            ours, ref = stream(seed, dim), stream(seed, dim)
+            for count in range(7):
+                expected = ref.choice(len(weights), size=count, p=weights)
+                assert np.array_equal(_mark_index(ours, count, dim), expected)
+            assert ours.random() == ref.random()
 
 
 def test_stream_is_the_hand_built_generator():

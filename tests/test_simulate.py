@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sirlevy as sl
@@ -324,6 +324,27 @@ def test_simulate_many_flags_the_paths_simulate_sde_rejects(model_tag):
     assert batch.fail_times.tolist() == [0.0004, 0.01]
 
 
+def test_simulate_many_flags_a_base_step_that_overflows_to_inf():
+    # eps*sigma*X*Y*Z overflows, so the first step takes each component to
+    # +inf or -inf by the sign of its increment; paths whose increments are
+    # all positive fail with no negative and no nan among their components
+    params = sl.SirParams(birth=0.018, death=0.00042, gamma=0.07142, sigma=1e308, eps=0.5)
+    x0 = (1e3, 1e3, 1e3)
+    seeds = [
+        s for s in range(4000, 4100) if (_hand_noise(s, 3, 1.0, [], []).fill_normals(np.empty((1, 3))) > 0.0).all()
+    ]
+    assert len(seeds) >= 3
+
+    def noises():
+        return [_hand_noise(s, 3, 1.0, [], []) for s in seeds[:3]]
+
+    batch = sl.simulate.simulate_many("numbers", THETA_REF, params, x0, 1.0, 10, noises())
+    for p, noise in enumerate(noises()):
+        with pytest.raises(sl.SimulationError) as err:
+            sl.simulate_sde("numbers", THETA_REF, params, x0, 1.0, 10, noise)
+        assert batch.fail_times[p] == err.value.time == 0.01
+
+
 @pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
 def test_both_integrators_reject_a_jump_at_time_zero(model_tag):
     # a jump at t = 0 has no pre-jump state; neither integrator may drop it
@@ -373,3 +394,139 @@ def test_ensemble_noise_rate_is_sample_lambda_on_its_stream():
             assert noise.rate == sl.sample_lambda(stream(31, path, attempt))
             assert noise.seed.spawn_key == (path, attempt, 0)
             assert _ensemble_noise(31, path, attempt, 2.5, 1.0, 1).rate == 2.5
+
+
+_ANY_STATE = st.one_of(
+    st.floats(0.0, 1e3), st.just(0.0), st.floats(-1.0, 0.0), st.sampled_from([np.nan, np.inf, 1e300])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_tag=st.sampled_from(["numbers", "proportions"]),
+    theta=st.tuples(
+        st.floats(sl.PERIOD_FLOOR, 1.0),
+        st.floats(1e-6, 2.0),
+        st.integers(1, 2).flatmap(lambda order: st.lists(st.floats(0.0, 2.0), min_size=2 * order, max_size=2 * order)),
+    ),
+    eps=st.floats(0.0, 1.0, exclude_max=True),
+    sigma=st.floats(1e-3, 100.0),
+    data=st.data(),
+)
+def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigma, data):
+    # two steps, so both state buffers serve; raw results, as neither clamps.
+    # Orders 1 and 2 take the two forms of make_beta_fast
+    from sirlevy.simulate import _euler_step, _lockstep
+
+    model = sl.get_model(model_tag)
+    period, base, coeffs = theta
+    order = len(coeffs) // 2
+    theta = sl.ThetaParams(period, base, tuple(coeffs[:order]), tuple(coeffs[order:]))
+    params, _, dim = _model_setup(model_tag, eps)
+    params = replace(params, sigma=sigma)
+    n_paths = data.draw(st.integers(1, 6))
+
+    def array(elements, rows):
+        values = data.draw(st.lists(elements, min_size=rows * n_paths, max_size=rows * n_paths))
+        return np.array(values).reshape(rows, n_paths)
+
+    states = array(_ANY_STATE, 3)
+    times = [data.draw(st.floats(0.0, 3.0)) for _ in range(2)]
+    dts = [data.draw(st.floats(1e-6, 0.1)) for _ in range(2)]
+    dws = [array(st.floats(-1.0, 1.0), dim) for _ in range(2)]
+
+    state, step = _lockstep(model, theta, params, times, dts, n_paths)
+    state[:] = states
+    float_step = _euler_step(model, theta, params)
+    expected = [tuple(col) for col in states.T.tolist()]
+    with np.errstate(all="ignore"):
+        for k, dw in enumerate(dws):
+            state = step(k, dw if dim == 3 else dw[0])
+            expected = [float_step(times[k], *s, dts[k], d) for s, d in zip(expected, dw.T.tolist())]
+            _assert_same_floats(state.T, np.array(expected))
+
+
+def _assert_same_floats(got, expected):
+    """Equal bit for bit, except that a nan's sign and payload, which IEEE 754
+    leaves to the machine, may differ."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+_N_OBS, _SUBSTEPS = 8, 3  # 24 base intervals on [0, 1]
+
+
+def _jump_specs(dim):
+    """Jumps of one path as (interval, fraction, mark): on base node k when the
+    fraction is 0, else inside interval k; intervals past the last one put the
+    jump beyond the horizon.  Marks are the law's, large ones that force a
+    clamp, or infinite ones that make the path fail."""
+    marks = [list(m) for m in (sl.levy.MARKS_3D if dim == 3 else sl.levy.MARKS_1D)]
+    marks += [[-50.0, 0.0, 50.0] if dim == 3 else [1e4], [np.inf] * dim]
+    n_steps = _N_OBS * _SUBSTEPS
+    spec = st.tuples(
+        st.integers(0, n_steps + 1), st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.sampled_from(range(len(marks)))
+    )
+    return st.lists(spec, max_size=4).map(lambda specs: [(k, f, marks[m]) for k, f, m in specs])
+
+
+def _spec_noise(seed, dim, specs):
+    base = np.linspace(0.0, 1.0, _N_OBS * _SUBSTEPS + 1)
+    dt = base[1] - base[0]
+    jumps = {}
+    for k, frac, mark in specs:
+        t = (base[k] if k < base.size else 1.0 + k * dt) + frac * dt
+        if t > 0.0:
+            jumps.setdefault(t, mark)  # one jump per time
+    times = sorted(jumps)
+    return _hand_noise(seed, dim, 2.0, times, [jumps[t] for t in times])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model_tag=st.sampled_from(["numbers", "proportions"]),
+    eps=st.sampled_from([0.3, 0.001]),
+    sigma=st.sampled_from([0.5, 100.0]),
+    budget=st.integers(1, 300),
+    data=st.data(),
+)
+@example(model_tag="numbers", eps=0.3, sigma=0.5, budget=204, data=None)
+@example(model_tag="proportions", eps=0.3, sigma=100.0, budget=5, data=None)
+def test_simulate_many_rows_equal_simulate_sde_on_random_noises(model_tag, eps, sigma, budget, data):
+    # random increment chunks put the jumps on chunk edges as well as on nodes
+    # and inside intervals; data=None runs the fixed cases of the tests above
+    import sirlevy.simulate as sim
+
+    params, x0, dim = _model_setup(model_tag, eps)
+    params = replace(params, sigma=sigma)
+    if data is None:
+        horizon, n_obs, substeps = 1.0, 20, 4
+        chunk = max(1, budget // (17 * dim))
+
+        def noises():
+            return (
+                _hand_noises(dim, horizon, n_obs, substeps)
+                + _random_noises(dim, horizon, 8)
+                + _chunk_edge_noises(dim, horizon, n_obs, substeps, chunk)
+            )
+
+    else:
+        horizon, n_obs, substeps = 1.0, _N_OBS, _SUBSTEPS
+        specs = data.draw(st.lists(_jump_specs(dim), min_size=1, max_size=5))
+
+        def noises():
+            return [_spec_noise(3000 + i, dim, s) for i, s in enumerate(specs)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "INCREMENT_BUDGET", budget)
+        batch = sim.simulate_many(model_tag, THETA_REF, params, x0, horizon, n_obs, noises(), substeps)
+    for p, noise in enumerate(noises()):
+        try:
+            traj = sl.simulate_sde(model_tag, THETA_REF, params, x0, horizon, n_obs, noise, substeps)
+        except sl.SimulationError as err:
+            assert batch.fail_times[p] == err.time, p
+            continue
+        assert not batch.failed[p], p
+        assert batch.states[p].tobytes() == traj.states.tobytes(), p
+        assert batch.clamp_counts[p] == traj.clamp_count, p

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sirlevy as sl
-from sirlevy.theory import LimitSampler, SingularWeightError, _quadrature_weights
+from sirlevy.theory import LimitSampler, SingularWeightError, _quadrature_weights, _sensitivity_pieces, _theta0_path
 
 from conftest import THETA_REF, X0_NUMBERS, X0_PROPORTIONS
 
@@ -48,6 +48,22 @@ def test_asymptotic_contrast_zero_at_truth_positive_elsewhere():
         if np.abs(th.to_vector() - THETA_REF.to_vector()).max() < 1e-6:
             continue
         assert sl.asymptotic_contrast("numbers", th, THETA_REF, PARAMS, X0_NUMBERS) > 0.0
+
+
+def test_asymptotic_contrast_shares_one_read_only_theta0_path():
+    # one solve serves every call with equal inputs, and the value is the
+    # integral on a fresh solve bit for bit
+    th = sl.ThetaParams(0.3, 0.5, 0.2, 0.1)
+    s0 = (2.1, 0.23, 0.3)  # a path no other test solves
+    value = sl.asymptotic_contrast("numbers", th, THETA_REF, PARAMS, s0)
+    hits = _theta0_path.cache_info().hits
+    assert sl.asymptotic_contrast(sl.NUMBERS, th, THETA_REF, PARAMS, np.array(s0)) == value
+    assert _theta0_path.cache_info().hits == hits + 1
+    _, t, _, xy = _sensitivity_pieces(sl.NUMBERS, THETA_REF, PARAMS, s0, 2000)
+    dbeta = sl.beta_eval(t, th) - sl.beta_eval(t, THETA_REF)
+    assert value == float(np.sum(2.0 * (xy * dbeta) ** 2 * _quadrature_weights(t)))
+    for shared in _theta0_path("numbers", THETA_REF, PARAMS, s0):
+        assert not shared.flags.writeable
 
 
 def test_asymptotic_contrast_base_shift_closed_form():
