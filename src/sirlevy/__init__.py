@@ -69,7 +69,6 @@ from .theory import (
     asymptotic_contrast,
     information_matrix,
     rate_experiment,
-    sample_limit_rv,
 )
 from .transmission import PERIOD_FLOOR, ThetaParams, beta_eval, beta_grad
 

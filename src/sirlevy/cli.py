@@ -42,7 +42,7 @@ def _load_config(args, tree: str | None = None) -> RunConfig:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         overrides["jobs"] = args.jobs
     if getattr(args, "full", False):
         overrides["n_datasets"] = 1000
@@ -112,12 +112,9 @@ def cmd_theory(args) -> int:
     _check_eps_levels(eps_values)
     rate_eps_levels(eps_values)
     get_model(cfg.model).validate_state(cfg.x0)
-    os.makedirs(args.out, exist_ok=True)
     info = information_matrix(cfg.model, theta0, cfg.params(0.0), cfg.x0, weighted=False)
-    info_path = os.path.join(args.out, "information_matrix.csv")
-    np.savetxt(info_path, info.matrix, delimiter=",", fmt="%.17g")
-    print(f"information matrix ({info_path}); min eigenvalue {info.min_eigenvalue():.6g}")
-
+    # the files are written only once the experiment has returned, so a
+    # failure (a singular matrix, no replications) leaves no partial tree
     result = rate_experiment(
         cfg.model,
         theta0,
@@ -131,6 +128,10 @@ def cmd_theory(args) -> int:
         n_obs=cfg.n_obs,
         substeps=cfg.substeps,
     )
+    os.makedirs(args.out, exist_ok=True)
+    info_path = os.path.join(args.out, "information_matrix.csv")
+    np.savetxt(info_path, info.matrix, delimiter=",", fmt="%.17g")
+    print(f"information matrix ({info_path}); min eigenvalue {info.min_eigenvalue():.6g}")
     for eps in eps_values:
         path = os.path.join(args.out, f"scaled_errors_eps_{_eps_tag(eps)}.csv")
         np.savetxt(path, result.scaled[eps], delimiter=",", fmt="%.17g")

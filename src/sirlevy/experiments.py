@@ -23,6 +23,7 @@ from .estimator import BoxConstraints, EstimatorConfig, lsgd_estimate
 from .levy import LevyPathNoise, sample_lambda, seed_sequence, stream
 from .models import NUMBERS_X0, PROPORTIONS_X0, SirParams, get_model
 from .simulate import SimulationError, Trajectory, predict_ensemble, simulate_sde, solve_ode
+from .theory import HORIZON
 from .transmission import PERIOD_FLOOR, ThetaParams
 
 FLOAT_FMT = "{:.17g}"
@@ -31,7 +32,7 @@ _log = logging.getLogger(__name__)
 
 # parameter point exercised by the bundled prediction studies and tests
 REFERENCE_THETA = ThetaParams(0.26836304, 0.15114833, 0.0621514, 0.096762)
-PREDICT_HORIZON = 3.0  # a prediction study forecasts on [0, PREDICT_HORIZON] from a fit on [0, 1]
+PREDICT_HORIZON = 3.0  # a prediction study forecasts on [0, PREDICT_HORIZON] from a fit on [0, HORIZON]
 
 
 def _fmt(x) -> str:
@@ -178,7 +179,7 @@ class RunConfig:
     def __post_init__(self):
         get_model(self.model)
         _check_eps_levels(self.eps_list)
-        for name in ("n_obs", "n_datasets", "substeps", "cells", "order"):
+        for name in ("n_obs", "n_datasets", "substeps", "cells", "order", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if self.model == "proportions" and self.contrast_form != "plain":
@@ -314,9 +315,9 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
             draw_rng = stream(cfg.seed, i, 0)
             theta0 = sample_true_theta(draw_rng, cfg.order)
             lam = sample_lambda(draw_rng)
-            noise = LevyPathNoise(seed_sequence(cfg.seed, i, 1), lam, 1.0, model.driver_dim)
+            noise = LevyPathNoise(seed_sequence(cfg.seed, i, 1), lam, HORIZON, model.driver_dim)
             try:
-                traj = simulate_sde(model, theta0, params, cfg.x0, 1.0, cfg.n_obs, noise, cfg.substeps)
+                traj = simulate_sde(model, theta0, params, cfg.x0, HORIZON, cfg.n_obs, noise, cfg.substeps)
             except SimulationError as err:
                 index_rows.append([_eps_exact(eps), i, "FAILED", str(err)])
                 continue
@@ -461,8 +462,8 @@ def prediction_study(
         rng = stream(cfg.seed, 50, ei)
         fit_x0 = _sample_prediction_x0(rng, model.tag)
         lam = sample_lambda(rng)
-        noise = LevyPathNoise(seed_sequence(cfg.seed, 51, ei), lam, 1.0, model.driver_dim)
-        traj = simulate_sde(model, theta0, params, fit_x0, 1.0, cfg.n_obs, noise, cfg.substeps)
+        noise = LevyPathNoise(seed_sequence(cfg.seed, 51, ei), lam, HORIZON, model.driver_dim)
+        traj = simulate_sde(model, theta0, params, fit_x0, HORIZON, cfg.n_obs, noise, cfg.substeps)
         result = lsgd_estimate(
             traj,
             est,

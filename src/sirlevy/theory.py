@@ -6,6 +6,10 @@ asymptotic objective measures drift separation between two parameter points,
 and the limit sampler draws the random variable that the noise-rescaled
 estimation error approaches (a stochastic integral of the sensitivities
 against the driving noise, premultiplied by the inverse information matrix).
+One solve of that path per (model, theta, params, s0, grid), cached and
+read-only, feeds all three: :func:`information_matrix` is the one builder of
+the matrix, and :class:`LimitSampler` and :func:`asymptotic_contrast` read
+the same solve.
 
 The weighted forms read sigma*X*Y*Z from :func:`contrast.weighted_coefficient`
 and fail as it does; ``SingularWeightError`` is an alias of its
@@ -53,14 +57,6 @@ def _quadrature_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _sensitivity_pieces(model, theta, params, s0, n_quad):
-    """Path, times, beta gradient (n+1, p) and X*Y along the drift-only path on [0, HORIZON]."""
-    path = solve_ode(model, theta, params, s0, HORIZON, n_quad)
-    t = path.times
-    xy = path.states[:, 0] * path.states[:, 1]
-    return path, t, beta_grad(t, theta), xy
-
-
 @dataclass
 class InfoMatrix:
     matrix: np.ndarray
@@ -69,6 +65,26 @@ class InfoMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())
+
+
+def _drift_path(model, theta: ThetaParams, params: SirParams, s0, n_grid: int):
+    """Times, states, beta gradient (n+1, p), X*Y and Simpson weights along the
+    drift-only path on [0, HORIZON], solved once per (model, theta, params, s0,
+    grid) and shared read-only by every object of the limit theory."""
+    s0 = tuple(np.asarray(s0, dtype=float).tolist())
+    return _solved_path(solve_ode, get_model(model).tag, theta, params, s0, n_grid)
+
+
+@lru_cache(maxsize=8)
+def _solved_path(solve, tag: str, theta: ThetaParams, params: SirParams, s0: tuple, n_grid: int):
+    """:func:`_drift_path` by ``solve``; the solver is part of the key, so a
+    wrapped ``solve_ode`` (a counting test, a tracing pass) gets its own solve."""
+    path = solve(get_model(tag), theta, params, s0, HORIZON, n_grid)
+    t, states = path.times, path.states
+    shared = t, states, beta_grad(t, theta), states[:, 0] * states[:, 1], _quadrature_weights(t)
+    for a in shared:
+        a.flags.writeable = False
+    return shared
 
 
 def information_matrix(
@@ -86,20 +102,12 @@ def information_matrix(
     (sigma*X*Y*Z)^2 and requires the path to stay off the coordinate planes.
     """
     model = get_model(model)
-    pieces = _sensitivity_pieces(model, theta, params, s0, n_quad)
-    c = weighted_coefficient(model.tag, pieces[0].states, params) if weighted else None
-    return _information_from_pieces(theta, pieces, c)
-
-
-def _information_from_pieces(theta, pieces, c=None) -> InfoMatrix:
-    """:func:`information_matrix` over solved pieces; ``c`` is the weighted form's coefficient or None."""
-    path, t, grads, xy = pieces
+    _, states, grads, xy, quad = _drift_path(model, theta, params, s0, n_quad)
     weight = 2.0 * xy**2  # |v|^2 with v = (-X*Y, X*Y, 0)
-    if c is not None:
-        weight = weight / c**2
-    w = weight * _quadrature_weights(t)
-    matrix = np.einsum("t,ti,tj->ij", w, grads, grads)
-    return InfoMatrix(matrix=matrix, theta=theta, weighted=c is not None)
+    if weighted:
+        weight = weight / weighted_coefficient(model.tag, states, params) ** 2
+    matrix = np.einsum("t,ti,tj->ij", weight * quad, grads, grads)
+    return InfoMatrix(matrix=matrix, theta=theta, weighted=weighted)
 
 
 def asymptotic_contrast(
@@ -110,25 +118,10 @@ def asymptotic_contrast(
     s0,
 ) -> float:
     """Integrated squared drift separation along the theta0 path; zero iff drifts agree."""
-    s0 = tuple(np.asarray(s0, dtype=float).tolist())
-    t, xy, beta0, weights = _theta0_path(get_model(model).tag, theta0, params, s0)
-    dbeta = beta_eval(t, theta) - beta0
+    t, _, _, xy, quad = _drift_path(model, theta0, params, s0, DEFAULT_QUAD_STEPS)
+    dbeta = beta_eval(t, theta) - beta_eval(t, theta0)
     integrand = 2.0 * (xy * dbeta) ** 2
-    return float(np.sum(integrand * weights))
-
-
-@lru_cache(maxsize=8)
-def _theta0_path(tag: str, theta0: ThetaParams, params: SirParams, s0: tuple):
-    """Times, X*Y, beta and quadrature weights along the drift-only theta0 path.
-
-    :func:`asymptotic_contrast` compares many theta with one theta0, so the
-    solved path is shared between its calls; the arrays are read-only.
-    """
-    _, t, _, xy = _sensitivity_pieces(get_model(tag), theta0, params, s0, DEFAULT_QUAD_STEPS)
-    shared = t, xy, beta_eval(t, theta0), _quadrature_weights(t)
-    for a in shared:
-        a.flags.writeable = False
-    return shared
+    return float(np.sum(integrand * quad))
 
 
 class LimitSampler:
@@ -152,28 +145,19 @@ class LimitSampler:
         weighted: bool = False,
     ):
         model = get_model(model)
-        self.model = model
-        self.theta0 = theta0
-        self.params = params
-        self.weighted = weighted
-        # one drift-only solve feeds both the information matrix and the integrand
-        pieces = _sensitivity_pieces(model, theta0, params, s0, n_grid)
-        path, t, grads, _ = pieces
-        if weighted:
-            c = weighted_coefficient(model.tag, path.states, params)
-            info = _information_from_pieces(theta0, pieces, c)
-            kappa = 1.0 / c
-        else:
-            info = _information_from_pieces(theta0, pieces)
-            kappa = noise_coeff_numbers(path.states, params)
-        if abs(np.linalg.det(info.matrix)) < 1e-300:
+        self.info = information_matrix(model, theta0, params, s0, weighted, n_grid)
+        if abs(np.linalg.det(self.info.matrix)) < 1e-300:
             raise EstimationError("information matrix is singular; the limit is undefined")
-        self.info = info
+        # the integrand reads the drift-only path the matrix was built on
+        t, states, grads, _, _ = _drift_path(model, theta0, params, s0, n_grid)
+        if weighted:
+            kappa = 1.0 / weighted_coefficient(model.tag, states, params)
+        else:
+            kappa = noise_coeff_numbers(states, params)
         # per-node (driver_dim, p) coefficient of the driving increments: the
         # beta-direction v = (-X*Y, X*Y, 0) seen through the model's noise direction
-        _, v = drift_beta_split(model.tag, path.states, params)  # (n+1, 3)
+        _, v = drift_beta_split(model.tag, states, params)  # (n+1, 3)
         coef = kappa[:, None, None] * (v @ model.direction)[:, :, None] * grads[:, None, :]
-        self.times = t
         self.coef = coef  # (n_grid + 1, driver_dim, p)
         self.dt = float(t[1] - t[0])
         self.dim = model.driver_dim
@@ -225,23 +209,6 @@ class LimitSampler:
         J = self.dt * np.einsum("tdp,tdq->pq", self.coef[:-1], self.coef[:-1])
         inv = np.linalg.inv(self.info.matrix)
         return inv @ J @ inv
-
-
-def sample_limit_rv(
-    model,
-    theta0: ThetaParams,
-    params: SirParams,
-    s0,
-    seed,
-    lam: float | None = None,
-    n_grid: int = DEFAULT_QUAD_STEPS,
-    weighted: bool = False,
-    include_brownian: bool = True,
-    include_jumps: bool = True,
-) -> np.ndarray:
-    """One draw of the limiting random variable of the rescaled estimation error."""
-    sampler = LimitSampler(model, theta0, params, s0, n_grid=n_grid, weighted=weighted)
-    return sampler.sample(seed, lam, include_brownian, include_jumps)
 
 
 @dataclass
@@ -306,9 +273,10 @@ def rate_experiment(
 ) -> RateResult:
     """Generate-estimate loops per eps; record (theta_hat - theta0) / eps.
 
-    eps = 0 is rejected (the scaling is undefined there).  The estimator fits
+    eps = 0 and fewer than one replication are rejected.  The estimator fits
     theta0's Fourier order; an ``est`` of another order is rejected before
-    anything is simulated.  Each replication and each limit draw takes a
+    anything is simulated, and so is a singular information matrix when
+    limit draws are asked for.  Each replication and each limit draw takes a
     drawn jump rate (:func:`levy.sample_lambda`).  Failures are recorded as
     NaN rows and counted, never fatal.  Limit draws matching the chosen
     objective form are attached for distributional comparison.
@@ -318,6 +286,11 @@ def rate_experiment(
     est = est or EstimatorConfig(order=theta0.order)
     if est.order != theta0.order:
         raise ValueError(f"estimator order {est.order} differs from theta0's Fourier order {theta0.order}")
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications!r}")
+    sampler = None
+    if limit_draws > 0:
+        sampler = LimitSampler(model, theta0, params, s0, n_grid=n_grid, weighted=(contrast_form == "weighted"))
     theta_vec = theta0.to_vector()
     p = theta_vec.size
 
@@ -342,12 +315,7 @@ def rate_experiment(
         scaled[eps] = rows
         failures[eps] = fails
 
-    draws = None
-    if limit_draws > 0:
-        sampler = LimitSampler(
-            model, theta0, params, s0, n_grid=n_grid, weighted=(contrast_form == "weighted")
-        )
-        draws = sampler.sample_many(limit_draws, seed=seed_sequence(seed, 999))
+    draws = None if sampler is None else sampler.sample_many(limit_draws, seed=seed_sequence(seed, 999))
     return RateResult(
         theta0=theta0,
         eps_list=eps_list,

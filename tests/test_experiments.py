@@ -165,7 +165,8 @@ def test_config_load_accepts_the_retired_inner_solver_key_only_as_linear(tmp_pat
 
 
 @pytest.mark.parametrize(
-    "name,value", [("cells", 0), ("order", 0), ("n_obs", 0), ("substeps", 0), ("n_datasets", 0), ("n_datasets", -3)]
+    "name,value",
+    [("cells", 0), ("order", 0), ("n_obs", 0), ("substeps", 0), ("n_datasets", 0), ("n_datasets", -3), ("jobs", 0)],
 )
 def test_run_config_rejects_counts_below_one(tmp_path, capsys, name, value):
     with pytest.raises(ValueError, match=name):

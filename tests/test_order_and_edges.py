@@ -1,8 +1,9 @@
 """The estimator fits theta0's Fourier order, and the CLI checks its inputs before writing.
 
 The ``theory`` and ``predict`` verbs estimate at the order of ``--theta0``;
-``theory`` reads the config's ``cells``; a config's ``x0`` and a ``--theta0``
-outside the parameter box are rejected before any file is written.
+``theory`` reads the config's ``cells``; a config's ``x0``, a ``--theta0``
+outside the parameter box, a singular information matrix, no replications
+and fewer than one worker are rejected before any file is written.
 """
 
 import csv
@@ -128,4 +129,31 @@ def test_bad_x0_exits_before_writing(tmp_path, capsys, model, x0, verb):
     extra = ["--eps", "0.01", "--replications", "1"] if verb == "theory" else []
     assert cli_main([verb, "--config", cfg, "--out", str(out), *extra]) == 1
     assert str(err.value) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_theory_singular_theta0_fails_before_simulating_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # no oscillation: the limit law is undefined, which the verb finds before its first replication
+    simulated = []
+    monkeypatch.setattr(theory_mod, "simulate_sde", lambda *a, **k: simulated.append(a))
+    out = tmp_path / "theory"
+    assert cli_main(["theory", "--theta0", "0.26836304,0.15114833,0,0", "--replications", "3", "--out", str(out)]) == 1
+    assert "information matrix is singular" in capsys.readouterr().err
+    assert simulated == []
+    assert not out.exists()
+
+
+def test_theory_zero_replications_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "theory"
+    assert cli_main(["theory", "--replications", "0", "--out", str(out)]) == 1
+    assert "replications must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_jobs_flag_is_rejected_before_writing(tmp_path, capsys):
+    # a config's jobs=0 is one case of test_run_config_rejects_counts_below_one
+    cfg = _write_config(tmp_path / "jobs.cfg", n_datasets=2)
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--jobs", "0"]) == 1
+    assert "jobs must be at least 1" in capsys.readouterr().err
     assert not out.exists()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import sirlevy as sl
-from sirlevy.theory import LimitSampler, SingularWeightError, _quadrature_weights, _sensitivity_pieces, _theta0_path
+import sirlevy.theory as theory_mod
+from sirlevy.theory import LimitSampler, SingularWeightError, _quadrature_weights
 
 from conftest import THETA_REF, X0_NUMBERS, X0_PROPORTIONS
 
@@ -51,19 +52,42 @@ def test_asymptotic_contrast_zero_at_truth_positive_elsewhere():
 
 
 def test_asymptotic_contrast_shares_one_read_only_theta0_path():
-    # one solve serves every call with equal inputs, and the value is the
-    # integral on a fresh solve bit for bit
+    # calls with equal inputs agree, and the value is the integral on a fresh
+    # solve bit for bit; the one-solve count is pinned by the next test
     th = sl.ThetaParams(0.3, 0.5, 0.2, 0.1)
     s0 = (2.1, 0.23, 0.3)  # a path no other test solves
     value = sl.asymptotic_contrast("numbers", th, THETA_REF, PARAMS, s0)
-    hits = _theta0_path.cache_info().hits
     assert sl.asymptotic_contrast(sl.NUMBERS, th, THETA_REF, PARAMS, np.array(s0)) == value
-    assert _theta0_path.cache_info().hits == hits + 1
-    _, t, _, xy = _sensitivity_pieces(sl.NUMBERS, THETA_REF, PARAMS, s0, 2000)
+    path = sl.solve_ode("numbers", THETA_REF, PARAMS, s0, 1.0, 2000)
+    t, xy = path.times, path.states[:, 0] * path.states[:, 1]
     dbeta = sl.beta_eval(t, th) - sl.beta_eval(t, THETA_REF)
     assert value == float(np.sum(2.0 * (xy * dbeta) ** 2 * _quadrature_weights(t)))
-    for shared in _theta0_path("numbers", THETA_REF, PARAMS, s0):
-        assert not shared.flags.writeable
+
+
+def test_one_drift_path_serves_the_matrix_the_samplers_and_the_contrast(monkeypatch):
+    # one (model, theta0, params, s0, grid) is one ODE solve, whatever form
+    # s0 and the model take, and the arrays the readers share are read-only
+    solves = []
+    solve = theory_mod.solve_ode
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(theory_mod, "solve_ode", counting)
+    info = sl.information_matrix("numbers", THETA_REF, PARAMS, X0_NUMBERS)
+    plain = LimitSampler(sl.NUMBERS, THETA_REF, PARAMS, np.array(X0_NUMBERS))
+    weighted = LimitSampler("numbers", THETA_REF, PARAMS, list(X0_NUMBERS), weighted=True)
+    value = sl.asymptotic_contrast("numbers", sl.ThetaParams(0.3, 0.5, 0.2, 0.1), THETA_REF, PARAMS, X0_NUMBERS)
+    assert len(solves) == 1
+    assert plain.info.matrix.tobytes() == info.matrix.tobytes()
+    assert weighted.info.weighted and value > 0.0
+    shared = theory_mod._drift_path("numbers", THETA_REF, PARAMS, X0_NUMBERS, theory_mod.DEFAULT_QUAD_STEPS)
+    assert len(solves) == 1 and len(shared) == 5
+    for a in shared:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_asymptotic_contrast_base_shift_closed_form():
@@ -101,12 +125,6 @@ def test_limit_sampler_rejects_singular_information():
     flat = sl.ThetaParams(THETA_REF.period, THETA_REF.base, 0.0, 0.0)
     with pytest.raises(sl.EstimationError):
         LimitSampler("numbers", flat, PARAMS, X0_NUMBERS, n_grid=500)
-
-
-def test_sample_limit_rv_wrapper():
-    a = sl.sample_limit_rv("numbers", THETA_REF, PARAMS, X0_NUMBERS, seed=5, n_grid=500)
-    b = sl.sample_limit_rv("numbers", THETA_REF, PARAMS, X0_NUMBERS, seed=5, n_grid=500)
-    assert np.array_equal(a, b) and a.shape == (4,)
 
 
 def test_rate_experiment_rejects_zero_eps():
