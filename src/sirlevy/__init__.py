@@ -9,9 +9,7 @@ from .contrast import (
     SingularDesignError,
     alpha_quadratic,
     contrast_gradient,
-    contrast_plain,
     contrast_value,
-    contrast_weighted,
     linear_solve_alpha,
     residuals,
 )
@@ -22,7 +20,6 @@ from .estimator import (
     EstimatorConfig,
     lsgd_estimate,
     pgd_alpha,
-    project_box,
 )
 from .experiments import (
     REFERENCE_THETA,
@@ -49,7 +46,6 @@ from .models import (
     drift_proportions,
     get_model,
     noise_coeff_numbers,
-    noise_coeff_proportions,
     numbers_defaults,
     proportions_defaults,
 )

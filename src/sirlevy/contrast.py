@@ -8,10 +8,13 @@ and the objective is ``scale * sum_k P_k' W_{k-1} P_k`` with W the identity
 (plain form) or 1 / c**2, c = sigma*X*Y*Z the noise coefficient (weighted
 form).  The scale factor is n / eps**2 (or n when eps == 0); it never moves
 the argmin, it only keeps reported values comparable across noise levels.
+:func:`contrast_value` is the one evaluator of the objective; the form comes
+from :attr:`ContrastConfig.form`, plain when no config is given, and only
+``_resolve`` reads it.
 
 The weighted form is defined only for the population-numbers model and only
 where c is nonzero; :func:`weighted_coefficient` is that rule's one home,
-read by the objectives, the estimator's profile and the limit theory.
+read by the objective, the estimator's profile and the limit theory.
 
 For a fixed period the residuals are affine in the transmission coefficients
 (base, cos_k, sin_k), so the inner minimization is a linear least-squares
@@ -86,20 +89,21 @@ def weighted_coefficient(model_tag: str, states, params: SirParams) -> np.ndarra
     return c
 
 
-def _resolve(traj: Trajectory, params: SirParams | None, cfg: ContrastConfig | None, form: str = "plain"):
-    """(params, cfg, w): params default to the trajectory's, cfg to ``form`` at their eps.
+def _resolve(traj: Trajectory, params: SirParams | None, cfg: ContrastConfig | None):
+    """(params, cfg, w): params default to the trajectory's, cfg to the plain form at their eps.
 
-    w is ones, or 1 / c**2 (c from :func:`weighted_coefficient` at the left
-    nodes) when ``form`` or cfg's form is weighted; None where c vanishes,
-    the weighted objective then being identically zero by its indicator.
+    w is ones for the plain form, and 1 / c**2 (c from
+    :func:`weighted_coefficient` at the left nodes) for the weighted one;
+    None where c vanishes, the weighted objective then being identically
+    zero by its indicator.
     """
     if params is None:
         params = traj.params
     if params is None:
         raise ValueError("params not given and trajectory carries none")
     if cfg is None:
-        cfg = ContrastConfig(form=form, eps=params.eps)
-    if "weighted" not in (form, cfg.form):
+        cfg = ContrastConfig(eps=params.eps)
+    if cfg.form == "plain":
         return params, cfg, np.ones(traj.n_intervals)
     try:
         return params, cfg, 1.0 / weighted_coefficient(traj.model, traj.states[:-1], params) ** 2
@@ -117,40 +121,24 @@ def residuals(traj: Trajectory, theta: ThetaParams, params: SirParams | None = N
     return traj.states[1:] - s0 - dt * model.drift(t0, s0, theta, params)
 
 
-def contrast_plain(
-    traj: Trajectory,
-    theta: ThetaParams,
-    params: SirParams | None = None,
-    cfg: ContrastConfig | None = None,
-) -> float:
-    params, cfg, _ = _resolve(traj, params, cfg)
-    P = residuals(traj, theta, params)
-    return cfg.scale(len(P)) * float(np.einsum("ki,ki->", P, P))
-
-
-def contrast_weighted(
-    traj: Trajectory,
-    theta: ThetaParams,
-    params: SirParams | None = None,
-    cfg: ContrastConfig | None = None,
-) -> tuple[float, bool]:
-    """Weighted objective value and the degeneracy flag (value 0 when degenerate)."""
-    params, cfg, w = _resolve(traj, params, cfg, form="weighted")
-    if w is None:
-        return 0.0, True
-    P = residuals(traj, theta, params)
-    return cfg.scale(len(P)) * float(np.einsum("k,ki,ki->", w, P, P)), False
-
-
 def contrast_value(
     traj: Trajectory,
     theta: ThetaParams,
     params: SirParams | None = None,
     cfg: ContrastConfig | None = None,
 ) -> float:
-    if cfg is not None and cfg.form == "weighted":
-        return contrast_weighted(traj, theta, params, cfg)[0]
-    return contrast_plain(traj, theta, params, cfg)
+    """The objective at ``theta`` in ``cfg``'s form, plain when ``cfg`` is None.
+
+    The weighted form is 0.0 where its coefficient vanishes on the grid and
+    raises ValueError off the numbers model, as :func:`weighted_coefficient`.
+    """
+    params, cfg, w = _resolve(traj, params, cfg)
+    if w is None:
+        return 0.0
+    P = residuals(traj, theta, params)
+    if cfg.form == "plain":
+        return cfg.scale(len(P)) * float(np.einsum("ki,ki->", P, P))
+    return cfg.scale(len(P)) * float(np.einsum("k,ki,ki->", w, P, P))
 
 
 def contrast_gradient(

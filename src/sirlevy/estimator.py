@@ -91,16 +91,6 @@ class BoxConstraints:
         return bool(np.all(v >= lower) and np.all(v <= upper))
 
 
-def project_box(theta_raw, box: BoxConstraints) -> ThetaParams:
-    """Componentwise clamp of a raw parameter vector onto the box."""
-    vec = theta_raw.to_vector() if isinstance(theta_raw, ThetaParams) else np.asarray(theta_raw, dtype=float)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("cannot project a non-finite parameter vector")
-    order = (vec.size - 2) // 2
-    lower, upper = box.theta_bounds(order)
-    return ThetaParams.from_vector(np.clip(vec, lower, upper))
-
-
 def default_alpha_init(order: int = 1) -> np.ndarray:
     """Conventional starting coefficients (0.51, 0.31, 0.21), replicated per harmonic."""
     return np.array([0.51] + [0.31] * order + [0.21] * order)
@@ -109,7 +99,6 @@ def default_alpha_init(order: int = 1) -> np.ndarray:
 @dataclass(frozen=True)
 class EstimatorConfig:
     cells: int = 20  # M, the number of period line-search cells
-    refine: bool = True  # scan plus the zero search on the profile's slope after the cells
     order: int = 1
 
     def __post_init__(self):
@@ -142,10 +131,6 @@ class EstimationResult:
     cells: list[CellResult] = field(default_factory=list)
     converged: bool = True  # the exact solves always converge; kept for the results column
     refine_iterations: int = 0  # profile evaluations of the period search
-
-    @property
-    def table(self) -> list[tuple[float, float]]:
-        return [(c.period, c.value) for c in self.cells]
 
 
 def pgd_alpha(
@@ -360,12 +345,14 @@ def lsgd_estimate(
 
     Cell i tests one period drawn uniformly from ((i-1)/M, i/M); all cells
     are solved exactly under the box in one batch, resonant (rank-deficient)
-    test periods included.  The best cell seeds a dense frequency scan and
-    a zero search on the exact profile's slope in the frequency, whose
-    exact solve gives the coefficients; the objective there is evaluated
-    from the residuals.  The table entry of the cell holding the refined
-    point is replaced by it, so the reported objective equals the table
-    minimum.  ``params`` and ``cfg`` default as in :func:`alpha_profile`.
+    test periods included.  The best cell always seeds a dense frequency
+    scan and a zero search on the exact profile's slope in the frequency,
+    whose exact solve gives the coefficients; the objective there is
+    evaluated from the residuals by :func:`contrast_value`.  The entry of
+    the cell holding that point is replaced by it and marked ``refined``, so
+    the reported objective equals the minimum over the cells; the other
+    cells keep their drawn periods and exact solves.  ``params`` and ``cfg``
+    default as in :func:`alpha_profile`.
     """
     est = est or EstimatorConfig()
     box = box or BoxConstraints()
@@ -387,23 +374,17 @@ def lsgd_estimate(
     ]
 
     best = min(cells, key=lambda c: (c.value, c.index))
-    theta_vec = np.concatenate([[best.period], best.alpha])
-    refine_iters = 0
-    value = best.value
-
-    if est.refine:
-        period, alpha, _, refine_iters = _scan_top_cells(traj, profile, cells, box, best)
-        theta_vec = np.concatenate([[period], alpha])
-        # the reported objective is evaluated from the residuals
-        value = contrast_value(traj, ThetaParams.from_vector(theta_vec), params, cfg)
-        # the refined point replaces the entry of the cell that contains it
-        home = cells[min(max(int(np.ceil(theta_vec[0] * m)), 1), m) - 1]
-        home.period = float(theta_vec[0])
-        home.alpha = theta_vec[1:].copy()
-        home.value = value
-        home.refined = True
-
+    period, alpha, _, refine_iters = _scan_top_cells(traj, profile, cells, box, best)
+    theta_vec = np.concatenate([[period], alpha])
     theta = ThetaParams.from_vector(theta_vec)
+    # the reported objective is evaluated from the residuals
+    value = contrast_value(traj, theta, params, cfg)
+    # the refined point replaces the entry of the cell that contains it
+    home = cells[min(max(int(np.ceil(theta_vec[0] * m)), 1), m) - 1]
+    home.period = float(theta_vec[0])
+    home.alpha = theta_vec[1:].copy()
+    home.value = value
+    home.refined = True
     return EstimationResult(
         theta=theta,
         objective=value,

@@ -182,6 +182,11 @@ class RunConfig:
         for name in ("n_obs", "n_datasets", "substeps", "cells", "order", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        # checked before the coercion below, which would hide a misspelled form on proportions
+        try:
+            ContrastConfig(form=self.contrast_form)
+        except ValueError as err:
+            raise ValueError(f"contrast_form: {err}") from None
         if self.model == "proportions" and self.contrast_form != "plain":
             # the proportional model's noise matrix is rank one
             object.__setattr__(self, "contrast_form", "plain")
@@ -352,8 +357,28 @@ def load_records(out_dir: str) -> list[DatasetRecord]:
     return records
 
 
+def _check_sidecar(meta_path: str, cfg: RunConfig, params: SirParams) -> None:
+    """Raise ValueError naming each model or constant the sidecar records other than ``cfg`` at ``params``.
+
+    A field the sidecar does not record, or a missing sidecar, is no mismatch.
+    """
+    meta = load_keyvalues(meta_path) if os.path.exists(meta_path) else {}
+    differ = []
+    if "model" in meta and meta["model"] != cfg.model:
+        differ.append(f"model {meta['model']} (config {cfg.model})")
+    for name in ("birth", "death", "gamma", "sigma", "eps"):
+        if name in meta and float(meta[name]) != getattr(params, name):
+            differ.append(f"{name} {float(meta[name])!r} (config {getattr(params, name)!r})")
+    if differ:
+        raise ValueError(f"the dataset sidecar {meta_path} differs from the config in " + "; ".join(differ))
+
+
 def _estimate_one(args) -> tuple[float, int, list]:
-    """One results row; any failure, loading included, becomes a row whose error names its class."""
+    """One results row; any failure, loading included, becomes a row whose error names its class.
+
+    A dataset whose sidecar records another model or other constants than
+    the config's is a failure row too, rather than a fit under the wrong model.
+    """
     record_path, record_meta, dataset_id, eps, theta0, cfg = args
     params = cfg.params(eps)
     # common random numbers across the sweep here too: the line-search cell
@@ -361,6 +386,7 @@ def _estimate_one(args) -> tuple[float, int, list]:
     est_rng = stream(cfg.seed, dataset_id, 7)
     true_vec = theta0.to_vector() if theta0 is not None else np.full(2 + 2 * cfg.order, np.nan)
     try:
+        _check_sidecar(record_meta, cfg, params)
         traj = load_trajectory(record_path, record_meta)
         result = lsgd_estimate(traj, cfg.estimator(), BoxConstraints(), cfg.contrast(eps), seed=est_rng, params=params)
         est_vec = result.theta.to_vector()

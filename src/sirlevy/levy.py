@@ -151,12 +151,6 @@ class LevyPathNoise:
             raise ValueError(f"need a C-contiguous (n, {self.dim}) array, got shape {out.shape}")
         return self._rng.standard_normal(out=out)
 
-    def brownian_increment(self, t0: float, t1: float) -> np.ndarray:
-        """Gaussian increment over [t0, t1]: mean 0, variance (t1 - t0) per component."""
-        if t0 >= t1:
-            raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-        return self.brownian_increments(np.array([t1 - t0]))[0]
-
     def brownian_increments(self, dts: np.ndarray) -> np.ndarray:
         """Batch of per-interval increments: the next ``dts.size`` rows of
         :meth:`fill_normals` times sqrt(dts); identical to sequential single draws."""

@@ -133,11 +133,6 @@ def noise_coeff_numbers(state, p: SirParams):
     return p.sigma * x * y * z
 
 
-def noise_coeff_proportions(state, p: SirParams) -> np.ndarray:
-    """Column (-1, 2, -1) * sigma*X*Y*Z; components sum to zero exactly."""
-    return noise_coeff_numbers(state, p)[..., None] * PROPORTIONS.direction[:, 0]
-
-
 def drift_beta_split(model_tag: str, state, p: SirParams):
     """Decompose the drift as g + beta(t) * v with v = (-X*Y, X*Y, 0).
 

@@ -614,9 +614,10 @@ def predict_ensemble(
     attempt's noise, one call per retry round, up to ``max_retries`` rounds;
     a path that fails on every attempt raises :class:`SimulationError`.  The
     mean sums the paths in path order, as the single-path loop did, and keeps
-    the memory bounded whatever ``n_paths`` is.  With eps == 0 every path
-    coincides, so the single deterministic Euler path of ``simulate_sde`` is
-    returned exactly.
+    the memory bounded whatever ``n_paths`` is.  With eps == 0 the paths
+    still differ slightly, because each path's jump times refine its own
+    Euler grid; that case simulates no ensemble and returns path 0's
+    ``simulate_sde`` path exactly, retried as above.
     """
     model = get_model(model)
     if n_obs is None:

@@ -12,8 +12,8 @@ the matrix, and :class:`LimitSampler` and :func:`asymptotic_contrast` read
 the same solve.
 
 The weighted forms read sigma*X*Y*Z from :func:`contrast.weighted_coefficient`
-and fail as it does; ``SingularWeightError`` is an alias of its
-:class:`contrast.DegenerateWeightsError`.
+and fail as it does, with :class:`contrast.DegenerateWeightsError` where the
+coefficient vanishes.
 
 Only :meth:`RateResult.location_pvalues` uses scipy (``scipy.stats``), and it
 imports it when called, so the rest of the module runs on numpy alone.
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .contrast import ContrastConfig, DegenerateWeightsError, weighted_coefficient
+from .contrast import ContrastConfig, weighted_coefficient
 from .estimator import BoxConstraints, EstimationError, EstimatorConfig, lsgd_estimate
 from .levy import LevyPathNoise, _make_rng, draw_jumps, sample_lambda, seed_sequence, stream
 from .models import SirParams, drift_beta_split, get_model, noise_coeff_numbers
@@ -35,9 +35,6 @@ from .transmission import ThetaParams, beta_eval, beta_grad
 
 DEFAULT_QUAD_STEPS = 2000
 HORIZON = 1.0  # the observation window [0, HORIZON] of the data, the estimator and the limit law
-
-
-SingularWeightError = DegenerateWeightsError  # the name existing imports of this module use
 
 
 def _quadrature_weights(times: np.ndarray) -> np.ndarray:

@@ -36,14 +36,16 @@ def test_residuals_frozen_toy_values():
 def test_contrast_plain_frozen_toy_value():
     traj = _toy_trajectory()
     cfg = ContrastConfig(form="plain", eps=1.0)
-    assert sl.contrast_plain(traj, THETA_REF, PARAMS, cfg) == pytest.approx(0.14461968410534792, rel=1e-14)
+    assert sl.contrast_value(traj, THETA_REF, PARAMS, cfg) == pytest.approx(0.14461968410534792, rel=1e-14)
+    # no config means the plain form at the params' eps
+    default = ContrastConfig(form="plain", eps=PARAMS.eps)
+    assert sl.contrast_value(traj, THETA_REF, PARAMS) == sl.contrast_value(traj, THETA_REF, PARAMS, default)
 
 
 def test_contrast_weighted_is_plain_times_four_on_toy():
     traj = _toy_trajectory()
-    plain = sl.contrast_plain(traj, THETA_REF, PARAMS, ContrastConfig(form="plain", eps=1.0))
-    weighted, degenerate = sl.contrast_weighted(traj, THETA_REF, PARAMS, ContrastConfig(form="weighted", eps=1.0))
-    assert not degenerate
+    plain = sl.contrast_value(traj, THETA_REF, PARAMS, ContrastConfig(form="plain", eps=1.0))
+    weighted = sl.contrast_value(traj, THETA_REF, PARAMS, ContrastConfig(form="weighted", eps=1.0))
     assert weighted == pytest.approx(4.0 * plain, rel=1e-13)
     assert weighted == pytest.approx(0.5784787364213917, rel=1e-13)
 
@@ -56,7 +58,7 @@ def test_single_unit_residual_definition():
     p = sl.SirParams(birth=0.0, death=0.0, gamma=1.0, sigma=1.0)
     traj = sl.Trajectory(times=times, states=states, model="proportions", params=p)
     cfg = ContrastConfig(form="plain", eps=1.0)
-    assert sl.contrast_plain(traj, THETA_REF, p, cfg) == pytest.approx(1.0, abs=0)
+    assert sl.contrast_value(traj, THETA_REF, p, cfg) == pytest.approx(1.0, abs=0)
 
 
 def test_exact_euler_trajectory_has_zero_residuals():
@@ -73,15 +75,16 @@ def test_exact_euler_trajectory_has_zero_residuals():
     # zero up to one rounding of the state update per step
     bound = 4 * np.finfo(float).eps * np.abs(traj.states).max()
     assert np.abs(P).max() <= bound
-    assert sl.contrast_plain(traj, THETA_REF, p, ContrastConfig(form="plain", eps=1.0)) <= n * 9 * bound**2
+    assert sl.contrast_value(traj, THETA_REF, p, ContrastConfig(form="plain", eps=1.0)) <= n * 9 * bound**2
 
 
 def test_weighted_degenerate_flag_when_state_touches_zero():
     times = np.linspace(0, 1, 3)
     states = np.array([[1.0, 0.0, 1.0], [1.0, 0.5, 1.0], [1.0, 0.4, 1.0]])
     traj = sl.Trajectory(times=times, states=states, model="numbers", params=PARAMS)
-    value, degenerate = sl.contrast_weighted(traj, THETA_REF, PARAMS)
-    assert degenerate and value == 0.0
+    assert sl.contrast_value(traj, THETA_REF, PARAMS, ContrastConfig(form="weighted", eps=PARAMS.eps)) == 0.0
+    with pytest.raises(DegenerateWeightsError):
+        sl.contrast.weighted_coefficient("numbers", traj.states[:-1], PARAMS)
     grad = sl.contrast_gradient(traj, THETA_REF, PARAMS, ContrastConfig(form="weighted", eps=1.0))
     assert np.all(grad == 0.0)
 
@@ -89,7 +92,7 @@ def test_weighted_degenerate_flag_when_state_touches_zero():
 def test_weighted_requires_numbers_model():
     traj = make_dataset(seed=1, eps=0.01, model="proportions")
     with pytest.raises(ValueError):
-        sl.contrast_weighted(traj, THETA_REF, sl.proportions_defaults(), ContrastConfig(form="weighted", eps=0.01))
+        sl.contrast_value(traj, THETA_REF, sl.proportions_defaults(), ContrastConfig(form="weighted", eps=0.01))
 
 
 def test_irregular_grid_rejected():
@@ -230,13 +233,13 @@ def test_limit_of_contrast_difference_matches_asymptotic_objective():
     traj = make_dataset(seed=13, eps=0.0, substeps=10, n_obs=1600)
     p = sl.numbers_defaults(eps=0.0)
     cfg = ContrastConfig(form="plain", eps=0.0)  # scale n, matching the n * sum form
-    base_val = sl.contrast_plain(traj, THETA_REF, p, cfg)
+    base_val = sl.contrast_value(traj, THETA_REF, p, cfg)
     rng = np.random.default_rng(21)
     for _ in range(12):
         th = sl.ThetaParams(
             rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)
         )
-        phi = sl.contrast_plain(traj, th, p, cfg) - base_val
+        phi = sl.contrast_value(traj, th, p, cfg) - base_val
         F = sl.asymptotic_contrast("numbers", th, THETA_REF, p, X0_NUMBERS)
         assert phi == pytest.approx(F, rel=0.02)
 
@@ -246,8 +249,7 @@ def test_weighted_nonnegative_and_zero_iff_residuals_zero(numbers_traj, numbers_
     rng = np.random.default_rng(17)
     for _ in range(40):
         th = sl.ThetaParams(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0), rng.uniform(0, 0.5), rng.uniform(0, 0.5))
-        val, degenerate = sl.contrast_weighted(numbers_traj, th, numbers_params, cfg)
-        assert not degenerate and val > 0.0
+        assert sl.contrast_value(numbers_traj, th, numbers_params, cfg) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +402,7 @@ def test_batched_scan_matches_scalar_loop(seed, eps):
     cfg = ContrastConfig(form="weighted", eps=eps)
     box = BoxConstraints()
     lower, upper = box.alpha_bounds(1)
-    cells = sl.lsgd_estimate(traj, EstimatorConfig(refine=False), box, cfg, seed=seed).cells
+    cells = sl.lsgd_estimate(traj, EstimatorConfig(), box, cfg, seed=seed).cells
     freqs, _ = _scan_frequencies(traj, cells, box)
     profile = alpha_profile(traj, traj.params, cfg)
     _, values = profile.scan(1.0 / freqs, lower, upper)
@@ -490,7 +492,7 @@ def test_moment_scan_matches_scalar_loop(order, n_obs):
     cfg = ContrastConfig(form="weighted", eps=0.01)
     box = BoxConstraints()
     lower, upper = box.alpha_bounds(order)
-    cells = sl.lsgd_estimate(traj, EstimatorConfig(refine=False, order=order), box, cfg, seed=order).cells
+    cells = sl.lsgd_estimate(traj, EstimatorConfig(order=order), box, cfg, seed=order).cells
     freqs, _ = _scan_frequencies(traj, cells, box)
     profile = alpha_profile(traj, traj.params, cfg, order=order)
     alphas, values = profile.scan(1.0 / freqs, lower, upper)
@@ -582,8 +584,10 @@ def test_batched_cells_equal_scalar_solves(seed, eps):
     cfg = ContrastConfig(form="weighted", eps=eps)
     box = BoxConstraints()
     profile = alpha_profile(traj, traj.params, cfg)
-    res = sl.lsgd_estimate(traj, EstimatorConfig(refine=False), box, cfg, seed=seed)
+    res = sl.lsgd_estimate(traj, EstimatorConfig(), box, cfg, seed=seed)
     for cell in res.cells:
+        if cell.refined:  # the period search's point, valued from the residuals
+            continue
         alpha, value = profile.solve(cell.period, box)
         assert np.array_equal(cell.alpha, alpha)
         assert cell.value == value

@@ -166,7 +166,16 @@ def test_config_load_accepts_the_retired_inner_solver_key_only_as_linear(tmp_pat
 
 @pytest.mark.parametrize(
     "name,value",
-    [("cells", 0), ("order", 0), ("n_obs", 0), ("substeps", 0), ("n_datasets", 0), ("n_datasets", -3), ("jobs", 0)],
+    [
+        ("cells", 0),
+        ("order", 0),
+        ("n_obs", 0),
+        ("substeps", 0),
+        ("n_datasets", 0),
+        ("n_datasets", -3),
+        ("jobs", 0),
+        ("contrast_form", "weigthed"),
+    ],
 )
 def test_run_config_rejects_counts_below_one(tmp_path, capsys, name, value):
     with pytest.raises(ValueError, match=name):
@@ -248,6 +257,59 @@ def test_short_trajectory_files_become_failure_rows(tmp_path):
         assert row["error"].startswith("ValueError: "), row["error"]
         assert record.path in row["error"]
     assert rows[2]["error"] == ""
+
+
+def _estimate_rows(out):
+    rows = []
+    for name in sorted(os.listdir(out)):
+        if name.startswith("results_"):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                rows.extend(csv.DictReader(fh))
+    return rows
+
+
+def test_estimate_with_another_models_config_writes_mismatch_rows(tmp_path, capsys):
+    out = str(tmp_path / "tree")
+    RunConfig(eps_list=(0.01,), n_datasets=2, seed=1, cells=6).save(str(tmp_path / "numbers.txt"))
+    assert cli_main(["generate", "--config", str(tmp_path / "numbers.txt"), "--out", out]) == 0
+    RunConfig.proportions_defaults(eps_list=(0.01,), n_datasets=2, seed=1, cells=6).save(str(tmp_path / "prop.txt"))
+    assert cli_main(["estimate", "--config", str(tmp_path / "prop.txt"), "--out", out]) == 0
+    capsys.readouterr()
+    rows = _estimate_rows(out)
+    assert len(rows) == 2
+    for row in rows:
+        error = row["error"]
+        assert error.startswith("ValueError: ") and "differs from the config" in error, error
+        # the proportions defaults change the model, birth and death; gamma, sigma and eps agree
+        for field in ("model numbers (config proportions)", "birth 0.018 (config 0.0)", "death 0.00042 (config 0.0)"):
+            assert field in error, error
+        for field in ("gamma", "sigma", "eps"):
+            assert field not in error.split("config in ", 1)[1], error
+        assert row["est_base"] == "nan" and row["converged"] == "false"
+
+
+def test_sidecar_without_model_or_constants_is_no_mismatch(tmp_path):
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=3, seed=1, cells=6)
+    out = str(tmp_path)
+    records = sl.generate_datasets(cfg, out)
+    reference = sl.batch_estimate(records, cfg, out)[0.01]
+    with open(reference, encoding="utf-8") as fh:
+        expected = fh.read()
+    # dataset 0 loses the recorded model and constants, dataset 1 its model and eps lines
+    for record, dropped in zip(records[:2], (("model", "birth", "death", "gamma", "sigma", "eps"), ("model", "eps"))):
+        meta = load_keyvalues(record.meta_path)
+        for key in dropped:
+            del meta[key]
+        sl.experiments.save_keyvalues(meta, record.meta_path)
+    # dataset 2 records another sigma
+    meta = load_keyvalues(records[2].meta_path)
+    meta["sigma"] = "0.25"
+    sl.experiments.save_keyvalues(meta, records[2].meta_path)
+    with open(sl.batch_estimate(records, cfg, out)[0.01], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[:3] == expected.splitlines()[:3]
+    error = next(csv.DictReader(lines[:1] + lines[3:]))["error"]
+    assert error == f"ValueError: the dataset sidecar {records[2].meta_path} differs from the config in sigma 0.25 (config 0.5)"
 
 
 def test_proportions_config_forces_plain_contrast():
@@ -594,3 +656,50 @@ def test_cli_theory_rejects_bad_eps_levels_before_writing(tmp_path, capsys, eps_
     assert code == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+# float64 in [0, 1), subnormals and -0.0 included, with distinct file tags
+_eps_levels = st.lists(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True), min_size=1, max_size=3, unique_by=lambda e: f"{e:g}"
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(eps_list=_eps_levels, seed=st.integers(0, 2**32))
+@example(eps_list=[-0.0, 5e-324, 0.1 + 0.2], seed=0)
+def test_dataset_index_round_trips_eps_and_theta_bit_for_bit(tmp_path_factory, eps_list, seed):
+    out = str(tmp_path_factory.mktemp("tree"))
+    cfg = RunConfig(eps_list=tuple(eps_list), n_obs=2, n_datasets=2, substeps=1, cells=1, seed=seed)
+    written = sl.generate_datasets(cfg, out)
+    loaded = sl.load_records(out)
+    assert len(loaded) == len(written) > 0
+    for a, b in zip(loaded, written):
+        assert (a.dataset_id, a.path, a.meta_path) == (b.dataset_id, b.path, b.meta_path)
+        assert _bits(a.eps) == _bits(b.eps)
+        assert np.array_equal(_bits(a.theta0.to_vector()), _bits(b.theta0.to_vector()))
+
+
+@pytest.fixture(scope="module")
+def one_dataset_tree(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("one"))
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=1, seed=4, cells=4)
+    return cfg, sl.generate_datasets(cfg, out)[0]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(theta=st.tuples(*[_any_float] * 4))
+@example(theta=(-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2))
+def test_results_csv_round_trips_theta_bit_for_bit(tmp_path_factory, one_dataset_tree, theta):
+    cfg, record = one_dataset_tree
+    theta0 = sl.ThetaParams.from_vector(theta)
+    record = sl.DatasetRecord(record.dataset_id, record.eps, theta0, record.path, record.meta_path)
+    row = sl.experiments._estimate_one((record.path, record.meta_path, record.dataset_id, record.eps, theta0, cfg))[2]
+    path = sl.batch_estimate([record], cfg, str(tmp_path_factory.mktemp("results")))[record.eps]
+    with open(path, encoding="utf-8") as fh:
+        (back,) = csv.DictReader(fh)
+    assert back["error"] == ""
+    names = ["period", "base", "cos1", "sin1"]
+    true_back = [float(back[f"true_{name}"]) for name in names]
+    est_back = [float(back[f"est_{name}"]) for name in names] + [float(back["objective"])]
+    assert np.array_equal(_bits(true_back), _bits(theta))
+    assert np.array_equal(_bits(est_back), _bits(row[2:10:2] + [row[9]]))

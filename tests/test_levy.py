@@ -87,7 +87,7 @@ def test_brownian_batch_equals_sequential():
     bounds = np.array([0.0, 0.1, 0.3, 0.35, 0.65])
     batch = a.brownian_increments(np.diff(bounds))
     for i in range(bounds.size - 1):
-        inc = b.brownian_increment(bounds[i], bounds[i + 1])
+        inc = b.brownian_increments(np.array([bounds[i + 1] - bounds[i]]))[0]
         assert np.array_equal(batch[i], inc)
 
     dts = np.diff(bounds)
@@ -114,7 +114,7 @@ def test_fill_normals_rejects_arrays_it_would_fill_out_of_order():
 def test_brownian_requires_ordered_interval():
     noise = LevyPathNoise(5, 1.0, 1.0, 3)
     with pytest.raises(ValueError):
-        noise.brownian_increment(0.5, 0.5)
+        noise.brownian_increments(np.array([0.5 - 0.5]))
 
 
 def test_path_is_pure_function_of_seed():
@@ -122,7 +122,7 @@ def test_path_is_pure_function_of_seed():
     b = LevyPathNoise(99, 3.0, 2.0, 3)
     assert np.array_equal(a.jump_times, b.jump_times)
     assert np.array_equal(a.jump_marks, b.jump_marks)
-    assert np.array_equal(a.brownian_increment(0, 0.5), b.brownian_increment(0, 0.5))
+    assert np.array_equal(a.brownian_increments(np.array([0.5]))[0], b.brownian_increments(np.array([0.5]))[0])
 
 
 def test_constructor_validation():
@@ -156,7 +156,7 @@ def test_draw_jumps_sorted_is_the_path_skeleton(dim):
         # the Brownian draws start where the skeleton's draws end
         inc = ref_rng.standard_normal(dim)
         assert np.array_equal(rng.standard_normal(dim), inc)
-        assert np.array_equal(noise.brownian_increment(0.0, 1.0), inc)
+        assert np.array_equal(noise.brownian_increments(np.array([1.0]))[0], inc)
 
 
 def test_mark_index_is_choice_with_weights():

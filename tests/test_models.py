@@ -67,12 +67,12 @@ def test_noise_coeff_numbers():
 
 
 def test_noise_coeff_proportions():
-    v = sl.noise_coeff_proportions(X0_PROPORTIONS, PARAMS_P)
+    v = sl.PROPORTIONS.noise_matrix(X0_PROPORTIONS, PARAMS_P)[..., 0]
     assert np.allclose(v, [-0.0031570, 0.0063140, -0.0031570], atol=1e-15)
-    assert np.all(sl.noise_coeff_proportions((0.5, 0.0, 0.5), PARAMS_P) == 0.0)
+    assert np.all(sl.PROPORTIONS.noise_matrix((0.5, 0.0, 0.5), PARAMS_P) == 0.0)
     rng = np.random.default_rng(7)
     states = rng.uniform(0.0, 1.0, size=(10_000, 3))
-    vs = sl.noise_coeff_proportions(states, PARAMS_P)
+    vs = sl.PROPORTIONS.noise_matrix(states, PARAMS_P)[..., 0]
     assert np.all(vs.sum(axis=1) == 0.0)  # exact cancellation of (-1, 2, -1)
 
 
@@ -135,7 +135,8 @@ def test_noise_direction_is_read_only_and_sets_the_noise():
     states = rng.uniform(0.0, 2.0, size=(40, 3))
     states[0, 1] = 0.0
     c = sl.noise_coeff_numbers(states, PARAMS_P)
-    assert sl.noise_coeff_proportions(states, PARAMS_P).tobytes() == np.stack([-c, 2.0 * c, -c], axis=-1).tobytes()
+    column = sl.PROPORTIONS.noise_matrix(states, PARAMS_P)[..., 0]
+    assert column.tobytes() == np.stack([-c, 2.0 * c, -c], axis=-1).tobytes()
     for model, dim in ((sl.NUMBERS, 3), (sl.PROPORTIONS, 1)):
         assert model.direction.shape == (3, dim) and model.driver_dim == dim
         with pytest.raises(ValueError):

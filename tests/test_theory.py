@@ -3,7 +3,7 @@ import pytest
 
 import sirlevy as sl
 import sirlevy.theory as theory_mod
-from sirlevy.theory import LimitSampler, SingularWeightError, _quadrature_weights
+from sirlevy.theory import LimitSampler, _quadrature_weights
 
 from conftest import THETA_REF, X0_NUMBERS, X0_PROPORTIONS
 
@@ -35,7 +35,7 @@ def test_weighted_information_matrix():
     assert info.min_eigenvalue() > 0.0
     with pytest.raises(ValueError):
         sl.information_matrix("proportions", THETA_REF, sl.proportions_defaults(), (0.8, 0.1, 0.1), weighted=True)
-    with pytest.raises(SingularWeightError):
+    with pytest.raises(sl.DegenerateWeightsError):
         sl.information_matrix("numbers", THETA_REF, PARAMS, (2.3, 0.0, 0.25), weighted=True)
 
 

@@ -7,7 +7,7 @@ import sirlevy as sl
 from sirlevy import ContrastConfig, EstimatorConfig
 from sirlevy.contrast import DegenerateWeightsError, alpha_profile, weighted_coefficient
 from sirlevy.estimator import EstimationError
-from sirlevy.theory import LimitSampler, SingularWeightError, _quadrature_weights
+from sirlevy.theory import LimitSampler, _quadrature_weights
 
 from conftest import THETA_REF, X0_NUMBERS, X0_PROPORTIONS, make_dataset
 
@@ -17,10 +17,8 @@ WEIGHTED = ContrastConfig(form="weighted", eps=0.01)
 
 # every entry point that reads the weighted form, called on the proportions model
 ON_PROPORTIONS = {
-    "contrast_plain": lambda traj: sl.contrast_plain(traj, THETA_REF, PROP_PARAMS, WEIGHTED),
-    "contrast_weighted": lambda traj: sl.contrast_weighted(traj, THETA_REF, PROP_PARAMS, WEIGHTED),
-    "contrast_weighted_default_cfg": lambda traj: sl.contrast_weighted(traj, THETA_REF),
     "contrast_value": lambda traj: sl.contrast_value(traj, THETA_REF, PROP_PARAMS, WEIGHTED),
+    "default_params": lambda traj: sl.contrast_value(traj, THETA_REF, cfg=WEIGHTED),
     "contrast_gradient": lambda traj: sl.contrast_gradient(traj, THETA_REF, PROP_PARAMS, WEIGHTED),
     "alpha_profile": lambda traj: alpha_profile(traj, PROP_PARAMS, WEIGHTED),
     "lsgd_estimate": lambda traj: sl.lsgd_estimate(traj, EstimatorConfig(cells=4), cfg=WEIGHTED),
@@ -53,7 +51,6 @@ def test_weighted_coefficient_is_the_noise_coefficient():
 
 
 def test_degenerate_path_raises_one_class_in_the_theory():
-    assert SingularWeightError is DegenerateWeightsError
     with pytest.raises(DegenerateWeightsError):
         sl.information_matrix("numbers", THETA_REF, PARAMS, (2.3, 0.0, 0.25), weighted=True)
     with pytest.raises(DegenerateWeightsError):
@@ -69,12 +66,12 @@ def _degenerate_trajectory():
 def test_degenerate_path_keeps_each_entry_points_outcome():
     traj = _degenerate_trajectory()
     cfg = ContrastConfig(form="weighted", eps=1.0)
-    assert sl.contrast_weighted(traj, THETA_REF, PARAMS, cfg) == (0.0, True)
     assert sl.contrast_value(traj, THETA_REF, PARAMS, cfg) == 0.0
+    with pytest.raises(DegenerateWeightsError):
+        weighted_coefficient("numbers", traj.states[:-1], PARAMS)
     assert np.all(sl.contrast_gradient(traj, THETA_REF, PARAMS, cfg) == 0.0)
-    # the plain objective only reads the weighted cfg's eps
-    plain = sl.contrast_plain(traj, THETA_REF, PARAMS, ContrastConfig(form="plain", eps=1.0))
-    assert sl.contrast_plain(traj, THETA_REF, PARAMS, cfg) == plain
+    # the form comes from the config: a plain one gives the nonzero plain value
+    assert sl.contrast_value(traj, THETA_REF, PARAMS, ContrastConfig(form="plain", eps=1.0)) > 0.0
     with pytest.raises(DegenerateWeightsError):
         alpha_profile(traj, PARAMS, cfg)
     message = "weighted objective is identically zero (degenerate noise weights); cannot estimate"
