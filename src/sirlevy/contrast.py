@@ -273,14 +273,9 @@ def _enumerate_faces(gram: np.ndarray, lin: np.ndarray, lower, upper) -> np.ndar
     pair = free[:, :, None] & free[:, None, :]
     system = np.where(pair, gram, np.eye(q))
     rhs = np.where(free, lin - at @ gram, at)
-    diag = np.diag(gram)
-    unit = np.where(free, np.sqrt(np.where(diag > 0.0, diag, 1.0)), 1.0)
-    curv = np.linalg.eigvalsh(system / (unit[:, :, None] * unit[:, None, :]))[:, 0]
-    singular = curv <= _FACE_SINGULAR_TOL
-    system[singular] = np.eye(q)
-    alpha = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    alpha, regular = _unconstrained(system, rhs)
     slack = 1e-12 * (1.0 + np.maximum(np.abs(lower), np.abs(upper)))
-    feasible = ~singular & np.all((alpha >= lower - slack) & (alpha <= upper + slack), axis=1)
+    feasible = regular & np.all((alpha >= lower - slack) & (alpha <= upper + slack), axis=1)
     alpha = np.clip(alpha[feasible], lower, upper)
     values = np.einsum("fi,ij,fj->f", alpha, gram, alpha) - 2.0 * alpha @ lin
     return alpha[np.argmin(values)]
@@ -372,10 +367,6 @@ class AlphaQuadratic:
     def lipschitz(self) -> float:
         """Largest curvature of the quadratic (for step-size and stop scaling)."""
         return float(2.0 * self.scale * np.linalg.eigvalsh(self.gram).max())
-
-    def minimize_box(self, lower, upper) -> np.ndarray:
-        """Exact minimizer over the finite box [lower, upper], by enumerating its 3**q faces."""
-        return _enumerate_faces(self.gram, self.lin, np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
 
 
 @dataclass

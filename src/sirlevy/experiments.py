@@ -130,6 +130,9 @@ def load_trajectory(path: str, meta_path: str | None = None) -> Trajectory:
         model = meta.get("model", model)
         theta = _theta_from_meta(meta)
         if "birth" in meta:
+            missing = [key for key in ("death", "gamma", "sigma") if key not in meta]
+            if missing:
+                raise ValueError(f"sidecar {meta_path} records birth but not {', '.join(missing)}")
             params = SirParams(
                 birth=float(meta["birth"]),
                 death=float(meta["death"]),

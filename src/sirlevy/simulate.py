@@ -7,17 +7,18 @@ times are integration nodes by construction; no interpolation happens
 anywhere.
 
 Both integrators take every grid interval through one Euler-Maruyama step
-(``_euler_step``), every jump through one jump (``_jump``), and clamp and
-check each result the same way (``_clamp``, ``_finite``).  ``simulate_sde``
-integrates one path on Python floats.  ``simulate_many`` integrates many paths
-in lockstep: every path takes each base interval of the uniform grid in one
-in-place step over (3, paths) arrays (``_lockstep``), and a path with a jump
-inside the interval takes its extra sub-steps on its own, on floats, through
-``_euler_step``.  ``_lockstep`` is ``_euler_step`` written as a dozen or so
-ufunc calls into buffers allocated once per call: each path gets the same
-IEEE operations in the same order, with beta from the float step's own
-``make_beta_fast``, so each row equals ``simulate_sde`` on the same noise
-bit for bit.  A base step
+(``_euler_step``) and every jump through one jump (``_jump``).  On floats a
+path goes through one walk (``_walk``), which clamps and checks each result
+and stops at the first non-finite state.  ``simulate_sde`` walks one path
+over each observation interval of its grid.  ``simulate_many`` integrates
+many paths in lockstep: every path takes each base interval of the uniform
+grid in one in-place step over (3, paths) arrays (``_lockstep``), and a path
+with jumps in the interval, inside it or on its end node, walks the interval
+instead, in sub-steps that end at those jumps and at the end node.
+``_lockstep`` is ``_euler_step`` written as a dozen or so ufunc calls into
+buffers allocated once per call: each path gets the same IEEE operations in
+the same order, with beta from the float step's own ``make_beta_fast``, so
+each row equals ``simulate_sde`` on the same noise bit for bit.  A base step
 runs the clamp and the non-finite check only when one reduction over the
 state's bits finds a component that is negative (or -0.0) or non-finite.
 
@@ -141,56 +142,35 @@ def simulate_sde(
     base = np.linspace(0.0, horizon, n_steps + 1)
     keep = noise.jump_times <= horizon
     jump_times = noise.jump_times[keep]
-    jump_marks = noise.jump_marks[keep]
     grid = np.union1d(base, jump_times)
-    dts = np.diff(grid)
 
     # one batch draw produces the same stream as per-interval draws, in grid order
-    incs = noise.brownian_increments(dts).tolist()
+    incs = noise.brownian_increments(np.diff(grid)).tolist()
     grid_list = grid.tolist()
-    dts_list = dts.tolist()
-    jump_node = np.searchsorted(grid, jump_times).tolist()
-    marks_list = jump_marks.tolist()
+    marks = [None] * len(grid_list)  # by node: the mark of the jump there, if any
+    for node, mark in zip(np.searchsorted(grid, jump_times).tolist(), noise.jump_marks[keep].tolist()):
+        marks[node] = mark
     obs_node = np.searchsorted(grid, base[::substeps]).tolist()
 
     step = _euler_step(model, theta, params)
     jump = _jump(model, params)
     x, y, z = (float(v) for v in np.asarray(s0, dtype=float))
-    out = np.empty((n_obs + 1, 3))
-    out[0] = (x, y, z)
+    observed = [(x, y, z)]
     clamps = 0
-    obs_ptr = 1
-    jump_ptr = 0
-    n_jumps = len(jump_node)
-
-    for i in range(len(grid_list) - 1):
-        x, y, z = step(grid_list[i], x, y, z, dts_list[i], incs[i])
-        if x < 0.0 or y < 0.0 or z < 0.0:
-            x, y, z, n = _clamp(x, y, z)
-            clamps += n
-        t_next = grid_list[i + 1]
-        if not _finite(x, y, z):
-            raise SimulationError(f"non-finite state at t={t_next}", time=t_next)
-
-        while jump_ptr < n_jumps and jump_node[jump_ptr] == i + 1:
-            x, y, z = jump(x, y, z, marks_list[jump_ptr])
-            if x < 0.0 or y < 0.0 or z < 0.0:
-                x, y, z, n = _clamp(x, y, z)
-                clamps += n
-            if not _finite(x, y, z):
-                raise SimulationError(f"non-finite state at jump t={t_next}", time=t_next)
-            jump_ptr += 1
-
-        if obs_ptr <= n_obs and obs_node[obs_ptr] == i + 1:
-            out[obs_ptr] = (x, y, z)
-            obs_ptr += 1
-
-    if obs_ptr != n_obs + 1:
-        raise SimulationError("observation nodes were not all visited", time=horizon)
+    # one walk per observation interval, from node a to node b
+    for a, b in zip(obs_node, obs_node[1:]):
+        x, y, z, n, failure = _walk(
+            step, jump, grid_list[a], x, y, z, grid_list[a + 1 : b + 1], incs[a:b], marks[a + 1 : b + 1]
+        )
+        clamps += n
+        if failure is not None:
+            t, at_jump = failure
+            raise SimulationError(f"non-finite state at {'jump ' if at_jump else ''}t={t}", time=t)
+        observed.append((x, y, z))
 
     return Trajectory(
         times=base[::substeps].copy(),
-        states=out,
+        states=np.array(observed),
         model=model.tag,
         theta=theta,
         params=params,
@@ -208,10 +188,10 @@ def _euler_step(model, theta: ThetaParams, params: SirParams):
     :func:`~sirlevy.models.make_drift_fast` times dt, plus the noise
     coefficient eps*sigma*X*Y*Z at the step's left state times the Brownian
     increment (through the column (-1, 2, -1) on the proportions model).  It
-    works on floats: :func:`simulate_sde` calls it for every interval, and
-    :func:`simulate_many` for a path's own sub-steps.  The lockstep base
-    interval of :func:`simulate_many` takes it in its in-place array form,
-    :func:`_lockstep`, which gives the same values bit for bit.
+    works on floats, inside :func:`_walk`, the one float path of both
+    integrators.  The lockstep base interval of :func:`simulate_many` takes
+    it in its in-place array form, :func:`_lockstep`, which gives the same
+    values bit for bit.
     """
     drift = make_drift_fast(model, theta, params)
     eps_sigma = params.eps * params.sigma
@@ -240,7 +220,8 @@ def _lockstep(model, theta: ThetaParams, params: SirParams, times, dts, n_paths:
     ``dts[k]`` with the increments ``dw`` ((3, n_paths) on the numbers model,
     (n_paths,) on the proportions model), writes the raw result into the
     other of two state buffers and returns it; that buffer holds the current
-    states from then on.  Each path gets the IEEE operations of the float
+    states from then on, and the one it read keeps the states the step
+    started from until the next step.  Each path gets the IEEE operations of the float
     step in the same order, so a column equals ``_euler_step`` on that path
     bit for bit: beta(times[k]) comes from :func:`make_beta_fast`, as in the
     float step; the drift's rows are built in one (3, n_paths) buffer, so
@@ -353,6 +334,34 @@ def _finite(x, y, z) -> bool:
     return math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
 
 
+def _walk(step, jump, t, x, y, z, ends, rows, marks):
+    """One path on floats over a run of intervals: ``(x, y, z, clamps, failure)``.
+
+    Interval i runs from ``ends[i - 1]`` (``t`` for the first) to ``ends[i]``:
+    one ``step`` with the increment ``rows[i]``, then the jump ``marks[i]`` at
+    ``ends[i]`` unless that mark is None.  Every result is clamped and
+    checked.  The walk stops at the first non-finite state, and ``failure``
+    is then ``(time, at_jump)``; otherwise it is None.
+    """
+    clamps = 0
+    for tau, dw, mark in zip(ends, rows, marks):
+        x, y, z = step(t, x, y, z, tau - t, dw)
+        if x < 0.0 or y < 0.0 or z < 0.0:
+            x, y, z, n = _clamp(x, y, z)
+            clamps += n
+        if not _finite(x, y, z):
+            return x, y, z, clamps, (tau, False)
+        if mark is not None:
+            x, y, z = jump(x, y, z, mark)
+            if x < 0.0 or y < 0.0 or z < 0.0:
+                x, y, z, n = _clamp(x, y, z)
+                clamps += n
+            if not _finite(x, y, z):
+                return x, y, z, clamps, (tau, True)
+        t = tau
+    return x, y, z, clamps, None
+
+
 @dataclass
 class PathBatch:
     """Observation states of paths integrated together, with per-path outcomes."""
@@ -380,21 +389,22 @@ def simulate_many(
     """Integrate many noise realizations in lockstep; row p equals ``simulate_sde`` on ``noises[p]``.
 
     Every path takes each base interval of the uniform grid in one in-place
-    step over the paths (:func:`_lockstep`).  A path with jumps strictly
-    inside the interval first takes its sub-steps up to its last such jump on
-    floats, and its own last sub-step replaces its share of the vectorized
-    step; a jump on a base node is applied to its path alone after the step.
-    States, clamp counts and the non-finite checks follow ``simulate_sde``
-    exactly, except that a path reaching a non-finite state is flagged in
-    ``fail_times`` instead of raising.
+    step over the paths (:func:`_lockstep`).  A path with jumps in the
+    interval, inside it or on its end node, walks it on floats instead
+    (:func:`_walk`), and the walk's clamped and checked state replaces its
+    share of the vectorized step.  The sub-steps of the walk end at the
+    path's jump times and at the end node, which takes no jump unless one
+    lies on it.  States, clamp counts and the non-finite checks follow
+    ``simulate_sde`` exactly up to a path's first non-finite state, which is
+    flagged in ``fail_times`` instead of raising.
 
     The increments are drawn in time chunks, at most INCREMENT_BUDGET values
     over all paths at once, into one (paths, chunk, dim) buffer.  Each path
     fills its row with raw normals in stream order, one fill per run of base
-    intervals, and draws the m + 1 sub-step normals of an interval with m
-    jumps inside it on its own, scaled on floats by the root of each
-    sub-interval; one multiply by the precomputed roots of the base
-    intervals then scales the whole chunk.  Fills continue one stream, and
+    intervals, and draws the normals of an interval it walks on its own, one
+    per sub-step, scaled on floats by the root of each sub-interval; one
+    multiply by the precomputed roots of the base intervals then scales the
+    whole chunk.  Fills continue one stream, and
     the root and product are the same IEEE operations on floats and arrays,
     so the increments equal the single draw of ``simulate_sde``.  Where the
     paths' jumps fall on the grid is found once, by one ``searchsorted``
@@ -421,57 +431,54 @@ def simulate_many(
     chunk = max(1, INCREMENT_BUDGET // max(1, n_paths * dim))
 
     # every path's jumps up to the horizon go on the base grid in one
-    # searchsorted: a jump on base node k + 1 is applied after interval k, and
-    # the jumps strictly inside interval k become sub-steps of it.  Those are
-    # kept path by path in time order, path p's at indices first[p]..ends[p]-1
-    # of the sub_* lists; first[p] moves past them as they are drawn.
+    # searchsorted: a jump at a time in (base[k], base[k + 1]] puts interval k
+    # of its path on a walk (_walk).  The jumps are kept path by path in time
+    # order, path p's at indices first[p]..last[p]-1 of the jump_* lists;
+    # first[p] moves past them as they are drawn.
     times = np.concatenate([np.empty(0), *(noise.jump_times for noise in noises)])
     marks = np.concatenate([np.empty((0, dim)), *(noise.jump_marks for noise in noises)])
     owner = np.repeat(np.arange(n_paths), [noise.jump_count for noise in noises])
     keep = times <= horizon
-    times, marks, owner = times[keep], marks[keep], owner[keep]
-    node = np.searchsorted(base, times)
-    hit = base[node] == times
-    on_node: dict[int, list] = {}
-    for j in np.flatnonzero(hit).tolist():
-        on_node.setdefault(int(node[j]) - 1, []).append((int(owner[j]), marks[j].tolist()))
-    within = ~hit
-    sub_ks = (node[within] - 1).tolist()
-    sub_times = times[within].tolist()
-    sub_marks = marks[within].tolist()
-    ends = np.cumsum(np.bincount(owner[within], minlength=n_paths)).tolist()
-    first = [0, *ends[:-1]]
+    jump_ks = (np.searchsorted(base, times[keep]) - 1).tolist()
+    jump_times = times[keep].tolist()
+    jump_marks = marks[keep].tolist()
+    last = np.cumsum(np.bincount(owner[keep], minlength=n_paths)).tolist()
+    first = [0, *last[:-1]]
 
     buffer = np.empty((n_paths, min(chunk, n_steps), dim))
 
     def draw(k0: int, k1: int):
         """Increments of base intervals k0..k1-1, as ``incs[k - k0]`` of shape
         (3, paths) on the numbers model and (paths,) on the proportions
-        model, and by interval the sub-step increments of the paths
-        that jump inside it.  A path's row of the buffer is not filled at an
-        interval it jumps inside: its sub-steps replace its share of the
-        lockstep step there."""
+        model, and by interval the walks that paths take through it.  A
+        walk's sub-steps end at the path's jump times in the interval and at
+        its end node, which takes no jump unless one lies on it.  A path's
+        row of the buffer is not filled at an interval it walks: the walk
+        replaces its share of the lockstep step there."""
         n = k1 - k0
-        sub_steps: dict[int, list] = {}
+        walks: dict[int, list] = {}
         for p, noise in enumerate(noises):
             row = buffer[p]
             at = 0
-            j, end = first[p], ends[p]
-            while j < end and sub_ks[j] < k1:
-                k = sub_ks[j]
+            j, end = first[p], last[p]
+            while j < end and jump_ks[j] < k1:
+                k = jump_ks[j]
                 i = j + 1
-                while i < end and sub_ks[i] == k:
+                while i < end and jump_ks[i] == k:
                     i += 1
                 if k - k0 > at:
                     noise.fill_normals(row[at : k - k0])
-                normals = noise.fill_normals(np.empty((i - j + 1, dim))).tolist()
+                ends, ms = jump_times[j:i], jump_marks[j:i]
+                if ends[-1] != base_list[k + 1]:
+                    ends.append(base_list[k + 1])
+                    ms.append(None)
                 t = base_list[k]
                 rows = []
-                for z, tau in zip(normals, [*sub_times[j:i], base_list[k + 1]]):
+                for z, tau in zip(noise.fill_normals(np.empty((len(ends), dim))).tolist(), ends):
                     root = math.sqrt(tau - t)
                     rows.append([v * root for v in z])
                     t = tau
-                sub_steps.setdefault(k, []).append((p, sub_times[j:i], sub_marks[j:i], rows))
+                walks.setdefault(k, []).append((p, ends, rows, ms))
                 at = k - k0 + 1
                 j = i
             first[p] = j
@@ -480,30 +487,7 @@ def simulate_many(
         incs = buffer[:, :n]
         incs *= root_dts[k0:k1]
         incs = incs.transpose(1, 2, 0)
-        return (incs if dim == 3 else incs[:, 0]), sub_steps
-
-    def fail(p: int, t: float) -> None:
-        if math.isnan(fail_times[p]):
-            fail_times[p] = t
-
-    def advance(k, p, taus, marks, rows, x, y, z):
-        """Path p through its jumps inside interval k; the raw result of its last sub-step."""
-        t = base_list[k]
-        for tau, mark, dw in zip(taus, marks, rows):
-            x, y, z = step(t, x, y, z, tau - t, dw)
-            if x < 0.0 or y < 0.0 or z < 0.0:
-                x, y, z, n = _clamp(x, y, z)
-                clamps[p] += n
-            if not _finite(x, y, z):
-                fail(p, tau)
-            x, y, z = jump(x, y, z, mark)
-            if x < 0.0 or y < 0.0 or z < 0.0:
-                x, y, z, n = _clamp(x, y, z)
-                clamps[p] += n
-            if not _finite(x, y, z):
-                fail(p, tau)
-            t = tau
-        return step(t, x, y, z, base_list[k + 1] - t, rows[-1])
+        return (incs if dim == 3 else incs[:, 0]), walks
 
     state, lockstep = _lockstep(model, theta, params, base_list[:-1], dts_list, n_paths)
     state[:] = np.asarray(s0, dtype=float)[:, None]
@@ -513,15 +497,16 @@ def simulate_many(
     with np.errstate(all="ignore"):
         for k0 in range(0, n_steps, chunk):
             k1 = min(k0 + chunk, n_steps)
-            incs, sub_steps = draw(k0, k1)
+            incs, walks = draw(k0, k1)
             for k in range(k0, k1):
-                jumpers = sub_steps.get(k)
-                if jumpers:
-                    fixes = [(p, advance(k, p, *sub, *state[:, p].tolist())) for p, *sub in jumpers]
-                state = lockstep(k, incs[k - k0])
-                if jumpers:
-                    for p, raw in fixes:
-                        state[:, p] = raw
+                # the step leaves the states it started from in the other buffer
+                prev, state = state, lockstep(k, incs[k - k0])
+                for p, ends, rows, ms in walks.get(k, ()):
+                    x, y, z, n, failure = _walk(step, jump, base_list[k], *prev[:, p].tolist(), ends, rows, ms)
+                    state[:, p] = (x, y, z)
+                    clamps[p] += n
+                    if failure is not None and math.isnan(fail_times[p]):
+                        fail_times[p] = failure[0]
                 # read as unsigned integers, every negative number (and -0.0),
                 # +inf and nan lies at or above +inf's bits, so one max decides
                 # whether any path needs the clamp or the non-finite check
@@ -533,12 +518,6 @@ def simulate_many(
                     if not np.isfinite(state).all():
                         bad = ~np.isfinite(state).all(axis=0) & np.isnan(fail_times)
                         fail_times[bad] = base_list[k + 1]
-                for p, mark in on_node.get(k, ()):
-                    x, y, z, n_jump = _clamp(*jump(*state[:, p].tolist(), mark))
-                    clamps[p] += n_jump
-                    if not _finite(x, y, z):
-                        fail(p, base_list[k + 1])
-                    state[:, p] = (x, y, z)
                 if (k + 1) % substeps == 0:
                     out[:, (k + 1) // substeps] = state.T
     return PathBatch(times=base[::substeps].copy(), states=out, clamp_counts=clamps, fail_times=fail_times)

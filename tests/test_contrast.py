@@ -178,7 +178,7 @@ def test_linear_solve_rejects_a_nearly_collinear_full_rank_design():
     assert "rank 2 < 3" in str(err.value)
     quad = profile.quadratic(3000.0)
     alpha, value = profile.solve(3000.0, box)
-    assert np.array_equal(alpha, quad.minimize_box(lower, upper))
+    assert np.array_equal(alpha, sl.contrast._enumerate_faces(quad.gram, quad.lin, lower, upper))
     assert value == quad.value(alpha)
     # well inside the cutoff (condition number about 1e3) the normal equations
     # agree with an SVD least-squares solve
@@ -305,7 +305,7 @@ def _clipped_solve(quad, lower, upper) -> np.ndarray:
 @given(box_problems())
 def test_box_solve_satisfies_kkt(problem):
     quad, lower, upper = problem
-    alpha = quad.minimize_box(lower, upper)
+    alpha = sl.contrast._enumerate_faces(quad.gram, quad.lin, lower, upper)
     assert np.all(alpha >= lower) and np.all(alpha <= upper)
     assert _pg_map(quad, alpha, lower, upper) <= 1e-9 * (1.0 + np.abs(alpha).max())
 
@@ -314,7 +314,7 @@ def test_box_solve_satisfies_kkt(problem):
 @given(box_problems())
 def test_box_solve_beats_clipped_solve_and_pgd(problem):
     quad, lower, upper = problem
-    alpha = quad.minimize_box(lower, upper)
+    alpha = sl.contrast._enumerate_faces(quad.gram, quad.lin, lower, upper)
     clipped = _clipped_solve(quad, lower, upper)
     pgd = pgd_quadratic(quad, lower, upper, start=clipped, max_iter=2000)
     slack = _value_slack(quad, alpha, clipped, pgd.alpha)
@@ -332,7 +332,7 @@ def test_box_solve_is_unconstrained_solve_when_interior(problem):
     margin = min((raw - lower).min(), (upper - raw).min())
     if margin <= 1e-6:
         return  # not interior
-    alpha = quad.minimize_box(lower, upper)
+    alpha = sl.contrast._enumerate_faces(quad.gram, quad.lin, lower, upper)
     assert np.allclose(alpha, raw, rtol=1e-9, atol=1e-12)
 
 
@@ -536,7 +536,7 @@ def test_certified_box_solve_matches_face_enumeration(problem):
     fast = sl.contrast.solve_box(gram, lin, lower, upper)
     for i in range(lin.shape[0]):
         quad = AlphaQuadratic(gram=gram[i], lin=lin[i], const=0.0, scale=1.0, period=0.5, order=0)
-        exact = quad.minimize_box(lower, upper)
+        exact = sl.contrast._enumerate_faces(quad.gram, quad.lin, lower, upper)
         assert np.all(fast[i] >= lower) and np.all(fast[i] <= upper)
         assert _pg_map(quad, fast[i], lower, upper) <= 1e-9 * (1.0 + np.abs(fast[i]).max())
         slack = _value_slack(quad, fast[i], exact)
@@ -574,7 +574,7 @@ def test_box_solve_enumerates_when_the_clipped_face_is_not_optimal(monkeypatch):
     alpha = sl.contrast.solve_box(gram, lin, lower, upper)[0]
     assert calls == [1]
     quad = AlphaQuadratic(gram=gram[0], lin=lin[0], const=0.0, scale=1.0, period=0.5, order=0)
-    assert np.array_equal(alpha, quad.minimize_box(lower, upper))
+    assert np.array_equal(alpha, sl.contrast._enumerate_faces(quad.gram, quad.lin, lower, upper))
     assert alpha == pytest.approx([1.0, 0.15], rel=1e-12)
 
 

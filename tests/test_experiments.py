@@ -312,6 +312,31 @@ def test_sidecar_without_model_or_constants_is_no_mismatch(tmp_path):
     assert error == f"ValueError: the dataset sidecar {records[2].meta_path} differs from the config in sigma 0.25 (config 0.5)"
 
 
+def test_sidecar_with_partial_constants_is_rejected_by_name(tmp_path):
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=3, seed=1, cells=6)
+    out = str(tmp_path)
+    records = sl.generate_datasets(cfg, out)
+    # dataset 0 loses sigma, dataset 1 death and gamma; dataset 2 stays whole
+    for record, dropped in zip(records[:2], (("sigma",), ("death", "gamma"))):
+        meta = load_keyvalues(record.meta_path)
+        for key in dropped:
+            del meta[key]
+        sl.experiments.save_keyvalues(meta, record.meta_path)
+        with pytest.raises(ValueError) as err:
+            load_trajectory(record.path, record.meta_path)
+        assert record.meta_path in str(err.value)
+        for key in ("death", "gamma", "sigma"):
+            assert (key in str(err.value)) == (key in dropped), (key, str(err.value))
+    with open(sl.batch_estimate(records, cfg, out)[0.01], encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row, record in zip(rows[:2], records[:2]):
+        assert row["error"].startswith("ValueError: sidecar "), row["error"]
+        assert record.meta_path in row["error"]
+        assert row["converged"] == "false"
+    assert rows[2]["error"] == ""
+
+
 def test_proportions_config_forces_plain_contrast():
     cfg = RunConfig.proportions_defaults(n_datasets=2)
     assert cfg.contrast_form == "plain"

@@ -123,17 +123,36 @@ def _reference_euler(model_tag, theta, params, s0, horizon, n_obs, noise, subste
     return np.array(out)
 
 
+def _reference_noises(dim):
+    """Jumps of the law; and by hand, on a base node, on an observation node,
+    two inside one base interval and then on its end node, and at the
+    horizon, with a mark that forces a clamp on the first.  The oracle
+    multiplies eps, sigma*X*Y*Z and the mark in another order, which can
+    round apart on a large jump: on the numbers model the large mark moves
+    only X, which it clamps to zero, and on the proportions model it rounds
+    alike."""
+    base = np.linspace(0.0, 1.0, 50 * 7 + 1)
+    dt = base[1] - base[0]
+    mark = [-0.1, 0.1, 0.0] if dim == 3 else [0.1]
+    big = [-1024.0, 0.0, 0.0] if dim == 3 else [8192.0]
+    times = [base[38], base[70], base[100] + 0.3 * dt, base[100] + 0.6 * dt, base[101], base[-1]]
+    return [
+        sl.LevyPathNoise(303, 4.0, 1.0, dim),
+        _hand_noise(304, dim, 1.0, times, [big] + [mark] * 5),
+    ]
+
+
 @pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
 def test_integrator_matches_reference_euler_bitwise(model_tag):
     params = (sl.numbers_defaults if model_tag == "numbers" else sl.proportions_defaults)(eps=0.1)
     x0 = X0_NUMBERS if model_tag == "numbers" else X0_PROPORTIONS
     dim = sl.get_model(model_tag).driver_dim
-    noise_a = sl.LevyPathNoise(303, 4.0, 1.0, dim)
-    noise_b = sl.LevyPathNoise(303, 4.0, 1.0, dim)
-    assert noise_a.jump_count > 0
-    traj = sl.simulate_sde(model_tag, THETA_REF, params, x0, 1.0, 50, noise_a, substeps=7)
-    ref = _reference_euler(model_tag, THETA_REF, params, x0, 1.0, 50, noise_b, substeps=7)
-    assert np.array_equal(traj.states, ref)
+    for noise_a, noise_b in zip(_reference_noises(dim), _reference_noises(dim)):
+        assert noise_a.jump_count > 0
+        traj = sl.simulate_sde(model_tag, THETA_REF, params, x0, 1.0, 50, noise_a, substeps=7)
+        ref = _reference_euler(model_tag, THETA_REF, params, x0, 1.0, 50, noise_b, substeps=7)
+        assert np.array_equal(traj.states, ref)
+    assert traj.clamp_count > 0  # the hand-built path's large mark
 
 
 def test_no_jumps_reduces_to_pure_diffusion_euler():
@@ -168,6 +187,29 @@ def test_nonfinite_state_raises():
     noise = sl.LevyPathNoise(1, 1.0, 1.0, 3)
     with pytest.raises(sl.SimulationError):
         sl.simulate_sde("numbers", th, p, (1e200, 1e200, 0.0), 1.0, 10, noise)
+
+
+@pytest.mark.parametrize("model_tag", ["numbers", "proportions"])
+def test_nonfinite_step_and_jump_are_named_with_their_time(model_tag):
+    params, x0, dim = _model_setup(model_tag)
+    base = np.linspace(0.0, 1.0, 101)
+    dt = base[1] - base[0]
+    huge = [np.inf] * dim
+    # an infinite mark fails its jump, inside a base interval or on a node
+    for t in (base[20] + 0.5 * dt, base[40]):
+        with pytest.raises(sl.SimulationError) as err:
+            sl.simulate_sde(model_tag, THETA_REF, params, x0, 1.0, 10, _hand_noise(5000, dim, 1.0, [t], [huge]))
+        assert err.value.time == t
+        assert str(err.value) == f"non-finite state at jump t={t}"
+    # explosive transmission fails the first step, a base step or a sub-step before a jump
+    boom = sl.SirParams(birth=0.0, death=0.0, gamma=1.0, sigma=1.0, eps=0.0)
+    th = sl.ThetaParams(1.0, 1e6)
+    for times, t in (([], base[1]), ([0.0004], 0.0004)):
+        noise = _hand_noise(5001, dim, 1.0, times, [[0.1] * dim] * len(times))
+        with pytest.raises(sl.SimulationError) as err:
+            sl.simulate_sde(model_tag, th, boom, (1e200, 1e200, 0.0), 1.0, 10, noise)
+        assert err.value.time == t
+        assert str(err.value) == f"non-finite state at t={t}"
 
 
 def test_predict_ensemble_noiseless_equals_single_path():
