@@ -22,11 +22,20 @@ from .contrast import ContrastConfig, alpha_column_names
 from .estimator import BoxConstraints, EstimatorConfig, lsgd_estimate
 from .levy import LevyPathNoise, sample_lambda, seed_sequence, stream
 from .models import NUMBERS_X0, PROPORTIONS_X0, SirParams, get_model
-from .simulate import SimulationError, Trajectory, predict_ensemble, simulate_sde, solve_ode
+from .simulate import (
+    PATH_BLOCK,
+    SimulationError,
+    Trajectory,
+    predict_ensemble,
+    simulate_many,
+    simulate_sde,
+    solve_ode,
+)
 from .theory import HORIZON
 from .transmission import PERIOD_FLOOR, ThetaParams
 
 FLOAT_FMT = "{:.17g}"
+_ROW_FMT = "%.17g,%.17g,%.17g,%.17g\n"  # a trajectory CSV row: t, X, Y, Z in FLOAT_FMT
 
 _log = logging.getLogger(__name__)
 
@@ -66,10 +75,11 @@ def load_keyvalues(path: str) -> dict[str, str]:
 
 
 def save_trajectory(traj: Trajectory, path: str, meta_path: str | None = None) -> None:
+    # one format per row writes what _fmt writes for each float
+    rows = zip(traj.times.tolist(), *traj.states.T.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,X,Y,Z\n")
-        for t, (x, y, z) in zip(traj.times, traj.states):
-            fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n")
+        fh.writelines([_ROW_FMT % row for row in rows])
     if meta_path is not None:
         save_trajectory_meta(traj, meta_path)
 
@@ -302,43 +312,60 @@ def _eps_exact(eps: float) -> str:
 def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
     """Simulate n_datasets trajectories per eps; persist CSV + sidecar + index.
 
-    A dataset whose simulation fails is skipped (recorded in the index as
-    missing) and generation continues.
+    The datasets are simulated in lockstep, each with its own theta and eps:
+    a :func:`simulate_many` call takes a run of datasets at every eps level,
+    at most PATH_BLOCK paths, and each row is bit-identical to
+    ``simulate_sde`` on the same noise.  Records and index rows come in eps
+    level order, then dataset order.  A dataset whose simulation fails is
+    skipped (recorded in the index as FAILED, with ``simulate_sde``'s error
+    message) and generation continues.
     """
     model = get_model(cfg.model)
     # checked before anything is written, so a bad initial state leaves no partial tree
     model.validate_state(cfg.x0)
     os.makedirs(out_dir, exist_ok=True)
     cfg.save(os.path.join(out_dir, "config.txt"))
-    records: list[DatasetRecord] = []
-    index_rows = []
-    for ei, eps in enumerate(cfg.eps_list):
+    dim = model.driver_dim
+    # dataset i shares its true parameters and driving noise across the eps
+    # sweep (common random numbers), so per-level medians compare like with
+    # like at desk scale; each path still needs a noise of its own, as a
+    # noise's Brownian stream is used up as it is drawn
+    drawn = []
+    for i in range(cfg.n_datasets):
+        draw_rng = stream(cfg.seed, i, 0)
+        drawn.append((sample_true_theta(draw_rng, cfg.order), sample_lambda(draw_rng)))
+    levels = []
+    for eps in cfg.eps_list:
         eps_dir = os.path.join(out_dir, f"eps_{_eps_tag(eps)}")
         os.makedirs(eps_dir, exist_ok=True)
-        params = cfg.params(eps)
-        for i in range(cfg.n_datasets):
-            # dataset i shares its true parameters and driving noise across
-            # the eps sweep (common random numbers), so per-level medians
-            # compare like with like at desk scale
-            draw_rng = stream(cfg.seed, i, 0)
-            theta0 = sample_true_theta(draw_rng, cfg.order)
-            lam = sample_lambda(draw_rng)
-            noise = LevyPathNoise(seed_sequence(cfg.seed, i, 1), lam, HORIZON, model.driver_dim)
+        levels.append((eps, cfg.params(eps), eps_dir))
+    # a call takes a run of datasets at every level, so each theta's beta is built once
+    per_call = max(1, PATH_BLOCK // len(levels))
+    index_rows = {}  # by (level, dataset), the index's order
+    records = {}
+    for start in range(0, cfg.n_datasets, per_call):
+        block = [(li, i) for li in range(len(levels)) for i in range(start, min(start + per_call, cfg.n_datasets))]
+        thetas = [drawn[i][0] for _, i in block]
+        params = [levels[li][1] for li, _ in block]
+        noises = [LevyPathNoise(seed_sequence(cfg.seed, i, 1), drawn[i][1], HORIZON, dim) for _, i in block]
+        batch = simulate_many(model, thetas, params, cfg.x0, HORIZON, cfg.n_obs, noises, cfg.substeps)
+        for p, (li, i) in enumerate(block):
+            eps, _, eps_dir = levels[li]
             try:
-                traj = simulate_sde(model, theta0, params, cfg.x0, HORIZON, cfg.n_obs, noise, cfg.substeps)
+                traj = batch.trajectory(p)
             except SimulationError as err:
-                index_rows.append([_eps_exact(eps), i, "FAILED", str(err)])
+                index_rows[li, i] = [_eps_exact(eps), i, "FAILED", str(err)]
                 continue
             path = os.path.join(eps_dir, f"dataset_{i:05d}.csv")
             meta_path = os.path.join(eps_dir, f"dataset_{i:05d}.meta")
             save_trajectory(traj, path, meta_path)
-            records.append(DatasetRecord(i, eps, theta0, path, meta_path))
-            index_rows.append([_eps_exact(eps), i, os.path.relpath(path, out_dir), ""])
+            records[li, i] = DatasetRecord(i, eps, thetas[p], path, meta_path)
+            index_rows[li, i] = [_eps_exact(eps), i, os.path.relpath(path, out_dir), ""]
     with open(os.path.join(out_dir, "datasets.csv"), "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["eps", "dataset", "file", "error"])
-        writer.writerows(index_rows)
-    return records
+        writer.writerows(index_rows[key] for key in sorted(index_rows))
+    return [records[key] for key in sorted(records)]
 
 
 def load_records(out_dir: str) -> list[DatasetRecord]:

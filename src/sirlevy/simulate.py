@@ -10,31 +10,39 @@ Both integrators take every grid interval through one Euler-Maruyama step
 (``_euler_step``) and every jump through one jump (``_jump``).  On floats a
 path goes through one walk (``_walk``), which clamps and checks each result
 and stops at the first non-finite state.  ``simulate_sde`` walks one path
-over each observation interval of its grid.  ``simulate_many`` integrates
-many paths in lockstep: every path takes each base interval of the uniform
-grid in one in-place step over (3, paths) arrays (``_lockstep``), and a path
-with jumps in the interval, inside it or on its end node, walks the interval
-instead, in sub-steps that end at those jumps and at the end node.
+over each observation interval of its grid; it is the reference the lockstep
+integrator is tested against.  ``simulate_many`` integrates many paths in
+lockstep, each with its own theta and params or all with the same:
+every path takes each base interval of the uniform grid in one in-place step
+over (3, paths) arrays (``_lockstep``), and a path with jumps in the
+interval, inside it or on its end node, walks the interval instead, with its
+own step and jump, in sub-steps that end at those jumps and at the end node.
 ``_lockstep`` is ``_euler_step`` written as a dozen or so ufunc calls into
 buffers allocated once per call: each path gets the same IEEE operations in
-the same order, with beta from the float step's own ``make_beta_fast``, so
-each row equals ``simulate_sde`` on the same noise bit for bit.  A base step
-runs the clamp and the non-finite check only when one reduction over the
-state's bits finds a component that is negative (or -0.0) or non-finite.
+the same order, with beta from its own theta's ``make_beta_fast`` and its own
+eps*sigma, so each row equals ``simulate_sde`` on the same noise bit for bit.
+A base step runs the clamp and the non-finite check only when one reduction
+over the state's bits finds a component that is negative (or -0.0) or
+non-finite.  :meth:`PathBatch.trajectory` gives a row as the
+:class:`Trajectory` ``simulate_sde`` returns, or raises its
+:class:`SimulationError`, step or jump alike.
 
 Both integrators draw the Brownian part through
 :meth:`~sirlevy.levy.LevyPathNoise.fill_normals`: ``simulate_sde`` as one
 batch of increments over its whole grid, ``simulate_many`` as raw normals in
 time chunks of at most ``INCREMENT_BUDGET`` values over all paths, each path
 filling its runs of base intervals in place and one multiply per chunk
-scaling them.  ``predict_ensemble`` simulates at most ``PATH_BLOCK`` paths per
-call, one call per retry round, so the memory an ensemble holds stays bounded
-whatever the number of paths.
+scaling them; per-path beta is built one chunk at a time too.  The callers
+simulate at most ``PATH_BLOCK`` paths per call: ``predict_ensemble`` one call
+per retry round, ``generate_datasets`` the datasets of every noise level, so
+the memory a study holds stays bounded whatever the number of paths.  The
+rate experiment simulates each noise level's replications in one call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +53,9 @@ from .transmission import ThetaParams, make_beta_fast
 
 DEFAULT_SUBSTEPS = 10
 
-# memory bounds of the lockstep integrator: predict_ensemble passes at most
-# PATH_BLOCK paths to one simulate_many call, and a call holds at most
-# INCREMENT_BUDGET drawn increment values (1 MB) at once
+# memory bounds of the lockstep integrator: predict_ensemble and
+# generate_datasets pass at most PATH_BLOCK paths to one simulate_many call,
+# and a call holds at most INCREMENT_BUDGET drawn increment values (1 MB) at once
 PATH_BLOCK = 256
 INCREMENT_BUDGET = 1 << 17
 SPACING_RTOL = 1e-8  # a regular grid's intervals are this close to the first, relatively
@@ -164,14 +172,23 @@ def simulate_sde(
         )
         clamps += n
         if failure is not None:
-            t, at_jump = failure
-            raise SimulationError(f"non-finite state at {'jump ' if at_jump else ''}t={t}", time=t)
+            raise _failure(*failure)
         observed.append((x, y, z))
+    times = base[::substeps].copy()
+    return _path_trajectory(model.tag, theta, params, noise, substeps, times, np.array(observed), clamps)
 
+
+def _failure(time: float, at_jump: bool) -> SimulationError:
+    """The error of a path whose first non-finite state came at ``time``, from a jump or a step."""
+    return SimulationError(f"non-finite state at {'jump ' if at_jump else ''}t={time}", time=time)
+
+
+def _path_trajectory(tag: str, theta, params, noise, substeps: int, times, states, clamps: int) -> Trajectory:
+    """One simulated path with its generation metadata; more than 5 clamps flag it."""
     return Trajectory(
-        times=base[::substeps].copy(),
-        states=np.array(observed),
-        model=model.tag,
+        times=times,
+        states=states,
+        model=tag,
         theta=theta,
         params=params,
         seed=noise.seed if isinstance(noise.seed, int) else None,
@@ -212,28 +229,35 @@ def _euler_step(model, theta: ThetaParams, params: SirParams):
     return step_prop
 
 
-def _lockstep(model, theta: ThetaParams, params: SirParams, times, dts, n_paths: int):
+def _lockstep(model, params, n_paths: int):
     """The step of :func:`_euler_step` on (3, n_paths) states, in place: ``(state, step)``.
 
-    ``state`` is the buffer of the current states, to be filled before the
-    first step.  ``step(k, dw)`` takes every path from ``times[k]`` over
-    ``dts[k]`` with the increments ``dw`` ((3, n_paths) on the numbers model,
-    (n_paths,) on the proportions model), writes the raw result into the
-    other of two state buffers and returns it; that buffer holds the current
-    states from then on, and the one it read keeps the states the step
-    started from until the next step.  Each path gets the IEEE operations of the float
-    step in the same order, so a column equals ``_euler_step`` on that path
-    bit for bit: beta(times[k]) comes from :func:`make_beta_fast`, as in the
-    float step; the drift's rows are built in one (3, n_paths) buffer, so
-    dt*D, the add to the state and the noise term are one call each over all
-    rows; and the noise column (-1, 2, -1) times the coefficient is exact,
-    since x + (-1*c) equals the float step's x - c.
+    ``params`` is one :class:`SirParams` for every path, or a sequence of
+    one per path.  ``state`` is the buffer of the current states, to be
+    filled before the first step.  ``step(beta, dt, dw)`` takes every path
+    over ``dt`` with transmission rate ``beta`` (a float for every path, or a
+    (n_paths,) array of one per path, from :func:`_betas`) and the increments
+    ``dw`` ((3, n_paths) on the numbers model, (n_paths,) on the proportions
+    model), writes the raw result into the other of two state buffers and
+    returns it; that buffer holds the current states from then on, and the
+    one it read keeps the states the step started from until the next step.
+    Each path gets the IEEE operations of the float step in the same order,
+    so a column equals ``_euler_step`` on that path's theta and params bit
+    for bit: the constants are 0-d arrays, or (n_paths,) arrays of the
+    per-path floats, and elementwise products and sums of arrays are the
+    float operations; the drift's rows are built in one (3, n_paths) buffer,
+    so dt*D, the add to the state and the noise term are one call each over
+    all rows; and the noise column (-1, 2, -1) times the coefficient is
+    exact, since x + (-1*c) equals the float step's x - c.
     """
-    beta = make_beta_fast(theta)
-    betas = [beta(t) for t in times]
-    # ufuncs take a 0-d array faster than a Python float, with the same value
-    eps_sigma = np.array(params.eps * params.sigma)
-    gamma = np.array(params.gamma)
+
+    def constant(value):
+        # a 0-d array for one params (ufuncs take it faster than a Python
+        # float, with the same value), else a (n_paths,) array of the floats
+        return np.array(value(params) if isinstance(params, SirParams) else [value(p) for p in params])
+
+    eps_sigma = constant(lambda p: p.eps * p.sigma)
+    gamma = constant(lambda p: p.gamma)
     bufs = [np.empty((3, n_paths)), np.empty((3, n_paths))]
     rows = [tuple(b) for b in bufs]
     cur = 0
@@ -244,30 +268,30 @@ def _lockstep(model, theta: ThetaParams, params: SirParams, times, dts, n_paths:
     noise = np.empty((3, n_paths))
     mul, add, sub = np.multiply, np.add, np.subtract
 
-    def coefficient(k, x, y, z):
-        mul(betas[k], x, out=infections)
+    def coefficient(beta, x, y, z):
+        mul(beta, x, out=infections)
         mul(infections, y, out=infections)
         mul(eps_sigma, x, out=c)
         mul(c, y, out=c)
         mul(c, z, out=c)
 
     if model.tag == "numbers":
-        birth, death = np.array(params.birth), params.death
-        rates = np.array([[death], [death + params.gamma], [death]])
+        birth = constant(lambda p: p.birth)
+        rates = constant(lambda p: (p.death, p.death + p.gamma, p.death)).reshape(-1, 3).T  # (3, 1 or n_paths)
         recoveries = noise[2]  # free until the noise term is built
 
-        def step(k, dw):
+        def step(beta, dt, dw):
             nonlocal cur
             s, (x, y, z) = bufs[cur], rows[cur]
             cur ^= 1
-            coefficient(k, x, y, z)
+            coefficient(beta, x, y, z)
             mul(rates, s, out=d)
             sub(birth, d0, out=d0)
             sub(d0, infections, out=d0)
             sub(infections, d1, out=d1)
             mul(gamma, y, out=recoveries)
             sub(recoveries, d2, out=d2)
-            mul(d, dts[k], out=d)
+            mul(d, dt, out=d)
             add(s, d, out=d)
             mul(c, dw, out=noise)
             return add(d, noise, out=bufs[cur])
@@ -276,21 +300,46 @@ def _lockstep(model, theta: ThetaParams, params: SirParams, times, dts, n_paths:
 
     column = model.direction  # (-1, 2, -1)
 
-    def step_prop(k, dw):
+    def step_prop(beta, dt, dw):
         nonlocal cur
         s, (x, y, z) = bufs[cur], rows[cur]
         cur ^= 1
-        coefficient(k, x, y, z)
+        coefficient(beta, x, y, z)
         mul(c, dw, out=c)
         mul(gamma, y, out=d2)
         np.negative(infections, out=d0)
         sub(infections, d2, out=d1)
-        mul(d, dts[k], out=d)
+        mul(d, dt, out=d)
         add(s, d, out=d)
         mul(column, c, out=noise)
         return add(d, noise, out=bufs[cur])
 
     return bufs[0], step_prop
+
+
+def _betas(theta):
+    """Beta at a run of float times, ``betas(times)``, for :func:`_lockstep`'s steps.
+
+    One :class:`ThetaParams` gives a list of floats, one per time; a sequence
+    of one per path gives a C-contiguous (len(times), paths) array.  Every
+    value comes from the path's own :func:`make_beta_fast`, as in the float
+    step (numpy's ``cos`` can differ from ``math.cos`` in the last bit), and
+    each distinct theta is evaluated once per time.
+    """
+    if isinstance(theta, ThetaParams):
+        beta = make_beta_fast(theta)
+        return lambda times: [beta(t) for t in times]
+    index: dict = {}  # each distinct theta's column in the table, in first-seen order
+    column = np.array([index.setdefault(th, len(index)) for th in theta], dtype=np.intp)
+    fns = [make_beta_fast(th) for th in index]
+
+    def betas(times):
+        table = np.empty((len(times), len(fns)))
+        for j, f in enumerate(fns):
+            table[:, j] = list(map(f, times))
+        return table.take(column, axis=1)
+
+    return betas
 
 
 def _jump(model, params: SirParams):
@@ -364,22 +413,55 @@ def _walk(step, jump, t, x, y, z, ends, rows, marks):
 
 @dataclass
 class PathBatch:
-    """Observation states of paths integrated together, with per-path outcomes."""
+    """Observation states of paths integrated together, with per-path outcomes and inputs."""
 
     times: np.ndarray  # (n_obs + 1,)
     states: np.ndarray  # (P, n_obs + 1, 3); the rows of failed paths mean nothing
     clamp_counts: np.ndarray  # (P,) clamped components per path
     fail_times: np.ndarray  # (P,) time of the first non-finite state, nan where none
+    fail_at_jump: np.ndarray  # (P,) whether that state came from a jump rather than a step
+    # each path's inputs, as simulate_sde takes them
+    model: str
+    thetas: list  # (P,) ThetaParams
+    params: list  # (P,) SirParams
+    noises: list  # (P,) LevyPathNoise
+    substeps: int
 
     @property
     def failed(self) -> np.ndarray:
         return ~np.isnan(self.fail_times)
 
+    def trajectory(self, p: int) -> Trajectory:
+        """Path p as the :class:`Trajectory` that ``simulate_sde`` returns on its
+        noise, or the :class:`SimulationError` it raises, raised."""
+        if self.failed[p]:
+            raise _failure(float(self.fail_times[p]), bool(self.fail_at_jump[p]))
+        return _path_trajectory(
+            self.model,
+            self.thetas[p],
+            self.params[p],
+            self.noises[p],
+            self.substeps,
+            self.times.copy(),
+            self.states[p].copy(),
+            int(self.clamp_counts[p]),
+        )
+
+
+def _per_path(value, kind, n_paths: int) -> list:
+    """``value`` for each of n_paths paths: one ``kind`` for all, or a sequence of one per path."""
+    if isinstance(value, kind):
+        return [value] * n_paths
+    values = list(value)
+    if len(values) != n_paths:
+        raise ValueError(f"got {len(values)} {kind.__name__} for {n_paths} noises; give one, or one per noise")
+    return values
+
 
 def simulate_many(
     model,
-    theta: ThetaParams,
-    params: SirParams,
+    theta: ThetaParams | Sequence[ThetaParams],
+    params: SirParams | Sequence[SirParams],
     s0,
     horizon: float,
     n_obs: int,
@@ -388,15 +470,18 @@ def simulate_many(
 ) -> PathBatch:
     """Integrate many noise realizations in lockstep; row p equals ``simulate_sde`` on ``noises[p]``.
 
-    Every path takes each base interval of the uniform grid in one in-place
-    step over the paths (:func:`_lockstep`).  A path with jumps in the
+    ``theta`` and ``params`` are each one value for every path, or a sequence
+    of one per noise; row p is then ``simulate_sde`` with ``theta[p]`` and
+    ``params[p]``.  Every path takes each base interval of the uniform grid
+    in one in-place step over the paths (:func:`_lockstep`).  A path with jumps in the
     interval, inside it or on its end node, walks it on floats instead
     (:func:`_walk`), and the walk's clamped and checked state replaces its
     share of the vectorized step.  The sub-steps of the walk end at the
     path's jump times and at the end node, which takes no jump unless one
     lies on it.  States, clamp counts and the non-finite checks follow
     ``simulate_sde`` exactly up to a path's first non-finite state, which is
-    flagged in ``fail_times`` instead of raising.
+    flagged in ``fail_times`` and ``fail_at_jump`` instead of raising;
+    :meth:`PathBatch.trajectory` raises it.
 
     The increments are drawn in time chunks, at most INCREMENT_BUDGET values
     over all paths at once, into one (paths, chunk, dim) buffer.  Each path
@@ -408,15 +493,19 @@ def simulate_many(
     the root and product are the same IEEE operations on floats and arrays,
     so the increments equal the single draw of ``simulate_sde``.  Where the
     paths' jumps fall on the grid is found once, by one ``searchsorted``
-    over all of them.
+    over all of them.  Per-path beta is built one chunk at a time as well
+    (:func:`_betas`), chunk by paths values.
     """
     model = get_model(model)
     if n_obs < 1 or substeps < 1:
         raise ValueError("n_obs and substeps must be >= 1")
+    noises = list(noises)
     for noise in noises:
         _check_noise(noise, model, horizon)
 
     n_paths = len(noises)
+    thetas = _per_path(theta, ThetaParams, n_paths)
+    path_params = _per_path(params, SirParams, n_paths)
     dim = model.driver_dim
     n_steps = n_obs * substeps
     base = np.linspace(0.0, horizon, n_steps + 1)
@@ -424,10 +513,16 @@ def simulate_many(
     root_dts = np.sqrt(base_dts)[:, None]
     base_list = base.tolist()
     dts_list = base_dts.tolist()
-    step = _euler_step(model, theta, params)
-    jump = _jump(model, params)
+    if isinstance(theta, ThetaParams) and isinstance(params, SirParams):
+        walkers = [(_euler_step(model, theta, params), _jump(model, params))] * n_paths
+    else:
+        # a walk takes its path's own float step and jump, built once per distinct pair
+        made = {key: (_euler_step(model, *key), _jump(model, key[1])) for key in set(zip(thetas, path_params))}
+        walkers = [made[key] for key in zip(thetas, path_params)]
+    betas = _betas(theta)
     clamps = np.zeros(n_paths, dtype=np.int64)
     fail_times = np.full(n_paths, np.nan)
+    fail_at_jump = np.zeros(n_paths, dtype=bool)
     chunk = max(1, INCREMENT_BUDGET // max(1, n_paths * dim))
 
     # every path's jumps up to the horizon go on the base grid in one
@@ -489,7 +584,7 @@ def simulate_many(
         incs = incs.transpose(1, 2, 0)
         return (incs if dim == 3 else incs[:, 0]), walks
 
-    state, lockstep = _lockstep(model, theta, params, base_list[:-1], dts_list, n_paths)
+    state, lockstep = _lockstep(model, params, n_paths)
     state[:] = np.asarray(s0, dtype=float)[:, None]
     out = np.empty((n_paths, n_obs + 1, 3))
     out[:, 0] = state.T
@@ -498,15 +593,16 @@ def simulate_many(
         for k0 in range(0, n_steps, chunk):
             k1 = min(k0 + chunk, n_steps)
             incs, walks = draw(k0, k1)
+            beta = betas(base_list[k0:k1])
             for k in range(k0, k1):
                 # the step leaves the states it started from in the other buffer
-                prev, state = state, lockstep(k, incs[k - k0])
+                prev, state = state, lockstep(beta[k - k0], dts_list[k], incs[k - k0])
                 for p, ends, rows, ms in walks.get(k, ()):
-                    x, y, z, n, failure = _walk(step, jump, base_list[k], *prev[:, p].tolist(), ends, rows, ms)
+                    x, y, z, n, failure = _walk(*walkers[p], base_list[k], *prev[:, p].tolist(), ends, rows, ms)
                     state[:, p] = (x, y, z)
                     clamps[p] += n
                     if failure is not None and math.isnan(fail_times[p]):
-                        fail_times[p] = failure[0]
+                        fail_times[p], fail_at_jump[p] = failure
                 # read as unsigned integers, every negative number (and -0.0),
                 # +inf and nan lies at or above +inf's bits, so one max decides
                 # whether any path needs the clamp or the non-finite check
@@ -520,7 +616,18 @@ def simulate_many(
                         fail_times[bad] = base_list[k + 1]
                 if (k + 1) % substeps == 0:
                     out[:, (k + 1) // substeps] = state.T
-    return PathBatch(times=base[::substeps].copy(), states=out, clamp_counts=clamps, fail_times=fail_times)
+    return PathBatch(
+        times=base[::substeps].copy(),
+        states=out,
+        clamp_counts=clamps,
+        fail_times=fail_times,
+        fail_at_jump=fail_at_jump,
+        model=model.tag,
+        thetas=thetas,
+        params=path_params,
+        noises=noises,
+        substeps=substeps,
+    )
 
 
 def solve_ode(
@@ -629,6 +736,9 @@ def predict_ensemble(
             batch.states[pending] = rerun.states
             batch.clamp_counts[pending] = rerun.clamp_counts
             batch.fail_times[pending] = rerun.fail_times
+            batch.fail_at_jump[pending] = rerun.fail_at_jump
+            for j, noise in zip(pending.tolist(), noises):
+                batch.noises[j] = noise
             pending = pending[rerun.failed]
         if pending.size:
             j = int(pending[0])

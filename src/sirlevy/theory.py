@@ -30,7 +30,12 @@ from .contrast import ContrastConfig, weighted_coefficient
 from .estimator import BoxConstraints, EstimationError, EstimatorConfig, lsgd_estimate
 from .levy import LevyPathNoise, _make_rng, draw_jumps, sample_lambda, seed_sequence, stream
 from .models import SirParams, drift_beta_split, get_model, noise_coeff_numbers
-from .simulate import SimulationError, simulate_sde, solve_ode
+from .simulate import (
+    SimulationError,
+    simulate_many,
+    simulate_sde,  # noqa: F401  (bench/spans.py instruments it at this module)
+    solve_ode,
+)
 from .transmission import ThetaParams, beta_eval, beta_grad
 
 DEFAULT_QUAD_STEPS = 2000
@@ -270,13 +275,19 @@ def rate_experiment(
 ) -> RateResult:
     """Generate-estimate loops per eps; record (theta_hat - theta0) / eps.
 
-    eps = 0 and fewer than one replication are rejected.  The estimator fits
-    theta0's Fourier order; an ``est`` of another order is rejected before
-    anything is simulated, and so is a singular information matrix when
-    limit draws are asked for.  Each replication and each limit draw takes a
-    drawn jump rate (:func:`levy.sample_lambda`).  Failures are recorded as
-    NaN rows and counted, never fatal.  Limit draws matching the chosen
-    objective form are attached for distributional comparison.
+    Each eps level's replications are simulated in lockstep, in one
+    :func:`simulate_many` call, each row bit-identical to ``simulate_sde``
+    on the same noise; replication r draws its rate, noise and estimator
+    stream from spawn keys (eps index, r, 0..2), so a shorter run
+    reproduces the leading rows.  eps = 0 and fewer than one replication
+    are rejected.  The estimator fits theta0's Fourier order; an ``est`` of
+    another order is rejected before anything is simulated, and so is a
+    singular information matrix when limit draws are asked for.  Each
+    replication and each limit draw takes a drawn jump rate
+    (:func:`levy.sample_lambda`).  Failures, a path's non-finite state
+    included, are recorded as NaN rows and counted, never fatal.  Limit
+    draws matching the chosen objective form are attached for
+    distributional comparison.
     """
     model = get_model(model)
     eps_list = rate_eps_levels(eps_list)
@@ -290,22 +301,24 @@ def rate_experiment(
         sampler = LimitSampler(model, theta0, params, s0, n_grid=n_grid, weighted=(contrast_form == "weighted"))
     theta_vec = theta0.to_vector()
     p = theta_vec.size
+    dim = model.driver_dim
 
     scaled: dict[float, np.ndarray] = {}
     failures: dict[float, int] = {}
     for ei, eps in enumerate(eps_list):
         run_params = params.with_eps(eps)
         cfg = ContrastConfig(form=contrast_form, eps=eps)
+        noises = [
+            LevyPathNoise(seed_sequence(seed, ei, r, 1), sample_lambda(stream(seed, ei, r, 0)), HORIZON, dim)
+            for r in range(replications)
+        ]
+        batch = simulate_many(model, theta0, run_params, s0, HORIZON, n_obs, noises, substeps)
         rows = np.full((replications, p), np.nan)
         fails = 0
         for r in range(replications):
-            rate = sample_lambda(stream(seed, ei, r, 0))
-            noise_seed = seed_sequence(seed, ei, r, 1)
-            est_rng = stream(seed, ei, r, 2)
             try:
-                noise = LevyPathNoise(noise_seed, rate, HORIZON, model.driver_dim)
-                traj = simulate_sde(model, theta0, run_params, s0, HORIZON, n_obs, noise, substeps)
-                result = lsgd_estimate(traj, est, BoxConstraints(), cfg, seed=est_rng, params=run_params)
+                traj = batch.trajectory(r)
+                result = lsgd_estimate(traj, est, BoxConstraints(), cfg, seed=stream(seed, ei, r, 2), params=run_params)
                 rows[r] = (result.theta.to_vector() - theta_vec) / eps
             except (EstimationError, SimulationError, np.linalg.LinAlgError):
                 fails += 1

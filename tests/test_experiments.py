@@ -337,6 +337,72 @@ def test_sidecar_with_partial_constants_is_rejected_by_name(tmp_path):
     assert rows[2]["error"] == ""
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(*[st.floats(width=64)] * 4), min_size=1, max_size=8))
+@example(
+    rows=[
+        (-0.0, 5e-324, np.nan, np.inf),
+        (-np.inf, -np.nan, 1.7976931348623157e308, 2.2250738585072014e-308),
+        (0.1 + 0.2, -1e-310, 1.0 / 3.0, 0.0),
+    ]
+)
+def test_trajectory_csv_rows_are_fmt_of_each_value(tmp_path, rows):
+    # any float64, nan and inf included: each row is _fmt of its four values
+    from sirlevy.experiments import _fmt
+
+    values = np.array(rows, dtype=np.float64)
+    traj = sl.Trajectory(times=values[:, 0], states=values[:, 1:], model="numbers")
+    path = tmp_path / "traj.csv"
+    save_trajectory(traj, str(path))
+    expected = "t,X,Y,Z\n" + "".join(
+        f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n" for t, (x, y, z) in zip(traj.times, traj.states)
+    )
+    assert path.read_bytes() == expected.encode()
+
+
+def test_failed_datasets_keep_the_error_rows_of_simulate_sde(tmp_path, monkeypatch):
+    # dataset 0 jumps by a huge finite mark on a base node, so the base step
+    # after the jump overflows; dataset 1 jumps by an infinite mark inside an
+    # interval; dataset 2 keeps its seeded noise.  Both levels fail alike
+    import sirlevy.experiments as ex
+    from sirlevy.levy import seed_sequence, stream
+
+    base = np.linspace(0.0, 1.0, 101)  # 10 observations x 10 substeps
+    skeletons = {0: ([base[30]], [[1e200] * 3]), 1: ([base[50] + 0.004], [[np.inf] * 3])}
+    seeded = ex.LevyPathNoise
+
+    def hand_noise(seed, rate, horizon, dim):
+        noise = seeded(seed, rate, horizon, dim)
+        times, marks = skeletons.get(seed.spawn_key[0], (noise.jump_times, noise.jump_marks))
+        noise.jump_times, noise.jump_marks = np.array(times, dtype=float), np.array(marks, dtype=float)
+        return noise
+
+    monkeypatch.setattr(ex, "LevyPathNoise", hand_noise)
+    cfg = RunConfig(eps_list=(0.3, 0.01), n_datasets=3, n_obs=10, seed=4)
+    records = sl.generate_datasets(cfg, str(tmp_path))
+
+    expected = [["eps", "dataset", "file", "error"]]
+    for eps in cfg.eps_list:
+        for i in range(cfg.n_datasets):
+            draw_rng = stream(cfg.seed, i, 0)
+            theta0 = sl.sample_true_theta(draw_rng, cfg.order)
+            noise = hand_noise(seed_sequence(cfg.seed, i, 1), sl.sample_lambda(draw_rng), 1.0, 3)
+            try:
+                traj = sl.simulate_sde(cfg.model, theta0, cfg.params(eps), cfg.x0, 1.0, cfg.n_obs, noise, cfg.substeps)
+            except sl.SimulationError as err:
+                expected.append([repr(eps), str(i), "FAILED", str(err)])
+                continue
+            name = f"eps_{eps:g}/dataset_{i:05d}.csv"
+            save_trajectory(traj, str(tmp_path / "expected.csv"))
+            assert (tmp_path / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+            expected.append([repr(eps), str(i), name, ""])
+    with open(tmp_path / "datasets.csv", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == expected
+    errors = [row[3] for row in expected[1:]]
+    assert errors == ["non-finite state at t=0.31", "non-finite state at jump t=0.504", ""] * 2
+    assert [(r.eps, r.dataset_id) for r in records] == [(0.3, 2), (0.01, 2)]
+
+
 def test_proportions_config_forces_plain_contrast():
     cfg = RunConfig.proportions_defaults(n_datasets=2)
     assert cfg.contrast_form == "plain"

@@ -54,15 +54,22 @@ def test_predict_table_carries_the_order_of_theta0(tmp_path):
     assert [float(v) for v in rows[0][1:]] == [float(v) for v in THETA_ORDER2.split(",")]
 
 
-def test_rate_experiment_rejects_an_estimator_of_another_order_before_simulating(monkeypatch):
+def _record_simulations(monkeypatch) -> list:
+    """Record every call theory makes to either integrator; the calls still run."""
     simulated = []
-    simulate = theory_mod.simulate_sde
+    for name in ("simulate_sde", "simulate_many"):
+        simulate = getattr(theory_mod, name)
 
-    def recording(*args, **kwargs):
-        simulated.append(1)
-        return simulate(*args, **kwargs)
+        def recording(*args, _simulate=simulate, _name=name, **kwargs):
+            simulated.append(_name)
+            return _simulate(*args, **kwargs)
 
-    monkeypatch.setattr(theory_mod, "simulate_sde", recording)
+        monkeypatch.setattr(theory_mod, name, recording)
+    return simulated
+
+
+def test_rate_experiment_rejects_an_estimator_of_another_order_before_simulating(monkeypatch):
+    simulated = _record_simulations(monkeypatch)
     theta2 = sl.ThetaParams.from_vector([float(v) for v in THETA_ORDER2.split(",")])
     for theta0, est in ((theta2, sl.EstimatorConfig()), (THETA_REF, sl.EstimatorConfig(order=2))):
         with pytest.raises(ValueError, match="order"):
@@ -134,8 +141,7 @@ def test_bad_x0_exits_before_writing(tmp_path, capsys, model, x0, verb):
 
 def test_theory_singular_theta0_fails_before_simulating_and_writes_nothing(tmp_path, capsys, monkeypatch):
     # no oscillation: the limit law is undefined, which the verb finds before its first replication
-    simulated = []
-    monkeypatch.setattr(theory_mod, "simulate_sde", lambda *a, **k: simulated.append(a))
+    simulated = _record_simulations(monkeypatch)
     out = tmp_path / "theory"
     assert cli_main(["theory", "--theta0", "0.26836304,0.15114833,0,0", "--replications", "3", "--out", str(out)]) == 1
     assert "information matrix is singular" in capsys.readouterr().err

@@ -443,30 +443,58 @@ _ANY_STATE = st.one_of(
 )
 
 
+_THETAS = st.tuples(
+    st.floats(sl.PERIOD_FLOOR, 1.0),
+    st.floats(1e-6, 2.0),
+    st.integers(1, 2).flatmap(lambda order: st.lists(st.floats(0.0, 2.0), min_size=2 * order, max_size=2 * order)),
+).map(lambda t: sl.ThetaParams(t[0], t[1], tuple(t[2][: len(t[2]) // 2]), tuple(t[2][len(t[2]) // 2 :])))
+
+
+def _per_path_inputs(data, n_paths, pool, params, eps):
+    """Each path's theta, drawn from ``pool`` so that paths share some, and
+    params with the path's own eps from ``eps``."""
+    thetas = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(n_paths)]
+    return thetas, [replace(params, eps=data.draw(eps)) for _ in range(n_paths)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     model_tag=st.sampled_from(["numbers", "proportions"]),
-    theta=st.tuples(
-        st.floats(sl.PERIOD_FLOOR, 1.0),
-        st.floats(1e-6, 2.0),
-        st.integers(1, 2).flatmap(lambda order: st.lists(st.floats(0.0, 2.0), min_size=2 * order, max_size=2 * order)),
-    ),
+    theta=_THETAS,
     eps=st.floats(0.0, 1.0, exclude_max=True),
     sigma=st.floats(1e-3, 100.0),
+    per_path=st.booleans(),
     data=st.data(),
 )
-def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigma, data):
+def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigma, per_path, data):
     # two steps, so both state buffers serve; raw results, as neither clamps.
-    # Orders 1 and 2 take the two forms of make_beta_fast
-    from sirlevy.simulate import _euler_step, _lockstep
+    # Orders 1 and 2 take the two forms of make_beta_fast.  The columns share
+    # one theta and one params, or each has its own theta (some shared,
+    # orders mixed) and its own eps, sigma and rates
+    from sirlevy.simulate import _betas, _euler_step, _lockstep
 
     model = sl.get_model(model_tag)
-    period, base, coeffs = theta
-    order = len(coeffs) // 2
-    theta = sl.ThetaParams(period, base, tuple(coeffs[:order]), tuple(coeffs[order:]))
     params, _, dim = _model_setup(model_tag, eps)
     params = replace(params, sigma=sigma)
     n_paths = data.draw(st.integers(1, 6))
+    if per_path:
+        pool = [theta, data.draw(_THETAS), data.draw(_THETAS)]
+        thetas, path_params = _per_path_inputs(data, n_paths, pool, params, st.floats(0.0, 1.0, exclude_max=True))
+        rates = st.floats(0.0, 1.0)
+        path_params = [
+            replace(
+                p,
+                sigma=data.draw(st.floats(1e-3, 100.0)),
+                gamma=data.draw(st.floats(1e-3, 1.0)),
+                birth=data.draw(rates),
+                death=data.draw(rates),
+            )
+            for p in path_params
+        ]
+        theta_arg, params_arg = thetas, path_params
+    else:
+        thetas, path_params = [theta] * n_paths, [params] * n_paths
+        theta_arg, params_arg = theta, params
 
     def array(elements, rows):
         values = data.draw(st.lists(elements, min_size=rows * n_paths, max_size=rows * n_paths))
@@ -477,14 +505,15 @@ def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigm
     dts = [data.draw(st.floats(1e-6, 0.1)) for _ in range(2)]
     dws = [array(st.floats(-1.0, 1.0), dim) for _ in range(2)]
 
-    state, step = _lockstep(model, theta, params, times, dts, n_paths)
+    state, step = _lockstep(model, params_arg, n_paths)
+    betas = _betas(theta_arg)(times)
     state[:] = states
-    float_step = _euler_step(model, theta, params)
+    float_steps = [_euler_step(model, th, p) for th, p in zip(thetas, path_params)]
     expected = [tuple(col) for col in states.T.tolist()]
     with np.errstate(all="ignore"):
         for k, dw in enumerate(dws):
-            state = step(k, dw if dim == 3 else dw[0])
-            expected = [float_step(times[k], *s, dts[k], d) for s, d in zip(expected, dw.T.tolist())]
+            state = step(betas[k], dts[k], dw if dim == 3 else dw[0])
+            expected = [f(times[k], *s, dts[k], d) for f, s, d in zip(float_steps, expected, dw.T.tolist())]
             _assert_same_floats(state.T, np.array(expected))
 
 
@@ -503,9 +532,10 @@ def _jump_specs(dim):
     """Jumps of one path as (interval, fraction, mark): on base node k when the
     fraction is 0, else inside interval k; intervals past the last one put the
     jump beyond the horizon.  Marks are the law's, large ones that force a
-    clamp, or infinite ones that make the path fail."""
+    clamp, infinite ones that make the jump fail, or huge finite ones after
+    which a step fails (on the numbers model)."""
     marks = [list(m) for m in (sl.levy.MARKS_3D if dim == 3 else sl.levy.MARKS_1D)]
-    marks += [[-50.0, 0.0, 50.0] if dim == 3 else [1e4], [np.inf] * dim]
+    marks += [[-50.0, 0.0, 50.0] if dim == 3 else [1e4], [np.inf] * dim, [1e200] * dim]
     n_steps = _N_OBS * _SUBSTEPS
     spec = st.tuples(
         st.integers(0, n_steps + 1), st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.sampled_from(range(len(marks)))
@@ -572,3 +602,45 @@ def test_simulate_many_rows_equal_simulate_sde_on_random_noises(model_tag, eps, 
         assert not batch.failed[p], p
         assert batch.states[p].tobytes() == traj.states.tobytes(), p
         assert batch.clamp_counts[p] == traj.clamp_count, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_tag=st.sampled_from(["numbers", "proportions"]),
+    sigma=st.sampled_from([0.5, 100.0]),
+    budget=st.integers(1, 300),
+    data=st.data(),
+)
+def test_simulate_many_rows_equal_simulate_sde_with_per_path_theta_and_eps(model_tag, sigma, budget, data):
+    # each path its own theta (some shared, orders mixed) and its own eps;
+    # PathBatch.trajectory gives simulate_sde's trajectory or raises its error,
+    # so the failure's time and kind (step or jump) are compared too
+    import sirlevy.simulate as sim
+
+    params, x0, dim = _model_setup(model_tag)
+    params = replace(params, sigma=sigma)
+    specs = data.draw(st.lists(_jump_specs(dim), min_size=1, max_size=5))
+    pool = [THETA_REF, data.draw(_THETAS), data.draw(_THETAS)]
+    eps = st.sampled_from([0.0, 0.001, 0.3, 0.9])
+    thetas, path_params = _per_path_inputs(data, len(specs), pool, params, eps)
+
+    def noises():
+        return [_spec_noise(3000 + i, dim, s) for i, s in enumerate(specs)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "INCREMENT_BUDGET", budget)
+        batch = sim.simulate_many(model_tag, thetas, path_params, x0, 1.0, _N_OBS, noises(), _SUBSTEPS)
+    for p, noise in enumerate(noises()):
+        try:
+            traj = sl.simulate_sde(model_tag, thetas[p], path_params[p], x0, 1.0, _N_OBS, noise, _SUBSTEPS)
+        except sl.SimulationError as err:
+            with pytest.raises(sl.SimulationError) as got:
+                batch.trajectory(p)
+            assert (str(got.value), got.value.time) == (str(err), err.time), p
+            assert batch.fail_at_jump[p] == str(err).startswith("non-finite state at jump"), p
+            continue
+        row = batch.trajectory(p)
+        assert row.states.tobytes() == traj.states.tobytes(), p
+        assert row.times.tobytes() == traj.times.tobytes()
+        assert (row.clamp_count, row.meta, row.lam, row.seed) == (traj.clamp_count, traj.meta, traj.lam, traj.seed), p
+        assert (row.theta, row.params, row.model) == (traj.theta, traj.params, traj.model), p
