@@ -9,34 +9,35 @@ anywhere.
 Both integrators take every grid interval through one Euler-Maruyama step
 (``_euler_step``) and every jump through one jump (``_jump``).  On floats a
 path goes through one walk (``_walk``), which clamps and checks each result
-and stops at the first non-finite state.  ``simulate_sde`` walks one path
-over each observation interval of its grid; it is the reference the lockstep
+and stops at the first non-finite state.  ``simulate_sde`` walks one path over
+each observation interval of its grid; it is the reference the lockstep
 integrator is tested against.  ``simulate_many`` integrates many paths in
-lockstep, each with its own theta and params or all with the same:
-every path takes each base interval of the uniform grid in one in-place step
-over (3, paths) arrays (``_lockstep``), and a path with jumps in the
-interval, inside it or on its end node, walks the interval instead, with its
-own step and jump, in sub-steps that end at those jumps and at the end node.
-``_lockstep`` is ``_euler_step`` written as a dozen or so ufunc calls into
-buffers allocated once per call: each path gets the same IEEE operations in
-the same order, with beta from its own theta's ``make_beta_fast`` and its own
-eps*sigma, so each row equals ``simulate_sde`` on the same noise bit for bit.
-A base step runs the clamp and the non-finite check only when one reduction
-over the state's bits finds a component that is negative (or -0.0) or
-non-finite.  :meth:`PathBatch.trajectory` gives a row as the
-:class:`Trajectory` ``simulate_sde`` returns, or raises its
-:class:`SimulationError`, step or jump alike.
+lockstep, each with its own theta and params: every path takes each base
+interval of the uniform grid in one in-place step over (3, paths) arrays
+(``_lockstep``), and a path with jumps in the interval, inside it or on its
+end node, walks the interval instead, with its own step and jump, in sub-steps
+that end at those jumps and at the end node.  ``_lockstep`` is ``_euler_step``
+written as a dozen or so ufunc calls into buffers allocated once per call:
+each path gets the same IEEE operations in the same order, with beta from its
+own theta's ``make_beta_fast`` and its own eps*sigma, so each row equals
+``simulate_sde`` on the same noise bit for bit.  A base step runs the clamp
+and the non-finite check only when one reduction over the state's bits finds a
+component that is negative (or -0.0) or non-finite.
+:meth:`PathBatch.trajectory` gives a row as the :class:`Trajectory`
+``simulate_sde`` returns, or raises its :class:`SimulationError`, step or jump
+alike.
 
 Both integrators draw the Brownian part through
 :meth:`~sirlevy.levy.LevyPathNoise.fill_normals`: ``simulate_sde`` as one
 batch of increments over its whole grid, ``simulate_many`` as raw normals in
-time chunks of at most ``INCREMENT_BUDGET`` values over all paths, each path
-filling its runs of base intervals in place and one multiply per chunk
-scaling them; per-path beta is built one chunk at a time too.  The callers
-simulate at most ``PATH_BLOCK`` paths per call: ``predict_ensemble`` one call
-per retry round, ``generate_datasets`` the datasets of every noise level, so
-the memory a study holds stays bounded whatever the number of paths.  The
-rate experiment simulates each noise level's replications in one call.
+time chunks of at most ``INCREMENT_BUDGET`` values over a full block of
+``PATH_BLOCK`` paths (over all paths, in a larger batch), each path filling
+its runs of base intervals in place and one multiply per chunk scaling them;
+beta is built one chunk at a time too.  The callers simulate at most
+``PATH_BLOCK`` paths per call: ``predict_ensemble`` one call per retry round,
+``generate_datasets`` the datasets of every noise level, so the memory a study
+holds stays bounded whatever the number of paths.  The rate experiment
+simulates each noise level's replications in one call.
 """
 
 from __future__ import annotations
@@ -232,19 +233,20 @@ def _euler_step(model, theta: ThetaParams, params: SirParams):
 def _lockstep(model, params, n_paths: int):
     """The step of :func:`_euler_step` on (3, n_paths) states, in place: ``(state, step)``.
 
-    ``params`` is one :class:`SirParams` for every path, or a sequence of
-    one per path.  ``state`` is the buffer of the current states, to be
-    filled before the first step.  ``step(beta, dt, dw)`` takes every path
-    over ``dt`` with transmission rate ``beta`` (a float for every path, or a
-    (n_paths,) array of one per path, from :func:`_betas`) and the increments
-    ``dw`` ((3, n_paths) on the numbers model, (n_paths,) on the proportions
-    model), writes the raw result into the other of two state buffers and
-    returns it; that buffer holds the current states from then on, and the
-    one it read keeps the states the step started from until the next step.
-    Each path gets the IEEE operations of the float step in the same order,
-    so a column equals ``_euler_step`` on that path's theta and params bit
-    for bit: the constants are 0-d arrays, or (n_paths,) arrays of the
-    per-path floats, and elementwise products and sums of arrays are the
+    ``params`` holds one :class:`SirParams` per path.  ``state`` is the
+    buffer of the current states, to be filled before the first step.
+    ``step(beta, dt, dw)`` takes every path over ``dt`` with transmission
+    rate ``beta`` (a value for every path, or a (n_paths,) array of one per
+    path, from :func:`_betas`) and the increments ``dw`` ((3, n_paths) on the
+    numbers model, (n_paths,) on the proportions model), writes the raw
+    result into the other of two state buffers and returns it; that buffer
+    holds the current states from then on, and the one it read keeps the
+    states the step started from until the next step.  Each path gets the
+    IEEE operations of the float step in the same order, so a column equals
+    ``_euler_step`` on that path's theta and params bit for bit: a constant
+    every path shares bit for bit is a 0-d array (ufuncs take it faster than
+    a (n_paths,) one, with the same values), any other a (n_paths,) array of
+    the per-path floats, and elementwise products and sums of arrays are the
     float operations; the drift's rows are built in one (3, n_paths) buffer,
     so dt*D, the add to the state and the noise term are one call each over
     all rows; and the noise column (-1, 2, -1) times the coefficient is
@@ -252,9 +254,10 @@ def _lockstep(model, params, n_paths: int):
     """
 
     def constant(value):
-        # a 0-d array for one params (ufuncs take it faster than a Python
-        # float, with the same value), else a (n_paths,) array of the floats
-        return np.array(value(params) if isinstance(params, SirParams) else [value(p) for p in params])
+        # shared means bit-equal, so paths with 0.0 and -0.0 keep their own
+        values = np.array([value(p) for p in params])
+        bits = values.view(np.uint64)
+        return values[0, ...] if len(values) and (bits == bits[0]).all() else values
 
     eps_sigma = constant(lambda p: p.eps * p.sigma)
     gamma = constant(lambda p: p.gamma)
@@ -317,27 +320,26 @@ def _lockstep(model, params, n_paths: int):
     return bufs[0], step_prop
 
 
-def _betas(theta):
+def _betas(thetas):
     """Beta at a run of float times, ``betas(times)``, for :func:`_lockstep`'s steps.
 
-    One :class:`ThetaParams` gives a list of floats, one per time; a sequence
-    of one per path gives a C-contiguous (len(times), paths) array.  Every
-    value comes from the path's own :func:`make_beta_fast`, as in the float
-    step (numpy's ``cos`` can differ from ``math.cos`` in the last bit), and
-    each distinct theta is evaluated once per time.
+    ``thetas`` holds one :class:`ThetaParams` per path.  Every value comes
+    from the path's own :func:`make_beta_fast`, as in the float step
+    (numpy's ``cos`` can differ from ``math.cos`` in the last bit), and each
+    distinct theta is evaluated once per time, into one column of a table.
+    One distinct theta gives that column, one value per time for every
+    path; several give the C-contiguous (len(times), paths) array of each
+    path's column.
     """
-    if isinstance(theta, ThetaParams):
-        beta = make_beta_fast(theta)
-        return lambda times: [beta(t) for t in times]
     index: dict = {}  # each distinct theta's column in the table, in first-seen order
-    column = np.array([index.setdefault(th, len(index)) for th in theta], dtype=np.intp)
+    column = np.array([index.setdefault(th, len(index)) for th in thetas], dtype=np.intp)
     fns = [make_beta_fast(th) for th in index]
 
     def betas(times):
         table = np.empty((len(times), len(fns)))
         for j, f in enumerate(fns):
             table[:, j] = list(map(f, times))
-        return table.take(column, axis=1)
+        return table[:, 0] if len(fns) == 1 else table.take(column, axis=1)
 
     return betas
 
@@ -472,29 +474,30 @@ def simulate_many(
 
     ``theta`` and ``params`` are each one value for every path, or a sequence
     of one per noise; row p is then ``simulate_sde`` with ``theta[p]`` and
-    ``params[p]``.  Every path takes each base interval of the uniform grid
-    in one in-place step over the paths (:func:`_lockstep`).  A path with jumps in the
-    interval, inside it or on its end node, walks it on floats instead
-    (:func:`_walk`), and the walk's clamped and checked state replaces its
-    share of the vectorized step.  The sub-steps of the walk end at the
-    path's jump times and at the end node, which takes no jump unless one
-    lies on it.  States, clamp counts and the non-finite checks follow
-    ``simulate_sde`` exactly up to a path's first non-finite state, which is
-    flagged in ``fail_times`` and ``fail_at_jump`` instead of raising;
-    :meth:`PathBatch.trajectory` raises it.
+    ``params[p]``; the integrator itself takes one of each per path.  Every
+    path takes each base interval of the uniform grid in one in-place step over
+    the paths (:func:`_lockstep`).  A path with jumps in the interval, inside it
+    or on its end node, walks it on floats instead (:func:`_walk`), and the
+    walk's clamped and checked state replaces its share of the vectorized step.
+    The sub-steps of the walk end at the path's jump times and at the end node,
+    which takes no jump unless one lies on it.  States, clamp counts and the
+    non-finite checks follow ``simulate_sde`` exactly up to a path's first
+    non-finite state, which is flagged in ``fail_times`` and ``fail_at_jump``
+    instead of raising; :meth:`PathBatch.trajectory` raises it.
 
-    The increments are drawn in time chunks, at most INCREMENT_BUDGET values
-    over all paths at once, into one (paths, chunk, dim) buffer.  Each path
+    The increments are drawn in time chunks into one (paths, chunk, dim)
+    buffer.  A chunk is as long as INCREMENT_BUDGET values over max(paths,
+    PATH_BLOCK) paths allow, so a small batch holds only its share of a full
+    block's buffer.  Each path
     fills its row with raw normals in stream order, one fill per run of base
     intervals, and draws the normals of an interval it walks on its own, one
     per sub-step, scaled on floats by the root of each sub-interval; one
     multiply by the precomputed roots of the base intervals then scales the
-    whole chunk.  Fills continue one stream, and
-    the root and product are the same IEEE operations on floats and arrays,
-    so the increments equal the single draw of ``simulate_sde``.  Where the
-    paths' jumps fall on the grid is found once, by one ``searchsorted``
-    over all of them.  Per-path beta is built one chunk at a time as well
-    (:func:`_betas`), chunk by paths values.
+    whole chunk.  Fills continue one stream, and the root and product are
+    the same IEEE operations on floats and arrays, so the increments equal
+    the single draw of ``simulate_sde``.  Where the paths' jumps fall on the
+    grid is found once, by one ``searchsorted`` over all of them.  Beta is
+    built one chunk at a time as well (:func:`_betas`).
     """
     model = get_model(model)
     if n_obs < 1 or substeps < 1:
@@ -513,17 +516,14 @@ def simulate_many(
     root_dts = np.sqrt(base_dts)[:, None]
     base_list = base.tolist()
     dts_list = base_dts.tolist()
-    if isinstance(theta, ThetaParams) and isinstance(params, SirParams):
-        walkers = [(_euler_step(model, theta, params), _jump(model, params))] * n_paths
-    else:
-        # a walk takes its path's own float step and jump, built once per distinct pair
-        made = {key: (_euler_step(model, *key), _jump(model, key[1])) for key in set(zip(thetas, path_params))}
-        walkers = [made[key] for key in zip(thetas, path_params)]
-    betas = _betas(theta)
+    # a walk takes its path's own float step and jump, built once per distinct pair
+    made = {key: (_euler_step(model, *key), _jump(model, key[1])) for key in set(zip(thetas, path_params))}
+    walkers = [made[key] for key in zip(thetas, path_params)]
+    betas = _betas(thetas)
     clamps = np.zeros(n_paths, dtype=np.int64)
     fail_times = np.full(n_paths, np.nan)
     fail_at_jump = np.zeros(n_paths, dtype=bool)
-    chunk = max(1, INCREMENT_BUDGET // max(1, n_paths * dim))
+    chunk = max(1, INCREMENT_BUDGET // (max(n_paths, PATH_BLOCK) * dim))
 
     # every path's jumps up to the horizon go on the base grid in one
     # searchsorted: a jump at a time in (base[k], base[k + 1]] puts interval k
@@ -584,7 +584,7 @@ def simulate_many(
         incs = incs.transpose(1, 2, 0)
         return (incs if dim == 3 else incs[:, 0]), walks
 
-    state, lockstep = _lockstep(model, params, n_paths)
+    state, lockstep = _lockstep(model, path_params, n_paths)
     state[:] = np.asarray(s0, dtype=float)[:, None]
     out = np.empty((n_paths, n_obs + 1, 3))
     out[:, 0] = state.T
@@ -702,8 +702,9 @@ def predict_ensemble(
     mean sums the paths in path order, as the single-path loop did, and keeps
     the memory bounded whatever ``n_paths`` is.  With eps == 0 the paths
     still differ slightly, because each path's jump times refine its own
-    Euler grid; that case simulates no ensemble and returns path 0's
-    ``simulate_sde`` path exactly, retried as above.
+    Euler grid; that case simulates path 0 alone, through the same block and
+    retries (``meta["n_paths"]`` is then 1), and its mean, the row divided
+    by 1, is path 0's ``simulate_sde`` path exactly.
     """
     model = get_model(model)
     if n_obs is None:
@@ -711,15 +712,8 @@ def predict_ensemble(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     dim = model.driver_dim
-
     if params.eps == 0.0:
-        for attempt in range(max_retries + 1):
-            noise = _ensemble_noise(seed, 0, attempt, lam, horizon, dim)
-            try:
-                return simulate_sde(model, theta, params, s0, horizon, n_obs, noise, substeps)
-            except SimulationError:
-                if attempt == max_retries:
-                    raise
+        n_paths = 1
 
     total = None
     clamps = 0

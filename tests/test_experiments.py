@@ -607,6 +607,18 @@ def test_predict_ensemble_retries_failed_paths(monkeypatch):
     with pytest.raises(sl.SimulationError):
         sl.predict_ensemble("proportions", THETA_REF, p, x0, horizon=1.0, n_paths=3, seed=1, max_retries=2)
 
+    # at eps == 0 path 0 alone is simulated, and retried as any path is
+    monkeypatch.undo()
+    _nan_increments_for(monkeypatch, lambda key: key == (0, 0))
+    p0 = sl.proportions_defaults(eps=0.0)
+    mean = sl.predict_ensemble("proportions", THETA_REF, p0, x0, horizon=1.0, n_paths=3, seed=1)
+    single = sl.simulate_sde("proportions", THETA_REF, p0, x0, 1.0, 100, _ensemble_path_noise(1, 0, 1, 1.0, 1))
+    assert mean.states.tobytes() == single.states.tobytes()
+    monkeypatch.undo()
+    _nan_increments_for(monkeypatch, lambda key: key[:1] == (0,))
+    with pytest.raises(sl.SimulationError, match="ensemble path 0 reached a non-finite state on all 3 attempts"):
+        sl.predict_ensemble("proportions", THETA_REF, p0, x0, horizon=1.0, n_paths=3, seed=1, max_retries=2)
+
 
 def test_cli_sweep_report_and_errors(tmp_path, capsys):
     out = str(tmp_path / "run")

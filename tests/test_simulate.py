@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,15 @@ def test_predict_ensemble_noiseless_equals_single_path():
     assert np.array_equal(mean.states, single.states)
     fewer = sl.predict_ensemble("numbers", THETA_REF, p, X0_NUMBERS, horizon=3.0, n_paths=3, seed=99, lam=0.0)
     assert np.array_equal(mean.states, fewer.states)
+    # with jumps, path 0's own jump times refine its grid: the mean is that path
+    from sirlevy.simulate import _ensemble_noise
+
+    mean = sl.predict_ensemble("numbers", THETA_REF, p, X0_NUMBERS, horizon=3.0, n_paths=10, seed=5)
+    noise = _ensemble_noise(5, 0, 0, None, 3.0, 3)
+    assert noise.jump_count > 0
+    single = sl.simulate_sde("numbers", THETA_REF, p, X0_NUMBERS, 3.0, 300, noise)
+    assert mean.states.tobytes() == single.states.tobytes()
+    assert (mean.meta["n_paths"], mean.clamp_count) == (1, single.clamp_count)
 
 
 def test_predict_ensemble_conserves_proportions():
@@ -297,16 +307,18 @@ def _random_noises(dim, horizon, count):
 def test_simulate_many_rows_equal_simulate_sde(monkeypatch, model_tag, budget, sigma):
     import sirlevy.simulate as sim
 
-    # short increment chunks: jumps fall on and across chunk edges; 5 makes
-    # chunks of one base interval, 204 of 4 (numbers) or 12 (proportions)
+    # short increment chunks: jumps fall on and across chunk edges.  A batch
+    # this small gets a full block's chunks, so the budget, given for these
+    # 17 paths, is scaled to PATH_BLOCK paths: 5 makes chunks of one base
+    # interval, 204 (3072 over a block of 256) of 4 (numbers) or 12 (proportions)
+    horizon, n_obs, substeps = 1.0, 20, 4
+    n_paths = 17
     if budget is not None:
-        monkeypatch.setattr(sim, "INCREMENT_BUDGET", budget)
+        monkeypatch.setattr(sim, "INCREMENT_BUDGET", budget * sim.PATH_BLOCK // n_paths)
     params, x0, dim = _model_setup(model_tag)
     if sigma is not None:  # Brownian terms large enough to clamp inside the lockstep step
         params = replace(params, sigma=sigma)
-    horizon, n_obs, substeps = 1.0, 20, 4
-    n_paths = 17
-    chunk = max(1, sim.INCREMENT_BUDGET // (n_paths * dim))
+    chunk = max(1, sim.INCREMENT_BUDGET // (max(n_paths, sim.PATH_BLOCK) * dim))
 
     def noises():
         return (
@@ -470,7 +482,8 @@ def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigm
     # two steps, so both state buffers serve; raw results, as neither clamps.
     # Orders 1 and 2 take the two forms of make_beta_fast.  The columns share
     # one theta and one params, or each has its own theta (some shared,
-    # orders mixed) and its own eps, sigma and rates
+    # orders mixed) and its own eps, sigma and rates, birth and death -0.0
+    # among them (the test below pins the constants that only -0.0 tells apart)
     from sirlevy.simulate import _betas, _euler_step, _lockstep
 
     model = sl.get_model(model_tag)
@@ -480,7 +493,7 @@ def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigm
     if per_path:
         pool = [theta, data.draw(_THETAS), data.draw(_THETAS)]
         thetas, path_params = _per_path_inputs(data, n_paths, pool, params, st.floats(0.0, 1.0, exclude_max=True))
-        rates = st.floats(0.0, 1.0)
+        rates = st.one_of(st.floats(0.0, 1.0), st.just(-0.0))
         path_params = [
             replace(
                 p,
@@ -491,10 +504,8 @@ def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigm
             )
             for p in path_params
         ]
-        theta_arg, params_arg = thetas, path_params
     else:
         thetas, path_params = [theta] * n_paths, [params] * n_paths
-        theta_arg, params_arg = theta, params
 
     def array(elements, rows):
         values = data.draw(st.lists(elements, min_size=rows * n_paths, max_size=rows * n_paths))
@@ -505,8 +516,8 @@ def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigm
     dts = [data.draw(st.floats(1e-6, 0.1)) for _ in range(2)]
     dws = [array(st.floats(-1.0, 1.0), dim) for _ in range(2)]
 
-    state, step = _lockstep(model, params_arg, n_paths)
-    betas = _betas(theta_arg)(times)
+    state, step = _lockstep(model, path_params, n_paths)
+    betas = _betas(thetas)(times)
     state[:] = states
     float_steps = [_euler_step(model, th, p) for th, p in zip(thetas, path_params)]
     expected = [tuple(col) for col in states.T.tolist()]
@@ -515,6 +526,29 @@ def test_lockstep_step_is_the_float_step_bit_for_bit(model_tag, theta, eps, sigm
             state = step(betas[k], dts[k], dw if dim == 3 else dw[0])
             expected = [f(times[k], *s, dts[k], d) for f, s, d in zip(float_steps, expected, dw.T.tolist())]
             _assert_same_floats(state.T, np.array(expected))
+
+
+@pytest.mark.parametrize("birth, death", [(0.0, -0.0), (-0.0, -0.0)])
+def test_lockstep_keeps_constants_that_differ_only_in_the_sign_of_zero(birth, death):
+    # paths whose birth or death is 0.0 and paths whose is -0.0 share no
+    # constant: on signed-zero states some results differ in the sign of 0
+    from sirlevy.simulate import _betas, _euler_step, _lockstep
+
+    model = sl.get_model("numbers")
+    params = replace(sl.numbers_defaults(eps=0.3), birth=0.0, death=0.0)
+    signed = replace(params, birth=birth, death=death)
+    values, increments = itertools.product([0.0, -0.0, 0.5], repeat=3), itertools.product([0.0, 1.0, -1.0], repeat=3)
+    cases = list(itertools.product(values, increments))
+    path_params = [params, signed] * len(cases)
+    states = np.array([s for s, _ in cases for _ in range(2)]).T
+    dw = np.array([d for _, d in cases for _ in range(2)]).T
+    state, step = _lockstep(model, path_params, len(path_params))
+    state[:] = states
+    got = step(_betas([THETA_REF] * len(path_params))([0.1])[0], 0.01, dw)
+    steps = [_euler_step(model, THETA_REF, p) for p in (params, signed)] * len(cases)
+    expected = np.array([f(0.1, *s, 0.01, d) for f, s, d in zip(steps, states.T.tolist(), dw.T.tolist())])
+    assert expected[0::2].tobytes() != expected[1::2].tobytes()  # the float steps do differ
+    _assert_same_floats(got.T, expected)
 
 
 def _assert_same_floats(got, expected):
@@ -570,11 +604,12 @@ def test_simulate_many_rows_equal_simulate_sde_on_random_noises(model_tag, eps, 
     # and inside intervals; data=None runs the fixed cases of the tests above
     import sirlevy.simulate as sim
 
+    block = 1  # the PATH_BLOCK of the call: these few paths take the budget's chunks
     params, x0, dim = _model_setup(model_tag, eps)
     params = replace(params, sigma=sigma)
     if data is None:
         horizon, n_obs, substeps = 1.0, 20, 4
-        chunk = max(1, budget // (17 * dim))
+        chunk = max(1, budget // (max(17, block) * dim))
 
         def noises():
             return (
@@ -592,6 +627,7 @@ def test_simulate_many_rows_equal_simulate_sde_on_random_noises(model_tag, eps, 
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "INCREMENT_BUDGET", budget)
+        patch.setattr(sim, "PATH_BLOCK", block)
         batch = sim.simulate_many(model_tag, THETA_REF, params, x0, horizon, n_obs, noises(), substeps)
     for p, noise in enumerate(noises()):
         try:
@@ -629,6 +665,7 @@ def test_simulate_many_rows_equal_simulate_sde_with_per_path_theta_and_eps(model
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "INCREMENT_BUDGET", budget)
+        patch.setattr(sim, "PATH_BLOCK", 1)  # as in the test above
         batch = sim.simulate_many(model_tag, thetas, path_params, x0, 1.0, _N_OBS, noises(), _SUBSTEPS)
     for p, noise in enumerate(noises()):
         try:
