@@ -24,21 +24,24 @@ problem; :func:`alpha_quadratic` exposes that quadratic,
 
 The gram and linear term of that problem are weighted trig sums, so the
 profile over the period is a weighted, floating-mean generalised
-Lomb-Scargle periodogram.  :meth:`AlphaProfile.scan`, which ranks candidate
-periods for the estimator, evaluates it from the moments
+Lomb-Scargle periodogram.  The estimator locates the period on the moments
 C_h + i S_h = sum_k vv_k e^{ihx_k} (h = 0..2K) and sum_k rv_k e^{ihx_k}
-(h = 0..K), x = 2 pi t / period, assembled by the product-to-sum identities.
-The moments factorize on the grid t_{aB} + b dt in blocks of B = ceil(sqrt(n))
-nodes, so a period costs about 2 sqrt(n) complex exponentials and no
-(periods, n, q) design is built.  The scan only ranks, and its entries
-differ from the design's in the last digits; every solve that is reported
-(the cells, the period search, the final coefficients) builds the design.
+(h = 0..K), x = 2 pi f t, assembled by the product-to-sum identities, and
+builds no (frequencies, n, q) design to do it.  :meth:`AlphaProfile.scan`
+ranks the frequencies of the lattice j df, df = 1/(4KT), whose moments all
+come from one zero-padded FFT of length 4Kn; :meth:`AlphaProfile.slope`
+gives the profile's slope and value at one frequency for the period search,
+from the moments of vv, rv, t vv and t rv there.  Both match the design's
+entries to rounding, not bit for bit; every solve that is reported (the
+cells, the final coefficients and the objective) builds the design.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,6 +212,39 @@ def _product_to_sum(order: int) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
+def _moment_entries(Z, R, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram (..., q, q) and linear term (..., q) from moments, without their dt factors.
+
+    Z (..., 2K+1) holds sum_k vv_k e^{ihx_k} and R (..., K+1) sum_k rv_k e^{ihx_k};
+    the gram follows :func:`_product_to_sum`, and the linear term reads
+    Re R_h for cos_h and Im R_h for sin_h.
+    """
+    first_of, second_of = _product_to_sum(order)
+    X = np.concatenate([Z.real, Z.imag, -Z.real, -Z.imag], axis=-1)
+    return 0.5 * (X[..., first_of] + X[..., second_of]), np.concatenate([R.real, R.imag[..., 1:]], axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_map(order: int) -> np.ndarray:
+    """:func:`_moment_entries` and its derivative in the frequency as one matrix.
+
+    Its input is the float view of the (2K+1, 4) complex moments of
+    (vv, rv, t vv, t rv) at harmonics h = 0..2K, flattened; its output is the
+    gram (q*q, row by row), the linear term (q), then their derivatives in
+    the frequency (q*q, q), since d/df of e^{ih 2 pi f t} is
+    i 2 pi h t e^{ih 2 pi f t}.  The map is linear, so its columns are its
+    values at the unit inputs.
+    """
+    m = 2 * order + 1
+    Z, R, Zt, Rt = np.moveaxis(np.eye(8 * m).view(complex).reshape(8 * m, m, 4), -1, 0)
+    rate = 2j * np.pi * np.arange(m)
+    entries = _moment_entries(Z, R[:, : order + 1], order)
+    derivatives = _moment_entries(rate * Zt, (rate * Rt)[:, : order + 1], order)
+    out = np.concatenate([part.reshape(8 * m, -1) for part in (*entries, *derivatives)], axis=1).T
+    out.flags.writeable = False
+    return out
+
+
 def _design_columns(t: np.ndarray, period, order: int) -> np.ndarray:
     """Columns (1, cos(2 pi k t / period), sin(...)) for k = 1..order; shape (n, 2K+1).
 
@@ -293,6 +329,61 @@ def _unconstrained(gram: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.nd
     regular = np.linalg.eigvalsh(gram / (unit[:, :, None] * unit[:, None, :]))[:, 0] > _FACE_SINGULAR_TOL
     system = np.where(regular[:, None, None], gram, np.eye(lin.shape[-1]))
     return np.linalg.solve(system, lin[:, :, None])[:, :, 0], regular
+
+
+@functools.lru_cache(maxsize=16)
+def _float_bounds(box, order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``box.alpha_bounds(order)`` as tuples of floats."""
+    lower, upper = box.alpha_bounds(order)
+    return tuple(lower.tolist()), tuple(upper.tolist())
+
+
+def _certified_solve(gram: list, lin: list) -> list | None:
+    """Normal-equations solution of one quadratic on floats, or None unless certified regular.
+
+    With L the Cholesky factor of the unit-diagonal gram U, det U = prod L_ii**2,
+    and since lambda_max(U) <= trace U = q, lambda_min(U) >= det U / q**(q-1).
+    The solution is returned only when that bound exceeds the face-singularity
+    tolerance, so it is never taken where the unit-diagonal gram has an
+    eigenvalue at or below it, which :func:`_unconstrained` calls singular.
+    """
+    q = len(lin)
+    if not all(gram[i][i] > 0.0 for i in range(q)):
+        return None
+    unit = [math.sqrt(gram[i][i]) for i in range(q)]
+    L = []  # rows of the Cholesky factor of U
+    det = 1.0
+    for i in range(q):
+        row, Li = gram[i], []
+        for k in range(i):
+            Lk = L[k]
+            s = row[k] / (unit[i] * unit[k])
+            for m in range(k):
+                s -= Li[m] * Lk[m]
+            Li.append(s / Lk[k])
+        s = 1.0
+        for x in Li:
+            s -= x * x
+        if not s > 0.0:
+            return None
+        det *= s
+        Li.append(math.sqrt(s))
+        L.append(Li)
+    if not det > _FACE_SINGULAR_TOL * q ** (q - 1):
+        return None
+    # U y = lin / unit by forward and back substitution, then alpha = y / unit
+    y = []
+    for i in range(q):
+        s = lin[i] / unit[i]
+        for m in range(i):
+            s -= L[i][m] * y[m]
+        y.append(s / L[i][i])
+    for i in reversed(range(q)):
+        s = y[i]
+        for m in range(i + 1, q):
+            s -= L[m][i] * y[m]
+        y[i] = s / L[i][i]
+    return [y[i] / unit[i] for i in range(q)]
 
 
 def solve_box(gram, lin, lower, upper) -> np.ndarray:
@@ -388,11 +479,18 @@ class AlphaProfile:
     vv: np.ndarray = field(init=False, repr=False)  # w * |v|^2 per node
     rv: np.ndarray = field(init=False, repr=False)  # w * (r . v) per node
     rr: float = field(init=False, repr=False)  # sum of w * |r|^2
+    # the moments' pieces for :meth:`moment_quadratic`
+    _it: np.ndarray = field(init=False, repr=False)  # i t
+    _moment_weights: np.ndarray = field(init=False, repr=False)  # dt**2 vv, dt rv and their t multiples, (n, 4) complex
 
     def __post_init__(self):
         self.vv = self.w * np.einsum("ki,ki->k", self.v, self.v)
         self.rv = self.w * np.einsum("ki,ki->k", self.r, self.v)
         self.rr = float(np.einsum("k,ki,ki->", self.w, self.r, self.r))
+        self._it = 1j * self.t
+        # the gram's dt**2 and the linear term's dt go into the weights
+        vv, rv = self.dt**2 * self.vv, self.dt * self.rv
+        self._moment_weights = np.stack([vv, rv, self.t * vv, self.t * rv], axis=1).astype(complex)
 
     def _gram_lin(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gram (..., q, q) and linear term (..., q) of design columns C (..., n, q).
@@ -421,36 +519,6 @@ class AlphaProfile:
         """
         return self._solve_design(_design_columns(self.t, np.asarray(periods, dtype=float), self.order), box)
 
-    def solve_slope(self, freqs, box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`solve_many` at the periods 1/freqs plus the profile's slope in the frequency.
-
-        Returns (alphas (F, q), values (F,), slopes (F,)); the alphas and values
-        equal :meth:`solve_many`'s bit for bit.  The box does not depend on the
-        frequency, so by the envelope (Danskin) theorem the slope of the
-        profile V(f) = min_a Q(f, a) is the partial derivative of Q in f at the
-        minimizer a:
-
-            dV/df = scale * (a' dG/df a - 2 dlin/df' a)
-                  = 2 scale dt * sum_i (D a)_i (dt vv_i (C a)_i - rv_i)
-
-        with D the frequency derivative of the design C and i the grid nodes.  It has no ``rr``
-        term, so unlike the value it does not cancel digits when the residual
-        sum dwarfs the objective.  Rows are independent, as in
-        :meth:`solve_many`.
-        """
-        C = _design_columns(self.t, 1.0 / np.asarray(freqs, dtype=float), self.order)
-        alphas, values = self._solve_design(C, box)
-        # dC/df = (0, -2 pi k t sin(...), 2 pi k t cos(...))
-        K = self.order
-        rate = 2.0 * np.pi * np.multiply.outer(self.t, np.arange(1.0, K + 1.0))
-        D = np.concatenate([np.zeros_like(C[..., :1]), -rate * C[..., K + 1 :], rate * C[..., 1 : K + 1]], axis=-1)
-        col = alphas[:, :, None]
-        beta = (C @ col)[:, :, 0]  # the fitted transmission per node
-        dbeta = (D @ col)[:, None, :, 0]
-        misfit = (self.dt * self.vv * beta - self.rv)[:, :, None]
-        slopes = 2.0 * self.scale * self.dt * (dbeta @ misfit)[:, 0, 0]
-        return alphas, values, slopes
-
     def solve(self, period: float, box) -> tuple[np.ndarray, float]:
         """Exact minimizer and value under ``box`` at one period; :meth:`solve_many` with one row."""
         alphas, values = self.solve_many(np.array([period], dtype=float), box)
@@ -470,75 +538,122 @@ class AlphaProfile:
         alpha = np.clip(alpha, lower, upper)
         return alpha, quad.value(alpha)
 
-    def _moment_gram_lin(self, periods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_gram_lin` of the design at each period, from trig moments: (F, q, q), (F, q).
+    @property
+    def df(self) -> float:
+        """The scan lattice's spacing 1/(4KT): the K-th harmonic turns a quarter cycle across the horizon T = n dt.
 
-        With x = 2 pi t / period, the moments C_h + i S_h = sum_k vv_k e^{ihx_k}
-        for h = 0..2K give the gram by the product-to-sum identities
+        Harmonic h of a frequency off by delta f drifts 2 pi h delta f T in phase
+        across the horizon, so the highest harmonic sets how close a scan
+        point must come to the true frequency for its value to rank the basin.
+        """
+        return 1.0 / (4.0 * self.order * self.t.size * self.dt)
+
+    def _lattice_gram_lin(self, j) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_gram_lin` of the design at the lattice frequencies j df, from trig moments: (F, q, q), (F, q).
+
+        With x = 2 pi f t, the moments C_h + i S_h = sum_k vv_k e^{ihx_k} for
+        h = 0..2K give the gram by the product-to-sum identities
         (:func:`_product_to_sum`), and R_h = sum_k rv_k e^{ihx_k} gives the
-        linear term (Re R_h for cos_h, Im R_h for sin_h).  The moments are
-        factorized on the grid: with B = ceil(sqrt(n)) and the node weights
-        zero-padded to A blocks of B nodes, node aB + b sits at t_{aB} + b dt
-        and
+        linear term (Re R_h for cos_h, Im R_h for sin_h).  On the grid
+        t_k = t_0 + k dt, with T = n dt and N = 4Kn, the phase at f_j = j df is
 
-            sum_k vv_k e^{ixt_k} = sum_a e^{ixt_{aB}} sum_b e^{ixb dt} vv_{aB+b},
+            2 pi f_j t_k = 2 pi f_j t_0 + 2 pi j k / N,
 
-        one (F, B) @ (B, 2A) product per harmonic and a weighted sum over the
-        blocks.  Harmonic h takes the h-th powers of the first harmonic's
-        exponentials, so a period costs A + B complex exponentials (about
-        2 sqrt(n)) instead of the design's 2nK trig calls, and no (F, n, q)
-        design is built.  The offsets b dt are the ideal grid, which
-        :meth:`Trajectory.spacing` holds to 1e-8 relative, and the entries
-        differ from the design's in the last digits.
+        so harmonic h reads bin (h j) mod N of one zero-padded DFT of length
+        N of the weights, times e^{ih 2 pi f_j t_0}: one real FFT of (vv, rv)
+        serves every lattice frequency.  The offsets k dt are the ideal grid,
+        which :meth:`Trajectory.spacing` holds to 1e-8 relative, and the
+        entries differ from the design's in the last digits.
         """
-        K, n, F = self.order, self.t.size, np.size(periods)
-        B = int(np.ceil(np.sqrt(n)))
-        A = -(-n // B)
-        weights = np.zeros((2, A * B))
-        weights[0, :n], weights[1, :n] = self.vv, self.rv
-        W = weights.reshape(2, A, B).transpose(2, 0, 1).reshape(B, 2 * A)  # column a: block a's vv, then rv
-        omega = 2.0 * np.pi / _check_periods(periods)
-        phase = np.multiply.outer(omega, np.concatenate([self.dt * np.arange(B), self.t[::B]]))
-        e = np.empty((2 * K,) + phase.shape, dtype=complex)  # e[h - 1] = e^{ih phase}
-        np.cos(phase, out=e[0].real)
-        np.sin(phase, out=e[0].imag)
-        for h in range(1, 2 * K):
-            np.multiply(e[h - 1], e[0], out=e[h])
-        blocks = (e[..., :B] @ W).reshape(2 * K, F, 2, A)
-        moments = np.einsum("hfa,hfwa->wfh", e[..., B:], blocks)  # (vv, rv), F, harmonics 1..2K
-        Z = np.concatenate([np.full((F, 1), self.vv.sum()), moments[0]], axis=1)
-        R = np.concatenate([np.full((F, 1), self.rv.sum()), moments[1, :, :K]], axis=1)
-        first_of, second_of = _product_to_sum(K)
-        X = np.concatenate([Z.real, Z.imag, -Z.real, -Z.imag], axis=1)
-        gram = 0.5 * self.dt**2 * (X[:, first_of] + X[:, second_of])
-        return gram, self.dt * np.concatenate([R.real, R.imag[:, 1:]], axis=1)
+        j = np.asarray(j)
+        K, N = self.order, 4 * self.order * self.t.size
+        spectrum = np.fft.rfft(np.stack([self.vv, self.rv]), N)  # bins 0..N/2 of sum_k w_k e^{-2 pi i bk/N}
+        dft = np.concatenate([spectrum.conj(), spectrum[:, -2:0:-1]], axis=1)  # sum_k w_k e^{2 pi i bk/N}, every b
+        harmonic = np.arange(2 * K + 1)
+        phase = np.exp(1j * np.multiply.outer(2.0 * np.pi * self.df * j * self.t[0], harmonic))
+        moments = dft[:, np.multiply.outer(j, harmonic) % N] * phase  # (vv, rv), F, harmonics 0..2K
+        gram, lin = _moment_entries(moments[0], moments[1, :, : K + 1], K)
+        return self.dt**2 * gram, self.dt * lin
 
-    def scan(self, periods, lower, upper) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`solve_clipped` at every period of an array: (alphas (F, q), values (F,)).
+    def scan(self, j, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`solve_clipped` at every lattice frequency j df: (alphas (F, q), values (F,)).
 
-        The grams and linear terms come from trig moments
-        (:meth:`_moment_gram_lin`), then one batched solve, a clip and a
-        vectorized value.  They match the design's to rounding, not bit for
-        bit; the scan only ranks candidate periods, and its winner is solved
-        again from the design by the period search.  A period whose gram is
-        exactly singular (at orders >= 2, a harmonic on a multiple of the
-        sampling rate makes a cos column equal the base column) is solved
-        from the design by :meth:`solve_clipped`; the other rows keep the
-        batched solve, which treats each row alone.
+        The grams and linear terms come from one FFT (:meth:`_lattice_gram_lin`),
+        then one batched solve, a clip and a vectorized value.  They match
+        the design's to rounding, not bit for bit; the scan only ranks
+        candidate frequencies, and its winner is located by the period
+        search and solved again from the design.  A frequency whose gram is
+        exactly singular is solved from the design by :meth:`solve_clipped`;
+        the other rows keep the batched solve, which treats each row alone.
+        On a grid from t = 0 that is every frequency with a harmonic h <= K on
+        a multiple of the Nyquist frequency, where sin_h vanishes on the grid:
+        at order 1 the Nyquist frequency itself.
         """
-        periods = np.asarray(periods, dtype=float)
-        gram, lin = self._moment_gram_lin(periods)
+        j = np.asarray(j)
+        gram, lin = self._lattice_gram_lin(j)
+        # the batched solve raises on an exact zero pivot of its LU factorization:
+        # a zero row of the gram always makes one, and slogdet, which factorizes
+        # the same way, gives the other such rows the sign 0
+        singular = ~gram.any(axis=2).all(axis=1)
         try:
-            alpha = np.linalg.solve(gram, lin[:, :, None])[:, :, 0]
+            solved = np.linalg.solve(gram[~singular], lin[~singular, :, None])
         except np.linalg.LinAlgError:
-            # the solve raises on an exact zero pivot of its LU factorization;
-            # slogdet factorizes the same way and gives those rows the sign 0
-            singular = np.linalg.slogdet(gram)[0] == 0.0
-            alpha = np.empty(lin.shape)  # C order, as the batched solve returns it
-            alpha[~singular] = np.linalg.solve(gram[~singular], lin[~singular, :, None])[:, :, 0]
-            alpha[singular] = [self.solve_clipped(p, -np.inf, np.inf)[0] for p in periods[singular]]
+            singular |= np.linalg.slogdet(gram)[0] == 0.0
+            solved = np.linalg.solve(gram[~singular], lin[~singular, :, None])
+        alpha = np.empty(lin.shape)
+        alpha[~singular] = solved[:, :, 0]
+        for row in np.flatnonzero(singular):
+            alpha[row] = self.solve_clipped(1.0 / (j[row] * self.df), -np.inf, np.inf)[0]
         alpha = np.clip(alpha, lower, upper)
         return alpha, _quad_values(gram, lin, self.rr, self.scale, alpha)
+
+    def moment_quadratic(self, f: float) -> tuple[list, list, list, list]:
+        """Gram, linear term and their derivatives in the frequency at ``f``, on floats: (G, lin, dG, dlin).
+
+        From the moments of vv, rv, t vv and t rv at harmonics 0..2K (one
+        complex exponential, its powers and one (2K+1, n) @ (n, 4) product)
+        by :func:`_moment_map`.  The entries match the design's to rounding.
+        """
+        K, q = self.order, 2 * self.order + 1
+        z = np.exp(self._it * (2.0 * math.pi * f))
+        powers = np.empty((2 * K + 1, z.size), dtype=complex)  # e^{ihx}, h = 0..2K
+        powers[0] = 1.0
+        powers[1] = z
+        for h in range(2, 2 * K + 1):
+            np.multiply(powers[h - 1], z, out=powers[h])
+        moments = powers @ self._moment_weights  # (2K+1, 4)
+        out = (_moment_map(K) @ moments.view(float).ravel()).tolist()
+        half = q * q + q
+        gram, dgram = ([out[s + i * q : s + i * q + q] for i in range(q)] for s in (0, half))
+        return gram, out[q * q : half], dgram, out[half + q * q :]
+
+    def slope(self, f: float, box) -> tuple[float, float]:
+        """The profile's slope in the frequency and its value at frequency ``f``: (slope, value).
+
+        The box does not depend on the frequency, so by the envelope
+        (Danskin) theorem the slope of the profile V(f) = min_a Q(f, a) is the
+        partial derivative of Q in f at the minimizer a:
+
+            dV/df = scale * (a' dG/df a - 2 dlin/df' a).
+
+        Gram, linear term and derivatives come from :meth:`moment_quadratic`.
+        When :func:`_certified_solve` certifies the gram regular and its
+        solution lies strictly inside the box, that is the minimizer;
+        otherwise the same quadratic goes to :func:`solve_box` as a one-row
+        stack.  The entries match the design's to rounding, so this locates
+        the period; the located period is solved again from the design.
+        """
+        gram, lin, dgram, dlin = self.moment_quadratic(f)
+        lower, upper = _float_bounds(box, self.order)
+        alpha = _certified_solve(gram, lin)
+        if alpha is None or not all(lo < a < hi for lo, a, hi in zip(lower, alpha, upper)):
+            alpha = solve_box(np.array([gram]), np.array([lin]), lower, upper)[0].tolist()
+        # value - rr = a' (G a - 2 lin), slope = a' (dG a - 2 dlin), before the scale
+        value = slope = 0.0
+        for a, g, b, dg, db in zip(alpha, gram, lin, dgram, dlin):
+            value += a * (sum(map(operator.mul, g, alpha)) - 2.0 * b)
+            slope += a * (sum(map(operator.mul, dg, alpha)) - 2.0 * db)
+        return self.scale * slope, self.scale * (self.rr + value)
 
 
 def alpha_profile(

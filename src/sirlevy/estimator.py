@@ -10,14 +10,17 @@ else face enumeration).  Projected gradient descent (:func:`pgd_alpha`),
 the paper's solver, is kept as the reference the exact solve is checked
 against; the estimator does not call it.  With the coefficients solved
 exactly at every period, the joint fit is a one-dimensional search over
-the profile objective in the period (variable projection): a dense
-frequency scan over the ranked cells finds the basin, and a zero search on
-the exact profile's slope in the frequency (the envelope theorem's
-derivative, :meth:`AlphaProfile.solve_slope`, found by Brent's method)
-places the period beyond the cell resolution.  The winning table entry is
-updated in place so the reported objective is the table minimum.  Brent's
-method is :func:`_brentq`, a port of scipy's ``brentq`` that takes its steps
-exactly, so the estimator loads no scipy module.
+the profile objective in the period (variable projection): a frequency
+scan on a uniform lattice (:func:`_scan_lattice`, ranked from one FFT's
+trig moments by :meth:`AlphaProfile.scan`) finds the basin, and a zero
+search on the profile's slope in the frequency (the envelope theorem's
+derivative, :meth:`AlphaProfile.slope`, from the trig moments at one
+frequency, found by Brent's method) places the period beyond the lattice
+spacing.  The located period is solved again from the design, and the
+winning table entry is updated in place so the reported objective is the
+table minimum.  Brent's method is :func:`_brentq`, a port of scipy's
+``brentq`` that takes its steps exactly, so the estimator loads no scipy
+module.
 """
 
 from __future__ import annotations
@@ -202,54 +205,44 @@ def pgd_quadratic(
     return AlphaSolve(alpha, f, max_iter, False, history)
 
 
-def _scan_frequencies(traj, cells, box) -> tuple[np.ndarray, float]:
-    """Dense scan grid over every cell, in value order (best first); returns (frequencies, spacing).
+def _scan_lattice(profile: AlphaProfile, box) -> np.ndarray:
+    """The scan's points j, ascending: the lattice f_j = j df in [1/box.period[1], 1/box.period[0]], j <= 2Kn.
 
     A single test period per cell cannot land inside the objective's basin
-    when the true period is small: phase coherence over the horizon T bounds
-    the basin half-width by roughly period^2 / (2 T).  Scanning each cell
-    on a uniform frequency grid (spacing 1/(4T), a quarter cycle across the
-    horizon) makes the capture probability independent of the period, and the
-    grid is capped at the observation Nyquist frequency, below which no period
-    is distinguishable from its aliases anyway; a cell wholly past the cap is
-    left out.
+    when the true period is small: phase coherence over the horizon T = n dt
+    bounds the basin half-width by roughly period^2 / (2 K T).  Scanning a
+    uniform frequency lattice of spacing df = 1/(4KT) (:attr:`AlphaProfile.df`,
+    a quarter cycle of the highest harmonic across the horizon) makes the
+    capture probability independent of the period.  The lattice stops at
+    the observation Nyquist frequency n / (2T) = 2Kn df.  Above it the grid
+    cannot tell a frequency from its aliases, and the box tells them apart
+    only in part: its osc >= 0 excludes the sign-flipped alias 1/dt - f (the
+    same cos column, the sin column negated), while the same-sign aliases
+    f +- k/dt (the same columns) stay in the box.
     """
-    horizon = float(traj.times[-1] - traj.times[0])
-    m = len(cells)
-    f_cap = traj.n_intervals / (2.0 * horizon)
-    df = 1.0 / (4.0 * horizon)
-    index = np.array([c.index for c in sorted(cells, key=lambda c: (c.value, c.index))])
-    f_lo = 1.0 / np.minimum(index / m, box.period[1])
-    f_hi = np.minimum(1.0 / np.maximum((index - 1) / m, box.period[0]), f_cap)
-    # a cell with f_hi <= f_lo lies wholly below the resolvable period range (or outside the box)
-    keep = f_hi > f_lo
-    f_lo, f_hi = f_lo[keep], f_hi[keep]
-    counts = np.maximum(2, np.ceil((f_hi - f_lo) / df).astype(int) + 1)
-    # np.linspace(f_lo, f_hi, count) per cell: i * step + f_lo, the last point f_hi
-    ends = np.cumsum(counts)
-    i = np.arange(counts.sum()) - np.repeat(ends - counts, counts)
-    freqs = i * np.repeat((f_hi - f_lo) / (counts - 1), counts) + np.repeat(f_lo, counts)
-    freqs[ends - 1] = f_hi
-    return freqs, df
+    j = np.arange(1, 2 * profile.order * profile.t.size + 1)
+    f = j * profile.df
+    return j[(f >= 1.0 / box.period[1]) & (f <= 1.0 / box.period[0])]
 
 
-def _scan_top_cells(traj, profile: AlphaProfile, cells, box, best):
-    """Dense period scan over every cell below the Nyquist cap; returns (period, alpha, value, evaluations).
+def _scan_and_search(profile: AlphaProfile, box, best):
+    """Dense frequency scan below the Nyquist cap, then a period search; returns (period, alpha, value, evaluations).
 
-    Scan points are ranked by the clipped normal-equations value
-    (:meth:`AlphaProfile.scan`, evaluated from trig moments), the first of
-    equal values winning.  The scan only picks the winning frequency: a zero
-    search on the exact profile's slope around it (:func:`_envelope_search`)
-    sharpens it, and it is solved again exactly from the design.  The
-    better of that point and the best cell is returned, with the search's
-    profile evaluations.
+    Scan points (:func:`_scan_lattice`) are ranked by the clipped
+    normal-equations value (:meth:`AlphaProfile.scan`, evaluated from trig
+    moments), the first of equal values winning.  The scan only picks the
+    winning frequency: a zero search on the profile's slope around it
+    (:func:`_envelope_search`) sharpens it, and it is solved again exactly
+    from the design.  The better of that point and the best cell is
+    returned, with the search's profile evaluations.
     """
-    freqs, df = _scan_frequencies(traj, cells, box)
+    j = _scan_lattice(profile, box)
     candidates = [(best.period, best.alpha, best.value)]
     evaluations = 0
-    if freqs.size:
+    if j.size:
         lo, hi = box.alpha_bounds(profile.order)
-        f_best = freqs[np.argmin(profile.scan(1.0 / freqs, lo, hi)[1])]
+        df = profile.df
+        f_best = float(j[np.argmin(profile.scan(j, lo, hi)[1])] * df)
         # the basin is narrow at small periods, so the search runs in frequency,
         # inside the scan bracket and the box
         f_lo = max(f_best - df, 1.0 / box.period[1])
@@ -316,21 +309,17 @@ def _brentq(f, xa: float, fa: float, xb: float, fb: float, xtol: float) -> tuple
 def _envelope_search(profile: AlphaProfile, box, lo: float, hi: float) -> tuple[float, int]:
     """Minimize the profile over the frequencies [lo, hi] by a zero of its slope.
 
-    Both ends are evaluated in one stacked call.  When the slope is negative
+    Every evaluation is :meth:`AlphaProfile.slope`, the profile's slope and
+    value from trig moments at one frequency.  When the slope is negative
     at ``lo`` and positive at ``hi`` the bracket holds a minimum, and Brent's
     method (:func:`_brentq`) finds the zero of the slope from those two end
     values; otherwise the end of lower value wins.  Returns the frequency
     and the number of profile evaluations.
     """
-    ends = np.array([lo, hi])
-    _, values, slopes = profile.solve_slope(ends, box)
-    if not slopes[0] < 0.0 < slopes[1]:
-        return float(ends[np.argmin(values)]), 2
-
-    def slope(f):
-        return profile.solve_slope(np.array([f]), box)[2][0]
-
-    return _brentq(slope, lo, slopes[0], hi, slopes[1], _SEARCH_XTOL * hi)
+    (slope_lo, value_lo), (slope_hi, value_hi) = profile.slope(lo, box), profile.slope(hi, box)
+    if not slope_lo < 0.0 < slope_hi:
+        return (lo if value_lo <= value_hi else hi), 2
+    return _brentq(lambda f: profile.slope(f, box)[0], lo, slope_lo, hi, slope_hi, _SEARCH_XTOL * hi)
 
 
 def lsgd_estimate(
@@ -345,9 +334,9 @@ def lsgd_estimate(
 
     Cell i tests one period drawn uniformly from ((i-1)/M, i/M); all cells
     are solved exactly under the box in one batch, resonant (rank-deficient)
-    test periods included.  The best cell always seeds a dense frequency
-    scan and a zero search on the exact profile's slope in the frequency,
-    whose exact solve gives the coefficients; the objective there is
+    test periods included.  A dense frequency scan and a zero search on the
+    profile's slope in the frequency then locate the period, whose exact
+    solve gives the coefficients when it beats the best cell; the objective there is
     evaluated from the residuals by :func:`contrast_value`.  The entry of
     the cell holding that point is replaced by it and marked ``refined``, so
     the reported objective equals the minimum over the cells; the other
@@ -374,7 +363,7 @@ def lsgd_estimate(
     ]
 
     best = min(cells, key=lambda c: (c.value, c.index))
-    period, alpha, _, refine_iters = _scan_top_cells(traj, profile, cells, box, best)
+    period, alpha, _, refine_iters = _scan_and_search(profile, box, best)
     theta_vec = np.concatenate([[period], alpha])
     theta = ThetaParams.from_vector(theta_vec)
     # the reported objective is evaluated from the residuals

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sirlevy as sl
+from sirlevy.contrast import _design_columns, _quad_values
 
 # constants shared across the suite: the reference parameter point of the
 # bundled studies and the two standard initial states
@@ -24,6 +25,39 @@ def make_dataset(seed=0, eps=0.001, theta=None, model="numbers", substeps=10, n_
         sl.get_model(model).driver_dim,
     )
     return sl.simulate_sde(model, theta, params, x0, 1.0, n_obs, noise, substeps=substeps)
+
+
+def design_slope(profile, freqs, box, alphas=None):
+    """The profile's exact solves at the periods 1/freqs and its slope in the frequency, from the design.
+
+    Returns (alphas (F, q), values (F,), slopes (F,)); the alphas and values
+    equal :meth:`AlphaProfile.solve_many`'s bit for bit.  Given ``alphas``,
+    the values and slopes are the design's at those coefficients.  By the envelope
+    (Danskin) theorem the slope of V(f) = min_a Q(f, a) over a box that does
+    not depend on f is the partial derivative of Q in f at the minimizer a,
+
+        dV/df = 2 scale dt * sum_i (D a)_i (dt vv_i (C a)_i - rv_i),
+
+    with D the frequency derivative of the design C and i the grid nodes.
+    This is the reference for :meth:`AlphaProfile.slope`, which reads the
+    same quantities from trig moments.
+    """
+    C = _design_columns(profile.t, 1.0 / np.asarray(freqs, dtype=float), profile.order)
+    if alphas is None:
+        alphas, values = profile._solve_design(C, box)
+    else:
+        gram, lin = profile._gram_lin(C)
+        values = _quad_values(gram, lin, profile.rr, profile.scale, alphas)
+    # dC/df = (0, -2 pi k t sin(...), 2 pi k t cos(...))
+    K = profile.order
+    rate = 2.0 * np.pi * np.multiply.outer(profile.t, np.arange(1.0, K + 1.0))
+    D = np.concatenate([np.zeros_like(C[..., :1]), -rate * C[..., K + 1 :], rate * C[..., 1 : K + 1]], axis=-1)
+    col = alphas[:, :, None]
+    beta = (C @ col)[:, :, 0]  # the fitted transmission per node
+    dbeta = (D @ col)[:, None, :, 0]
+    misfit = (profile.dt * profile.vv * beta - profile.rv)[:, :, None]
+    slopes = 2.0 * profile.scale * profile.dt * (dbeta @ misfit)[:, 0, 0]
+    return alphas, values, slopes
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 
 import sirlevy as sl
 import sirlevy.estimator as est_mod
-from sirlevy.contrast import AlphaProfile
 from sirlevy.estimator import EstimationError, _brentq
 
 from conftest import THETA_REF, X0_NUMBERS
@@ -117,17 +116,18 @@ def test_brentq_equals_scipy_on_the_sweep_slopes(tmp_path, monkeypatch):
 
 def test_nan_slope_becomes_a_failure_row(monkeypatch):
     """A slope search that meets a NaN slope fails its replication instead of the run."""
-    solve_slope = AlphaProfile.solve_slope
     interior = []
 
-    def nan_inside(self, freqs, box):
-        alphas, values, slopes = solve_slope(self, freqs, box)
-        if np.size(freqs) == 1:  # the search's own evaluations, not the two bracket ends
-            interior.append(1)
-            slopes = np.full_like(slopes, np.nan)
-        return alphas, values, slopes
+    def nan_inside(f, xa, fa, xb, fb, xtol):
+        # the two bracket ends are finite; every slope the search itself asks for is NaN
+        def nan_slope(x):
+            interior.append(x)
+            return f(x) * math.nan
 
-    monkeypatch.setattr(AlphaProfile, "solve_slope", nan_inside)
+        return search(nan_slope, xa, fa, xb, fb, xtol)
+
+    search = est_mod._brentq
+    monkeypatch.setattr(est_mod, "_brentq", nan_inside)
     res = sl.rate_experiment(
         "numbers", THETA_REF, sl.numbers_defaults(), X0_NUMBERS, [0.001], replications=3, seed=3,
         substeps=1, limit_draws=0,

@@ -1,14 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sirlevy as sl
 from sirlevy import BoxConstraints, ContrastConfig, EstimatorConfig, SingularDesignError
 from sirlevy.contrast import AlphaQuadratic, DegenerateWeightsError, alpha_profile
-from sirlevy.estimator import _scan_frequencies, pgd_quadratic
+from sirlevy.estimator import _scan_lattice, pgd_quadratic
 
-from conftest import THETA_REF, X0_NUMBERS, make_dataset
+from conftest import THETA_REF, X0_NUMBERS, design_slope, make_dataset
 
 PARAMS = sl.numbers_defaults()
 
@@ -402,69 +404,66 @@ def test_batched_scan_matches_scalar_loop(seed, eps):
     cfg = ContrastConfig(form="weighted", eps=eps)
     box = BoxConstraints()
     lower, upper = box.alpha_bounds(1)
-    cells = sl.lsgd_estimate(traj, EstimatorConfig(), box, cfg, seed=seed).cells
-    freqs, _ = _scan_frequencies(traj, cells, box)
     profile = alpha_profile(traj, traj.params, cfg)
-    _, values = profile.scan(1.0 / freqs, lower, upper)
+    j = _scan_lattice(profile, box)
+    _, values = profile.scan(j, lower, upper)
     best = None
-    for f in freqs:
-        value = profile.solve_clipped(1.0 / f, lower, upper)[1]
+    for i in j:
+        value = profile.solve_clipped(1.0 / (i * profile.df), lower, upper)[1]
         if best is None or value < best[1]:
-            best = (f, value)
+            best = (i, value)
     k = int(np.argmin(values))
-    assert freqs[k] == best[0]
+    assert j[k] == best[0]
     assert values[k] == pytest.approx(best[1], rel=1e-12)
 
 
 def test_batched_scan_matches_scalar_loop_on_singular_grams():
+    # Y = 0 makes the transmission direction vanish: every gram is zero
     times = np.linspace(0, 1, 11)
     states = np.tile([2.0, 0.0, 0.5], (11, 1))
     p = sl.numbers_defaults()
     traj = sl.Trajectory(times=times, states=states, model="numbers", params=p)
     profile = alpha_profile(traj, p, ContrastConfig(form="plain", eps=1.0))
     lower, upper = BoxConstraints().alpha_bounds(1)
-    periods = np.linspace(0.05, 1.0, 7)
-    alphas, values = profile.scan(periods, lower, upper)
-    for period, alpha, value in zip(periods, alphas, values):
-        ref_alpha, ref_value = profile.solve_clipped(period, lower, upper)
+    j = np.arange(1, 21)
+    alphas, values = profile.scan(j, lower, upper)
+    for i, alpha, value in zip(j, alphas, values):
+        ref_alpha, ref_value = profile.solve_clipped(1.0 / (i * profile.df), lower, upper)
         assert np.array_equal(alpha, ref_alpha)
         assert value == pytest.approx(ref_value, rel=1e-12)
 
 
 def test_scan_solves_only_the_singular_rows_from_the_design():
-    # the scan grid of cell 1 at n = 100, 20 to 50 in quarter steps; at order 2
-    # a harmonic of f = 25 or 50 lands on the sampling rate, and whether the
-    # moment gram is then exactly singular depends on its rounding: on these
-    # profiles it is at f = 50 on an x86-64 box with numpy's OpenBLAS build
-    freqs = np.linspace(20.0, 50.0, 121)
-    assert 25.0 in freqs and 50.0 in freqs
+    # at order 2 and n = 100 the lattice points j = 160..400 are 20 to 50 in
+    # eighth steps; a harmonic of f = 25 or 50 lands on the sampling rate, a
+    # sin column vanishes on the grid, and the FFT's moment gram is exactly singular
+    j = np.arange(160, 401)
     lower, upper = BoxConstraints().alpha_bounds(2)
-    singular_rows = 0
     for seed, eps in [(0, 0.3), (2, 0.3), (8, 0.01), (9, 0.01)]:
         traj = make_dataset(seed=seed, eps=eps)
         profile = alpha_profile(traj, traj.params, ContrastConfig(form="weighted", eps=eps), order=2)
-        gram, lin = profile._moment_gram_lin(1.0 / freqs)
-        singular = np.zeros(freqs.size, dtype=bool)
-        for i in range(freqs.size):
+        assert j[0] * profile.df == 20.0 and j[-1] * profile.df == 50.0
+        gram, lin = profile._lattice_gram_lin(j)
+        singular = np.zeros(j.size, dtype=bool)
+        for i in range(j.size):
             try:
                 np.linalg.solve(gram[i], lin[i])
             except np.linalg.LinAlgError:
                 singular[i] = True
-        singular_rows += singular.sum()
-        alphas, values = profile.scan(1.0 / freqs, lower, upper)
-        for f, alpha in zip(freqs[singular], alphas[singular]):
-            assert np.array_equal(alpha, profile.solve_clipped(1.0 / f, lower, upper)[0])
-        rest_alphas, rest_values = profile.scan(1.0 / freqs[~singular], lower, upper)
+        assert j[singular].tolist() == [200, 400]
+        alphas, values = profile.scan(j, lower, upper)
+        for i, alpha in zip(j[singular], alphas[singular]):
+            assert np.array_equal(alpha, profile.solve_clipped(1.0 / (i * profile.df), lower, upper)[0])
+        rest_alphas, rest_values = profile.scan(j[~singular], lower, upper)
         assert np.array_equal(alphas[~singular], rest_alphas)
         assert np.array_equal(values[~singular], rest_values)
-    assert singular_rows > 0
 
 
-def _moment_scan_trajectory(order, n_obs, seed):
+def _moment_scan_trajectory(order, n_obs, seed, model="numbers"):
     # a transmission of the fitted order, so every harmonic of the scan carries signal
     osc = [0.3 / k for k in range(1, order + 1)]
     theta = sl.ThetaParams(0.3, 0.6, tuple(osc), tuple(0.5 * x for x in osc))
-    return make_dataset(seed=seed, eps=0.01, theta=theta, n_obs=n_obs, substeps=1)
+    return make_dataset(seed=seed, eps=0.01, theta=theta, n_obs=n_obs, substeps=1, model=model)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -472,15 +471,57 @@ def _moment_scan_trajectory(order, n_obs, seed):
 def test_moment_gram_equals_the_design_gram(order, n_obs):
     traj = _moment_scan_trajectory(order, n_obs, seed=order + n_obs)
     profile = alpha_profile(traj, traj.params, ContrastConfig(form="weighted", eps=0.01), order=order)
-    # the scan's range, from the Nyquist period 2 dt up, and periods far beyond the horizon
-    periods = np.concatenate([np.linspace(2.0 * profile.dt, 1.0, 80), [1.0 / 3.0, 3.7, 250.0]])
-    gram, lin = profile._moment_gram_lin(periods)
-    ref_gram, ref_lin = profile._gram_lin(sl.contrast._design_columns(profile.t, periods, order))
+    # every lattice point up to the Nyquist frequency, from the period 4KT down
+    j = np.arange(1, 2 * order * n_obs + 1)
+    gram, lin = profile._lattice_gram_lin(j)
+    ref_gram, ref_lin = profile._gram_lin(sl.contrast._design_columns(profile.t, 1.0 / (j * profile.df), order))
     assert gram.shape == ref_gram.shape and lin.shape == ref_lin.shape
     assert np.array_equal(gram, np.swapaxes(gram, 1, 2))
     # rounding relative to the entries' scale: every gram entry is bounded by
-    # dt^2 sum vv and every linear entry by dt sum |rv|; both sides round the
-    # phases, up to 2 pi 2K n / 2 radians at the Nyquist period
+    # dt^2 sum vv and every linear entry by dt sum |rv|; the design rounds the
+    # phases, up to 2 pi 2K n / 2 radians at the Nyquist frequency
+    assert np.abs(gram - ref_gram).max() <= 1e-12 * profile.dt**2 * profile.vv.sum()
+    assert np.abs(lin - ref_lin).max() <= 1e-12 * profile.dt * np.abs(profile.rv).sum()
+
+
+def _shifted(traj, t0):
+    """The trajectory with its clock started at t0 instead of 0."""
+    return sl.Trajectory(times=traj.times + t0, states=traj.states, model=traj.model, params=traj.params)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "model,n_obs,t0",
+    [
+        ("numbers", 100, 0.0),
+        ("numbers", 1600, 0.0),
+        ("proportions", 100, 0.0),
+        ("proportions", 1600, 0.0),
+        ("numbers", 100, 0.37),  # a grid that does not start at 0: the bins carry a phase
+        ("proportions", 101, 0.0),  # an odd n
+    ],
+)
+def test_fft_moments_equal_direct_sums(model, n_obs, t0, order):
+    traj = _moment_scan_trajectory(order, n_obs, seed=n_obs + order, model=model)
+    form = "weighted" if model == "numbers" else "plain"
+    profile = alpha_profile(_shifted(traj, t0), None, ContrastConfig(form=form, eps=0.01), order=order)
+    # every lattice point up to the Nyquist frequency 2Kn df; at n = 1600
+    # every 11th and the last, to keep the direct sums small
+    top = 2 * order * n_obs
+    j = np.unique(np.r_[np.arange(1, top + 1, 1 if n_obs < 1000 else 11), top])
+    gram, lin = profile._lattice_gram_lin(j)
+    # direct sums sum_k w_k e^{ih 2 pi f_j t_k} over the grid's own times, a few rows at a time
+    harmonic = np.arange(2 * order + 1)
+    Z = np.empty((j.size, harmonic.size), dtype=complex)
+    R = np.empty((j.size, order + 1), dtype=complex)
+    for rows in np.array_split(np.arange(j.size), max(1, j.size // 64)):
+        x = 2.0 * np.pi * np.multiply.outer(np.multiply.outer(j[rows] * profile.df, harmonic), profile.t)
+        Z[rows], R[rows] = np.exp(1j * x) @ profile.vv, np.exp(1j * x[:, : order + 1]) @ profile.rv
+    first_of, second_of = sl.contrast._product_to_sum(order)
+    X = np.concatenate([Z.real, Z.imag, -Z.real, -Z.imag], axis=1)
+    ref_gram = profile.dt**2 * (X[:, first_of] + X[:, second_of]) / 2.0
+    ref_lin = profile.dt * np.concatenate([R.real, R.imag[:, 1:]], axis=1)
+    # a gram entry is a half-sum of two vv moments, a linear entry one rv moment
     assert np.abs(gram - ref_gram).max() <= 1e-12 * profile.dt**2 * profile.vv.sum()
     assert np.abs(lin - ref_lin).max() <= 1e-12 * profile.dt * np.abs(profile.rv).sum()
 
@@ -492,10 +533,10 @@ def test_moment_scan_matches_scalar_loop(order, n_obs):
     cfg = ContrastConfig(form="weighted", eps=0.01)
     box = BoxConstraints()
     lower, upper = box.alpha_bounds(order)
-    cells = sl.lsgd_estimate(traj, EstimatorConfig(order=order), box, cfg, seed=order).cells
-    freqs, _ = _scan_frequencies(traj, cells, box)
     profile = alpha_profile(traj, traj.params, cfg, order=order)
-    alphas, values = profile.scan(1.0 / freqs, lower, upper)
+    j = _scan_lattice(profile, box)
+    freqs = j * profile.df
+    alphas, values = profile.scan(j, lower, upper)
     ref = [profile.solve_clipped(1.0 / f, lower, upper) for f in freqs]
     ref_values = np.array([value for _, value in ref])
     assert np.argmin(values) == np.argmin(ref_values)
@@ -632,14 +673,87 @@ def test_profile_slope_matches_finite_differences(seed, eps, model, form, order)
     lower, upper = box.alpha_bounds(order)
     profile = alpha_profile(traj, traj.params, ContrastConfig(form=form, eps=eps), order=order)
     freqs = np.random.default_rng(seed).uniform(1.0, 50.0, size=24)
-    alphas, values, slopes = profile.solve_slope(freqs, box)
-    ref_alphas, ref_values = profile.solve_many(1.0 / freqs, box)
-    assert np.array_equal(alphas, ref_alphas) and np.array_equal(values, ref_values)
+    alphas, values = profile.solve_many(1.0 / freqs, box)
     on_face = np.any((alphas <= lower) | (alphas >= upper), axis=1)
     assert on_face.any() and not on_face.all()
-    for f, alpha, value, slope in zip(freqs, alphas, values, slopes):
+    for f, value in zip(freqs.tolist(), values):
+        slope, moment_value = profile.slope(f, box)
         h = 1e-6 * f
         fd = (profile.solve(1.0 / (f + h), box)[1] - profile.solve(1.0 / (f - h), box)[1]) / (2.0 * h)
         assert abs(fd - slope) <= 1e-6 * (abs(slope) + value / f)
-        # each row is evaluated as if alone
-        assert profile.solve_slope(np.array([f]), box)[2][0] == slope
+        # the moments' value is the design's to rounding
+        assert moment_value == pytest.approx(value, rel=1e-10)
+
+
+@functools.lru_cache(maxsize=None)
+def _slope_profile(seed, eps, order):
+    traj = make_dataset(seed=seed, eps=eps)
+    return alpha_profile(traj, traj.params, ContrastConfig(form="weighted", eps=eps), order=order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.sampled_from([(0, 0.3), (7, 0.01), (11, 0.001)]),  # (0, 0.3) leaves the box
+    order=st.integers(1, 3),
+    u=st.floats(0.0, 1.0),
+)
+def test_moment_slope_equals_the_design_slope(data, order, u):
+    profile = _slope_profile(*data, order)
+    box = BoxConstraints()
+    f = 1.0 + 48.0 * u
+    # the singular frequencies, where a harmonic lands on a multiple of the
+    # Nyquist frequency 50, have a test of their own below
+    assume(min(abs(h * f / 50.0 - round(h * f / 50.0)) for h in range(1, order + 1)) > 1e-9)
+    slope, value = profile.slope(f, box)
+    _, ref_values, ref_slopes = design_slope(profile, [f], box)
+    assert abs(slope - ref_slopes[0]) <= 1e-9 * (abs(ref_slopes[0]) + ref_values[0] / f)
+    assert value == pytest.approx(ref_values[0], rel=1e-10)
+    # where the float branch is taken, the box solve on the same quadratic
+    # ends in its first step (regular gram, solution in the box) at that point
+    gram, lin, _, _ = profile.moment_quadratic(f)
+    alpha = sl.contrast._certified_solve(gram, lin)
+    lower, upper = box.alpha_bounds(order)
+    if alpha is not None and np.all((lower < alpha) & (alpha < upper)):
+        step1, regular = sl.contrast._unconstrained(np.array([gram]), np.array([lin]))
+        assert regular[0] and np.all((lower <= step1[0]) & (step1[0] <= upper))
+        assert np.array_equal(sl.contrast.solve_box(np.array([gram]), np.array([lin]), lower, upper), step1)
+        assert np.abs(np.array(alpha) - step1[0]).max() <= 1e-12 * (1.0 + np.abs(step1[0]).max())
+
+
+@pytest.mark.parametrize("data", [(0, 0.3), (3, 0.1), (7, 0.01), (11, 0.001)])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_moment_slope_at_singular_frequencies_is_the_partial_at_a_minimizer(data, order):
+    # n = 100 on [0, 1]: where a harmonic h <= K of f is a multiple of the
+    # Nyquist frequency 50, sin_h vanishes on the grid and the gram is
+    # singular, so the moments' quadratic goes to the box solve.  The
+    # minimizer need not be unique there, and the profile has a kink whose
+    # one-sided slopes are the least and the largest partial derivative in f
+    # over the minimizers (Danskin): the design's minimizer and the moments'
+    # may differ, and so may their slopes.  The moments' minimizer is a
+    # minimizer of the design's quadratic too, and the slope is the design's
+    # partial derivative there.
+    profile = _slope_profile(*data, order)
+    box = BoxConstraints()
+    lower, upper = box.alpha_bounds(order)
+    for f in sorted({50.0 * m / h for h in range(1, order + 1) for m in range(1, h + 1)}):
+        gram, lin, _, _ = profile.moment_quadratic(f)
+        certified = sl.contrast._certified_solve(gram, lin)
+        assert certified is None or not np.all((lower < certified) & (certified < upper))
+        alpha = sl.contrast.solve_box(np.array([gram]), np.array([lin]), lower, upper)
+        slope, value = profile.slope(f, box)
+        _, ref_values, _ = design_slope(profile, [f], box)
+        _, at_values, at_slopes = design_slope(profile, [f], box, alphas=alpha)
+        assert value == pytest.approx(ref_values[0], rel=1e-10)
+        assert at_values[0] == pytest.approx(ref_values[0], rel=1e-10)
+        assert abs(slope - at_slopes[0]) <= 1e-9 * (abs(at_slopes[0]) + value / f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_problems())
+def test_certified_solve_only_solves_regular_grams(problem):
+    quad, _, _ = problem
+    alpha = sl.contrast._certified_solve(quad.gram.tolist(), quad.lin.tolist())
+    solution, regular = sl.contrast._unconstrained(quad.gram[None], quad.lin[None])
+    if alpha is not None:
+        assert regular[0]
+        np.testing.assert_allclose(alpha, solution[0], rtol=1e-9, atol=1e-9)

@@ -3,7 +3,8 @@ import pytest
 
 import sirlevy as sl
 from sirlevy import BoxConstraints, ContrastConfig, EstimationError, EstimatorConfig
-from sirlevy.estimator import CellResult, _scan_frequencies, default_alpha_init
+from sirlevy.contrast import alpha_profile
+from sirlevy.estimator import _scan_lattice, default_alpha_init
 
 from conftest import THETA_REF, make_dataset
 
@@ -156,60 +157,66 @@ def test_period_search_stops_at_a_sign_change_of_the_profile_slope(monkeypatch):
         profile, lo, hi, f_star = searches[-1]
         assert lo < f_star < hi
         assert res.theta.period == pytest.approx(1.0 / f_star, rel=1e-15)
-        slopes = profile.solve_slope(np.array([f_star * (1.0 - 1e-9), f_star * (1.0 + 1e-9)]), box)[2]
-        assert slopes[0] < 0.0 < slopes[1]
+        # the search's evaluator changes sign across the root
+        assert profile.slope(f_star * (1.0 - 1e-9), box)[0] < 0.0 < profile.slope(f_star * (1.0 + 1e-9), box)[0]
 
 
-def _per_cell_linspace(traj, cells, box):
-    """The scan grid built cell by cell with np.linspace, the reference for _scan_frequencies."""
-    horizon = float(traj.times[-1] - traj.times[0])
-    m = len(cells)
-    f_cap = traj.n_intervals / (2.0 * horizon)
-    df = 1.0 / (4.0 * horizon)
-    grids = []
-    for cell in sorted(cells, key=lambda c: (c.value, c.index)):
-        lo_p = max((cell.index - 1) / m, box.period[0])
-        hi_p = min(cell.index / m, box.period[1])
-        f_lo = 1.0 / hi_p
-        f_hi = min(1.0 / lo_p, f_cap)
-        if f_hi <= f_lo:
-            continue
-        grids.append(np.linspace(f_lo, f_hi, max(2, int(np.ceil((f_hi - f_lo) / df)) + 1)))
-    return (np.concatenate(grids) if grids else np.empty(0)), df
+def _lattice_reference(n_obs, horizon, period_box, order=1):
+    """The lattice points by brute force: every j df, df = 1/(4KT), in the period box and at most n/(2T)."""
+    dt = horizon / n_obs
+    df = 1.0 / (4.0 * order * n_obs * dt)
+    top = 2 * order * n_obs  # the Nyquist frequency
+    return [j for j in range(1, 2 * top) if 1.0 / period_box[1] <= j * df <= 1.0 / period_box[0] and j <= top]
 
 
 @pytest.mark.parametrize(
     "n_obs,horizon,period_box",
     [
-        (100, 1.0, (1e-3, 1.0)),  # cell 1 capped at the Nyquist frequency
-        # the Nyquist-capped cell 1 is one where i * step + f_lo misses f_hi in the last digit
-        (120, 0.95, (1e-3, 1.0)),
-        (100, 1.0, (0.13, 0.87)),  # cells 1-2 and 19-20 dropped, cells 3 and 18 clipped by the box
-        (10, 1.0, (0.07, 0.62)),  # cells 1-4 below the resolvable range, 14-20 outside the box, 13 clipped
-        (37, 1.0, (0.21, 0.21)),  # a one-point box: every cell dropped
+        (100, 1.0, (1e-3, 1.0)),  # the Nyquist frequency caps the box
+        (120, 0.95, (1e-3, 1.0)),  # the top period 1 falls between lattice points
+        (100, 1.0, (0.13, 0.87)),  # both ends inside the range
+        (10, 1.0, (0.07, 0.62)),  # the Nyquist frequency 5 below the box's top 1/0.07
+        (37, 1.0, (0.21, 0.21)),  # a one-point box off the lattice: no scan
     ],
 )
-def test_scan_frequencies_equal_per_cell_linspace(n_obs, horizon, period_box):
+def test_scan_lattice_is_every_lattice_point_in_range(n_obs, horizon, period_box):
     states = np.tile([2.0, 0.2, 0.3], (n_obs + 1, 1))
     traj = sl.Trajectory(times=np.linspace(0.0, horizon, n_obs + 1), states=states, model="numbers")
-    box = BoxConstraints(period=period_box)
-    rng = np.random.default_rng(n_obs)
-    values = rng.permutation(20).astype(float)
-    values[5] = values[11]  # a tie, broken by the cell index
-    cells = [CellResult(i, (i - 0.5) / 20, np.zeros(3), values[i - 1]) for i in range(1, 21)]
-    freqs, df = _scan_frequencies(traj, cells, box)
-    ref, ref_df = _per_cell_linspace(traj, cells, box)
-    assert df == ref_df
-    assert np.array_equal(freqs, ref)
+    profile = alpha_profile(traj, sl.numbers_defaults(), ContrastConfig(form="plain", eps=0.01))
+    assert profile.df == pytest.approx(1.0 / (4.0 * horizon), rel=1e-12)
+    j = _scan_lattice(profile, BoxConstraints(period=period_box))
+    assert j.tolist() == _lattice_reference(n_obs, horizon, period_box)
     if period_box == (0.21, 0.21):
-        assert freqs.size == 0
+        assert j.size == 0
+
+
+def test_a_period_box_of_one_lattice_point_scans_it_alone():
+    n_obs = 40
+    traj = make_dataset(seed=3, eps=0.01, n_obs=n_obs)
+    profile = alpha_profile(traj, traj.params, CFG_W)
+    box = BoxConstraints(period=(0.25, 0.25))  # f = 4 = 16 df
+    assert _scan_lattice(profile, box).tolist() == [16]
+    res = sl.lsgd_estimate(traj, EstimatorConfig(), box, CFG_W, seed=0)
+    assert res.theta.period == 0.25
+    assert box.contains(res.theta.to_vector())
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_scan_lattice_spacing_is_a_quarter_cycle_of_the_highest_harmonic(order):
+    n_obs, horizon, period_box = 100, 1.0, (0.13, 0.87)
+    states = np.tile([2.0, 0.2, 0.3], (n_obs + 1, 1))
+    traj = sl.Trajectory(times=np.linspace(0.0, horizon, n_obs + 1), states=states, model="numbers")
+    profile = alpha_profile(traj, sl.numbers_defaults(), ContrastConfig(form="plain", eps=0.01), order=order)
+    assert profile.df == pytest.approx(1.0 / (4.0 * order * horizon), rel=1e-12)
+    j = _scan_lattice(profile, BoxConstraints(period=period_box))
+    assert j.tolist() == _lattice_reference(n_obs, horizon, period_box, order)
 
 
 @pytest.mark.parametrize("seed,eps", [(2, 0.3), (5, 0.1), (8, 0.01), (13, 0.001)])
-def test_scan_frequencies_equal_per_cell_linspace_on_estimates(seed, eps):
+def test_scan_lattice_on_estimates_runs_to_the_nyquist_frequency(seed, eps):
     traj = make_dataset(seed=seed, eps=eps)
-    box = BoxConstraints()
-    cells = sl.lsgd_estimate(traj, EstimatorConfig(), box, ContrastConfig(form="weighted", eps=eps), seed=seed).cells
-    freqs, _ = _scan_frequencies(traj, cells, box)
-    assert freqs.size > 100
-    assert np.array_equal(freqs, _per_cell_linspace(traj, cells, box)[0])
+    profile = alpha_profile(traj, traj.params, ContrastConfig(form="weighted", eps=eps))
+    j = _scan_lattice(profile, BoxConstraints())
+    # periods 1 down to 2 dt, a quarter cycle across the horizon apart
+    assert j.tolist() == list(range(4, 2 * traj.n_intervals + 1))
+    assert j[0] * profile.df == 1.0 and j[-1] * profile.df == 0.5 / profile.dt

@@ -19,12 +19,14 @@ from sirlevy.experiments import (
 from conftest import THETA_REF, make_dataset
 
 
-def _tree_hash(root):
+def _tree_hash(root, skip=()):
     h = hashlib.sha256()
     for dirpath, dirnames, filenames in sorted(os.walk(root)):
         dirnames.sort()
         for fn in sorted(filenames):
             path = os.path.join(dirpath, fn)
+            if os.path.relpath(path, root) in skip:
+                continue
             h.update(os.path.relpath(path, root).encode())
             with open(path, "rb") as fh:
                 h.update(fh.read())
@@ -422,6 +424,37 @@ def test_generate_estimate_report_deterministic(tmp_path):
         report = sl.emit_reports(out)
         assert set(report["medians_l2"]) == {0.3, 0.01}
         trees.append(_tree_hash(out))
+    assert trees[0] == trees[1]
+
+
+@st.composite
+def small_sweep_configs(draw):
+    """A small sweep config: model, order 1-3, one or two eps levels and the cell count."""
+    model = draw(st.sampled_from(["numbers", "proportions"]))
+    eps = draw(st.lists(st.sampled_from([0.3, 0.1, 0.01, 0.001]), min_size=1, max_size=2, unique=True))
+    fields = dict(
+        eps_list=tuple(sorted(eps, reverse=True)),
+        n_datasets=2,
+        order=draw(st.integers(1, 3)),
+        cells=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return RunConfig.proportions_defaults(**fields) if model == "proportions" else RunConfig(**fields)
+
+
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=small_sweep_configs())
+def test_sweep_trees_match_across_worker_counts(tmp_path_factory, cfg):
+    root = tmp_path_factory.mktemp("jobs")
+    cfg.save(str(root / "run.cfg"))
+    trees = []
+    for jobs in (1, 2):
+        out = str(root / f"jobs{jobs}")
+        assert cli_main(["sweep", "--config", str(root / "run.cfg"), "--jobs", str(jobs), "--out", out]) == 0
+        assert sorted(n for n in os.listdir(out) if n.startswith("results_eps_")) == sorted(
+            f"results_eps_{eps:g}.csv" for eps in cfg.eps_list
+        )
+        trees.append(_tree_hash(out, skip={"config.txt"}))  # the config records the worker count
     assert trees[0] == trees[1]
 
 
