@@ -29,11 +29,13 @@ C_h + i S_h = sum_k vv_k e^{ihx_k} (h = 0..2K) and sum_k rv_k e^{ihx_k}
 (h = 0..K), x = 2 pi f t, assembled by the product-to-sum identities, and
 builds no (frequencies, n, q) design to do it.  :meth:`AlphaProfile.scan`
 ranks the frequencies of the lattice j df, df = 1/(4KT), whose moments all
-come from one zero-padded FFT of length 4Kn; :meth:`AlphaProfile.slope`
-gives the profile's slope and value at one frequency for the period search,
-from the moments of vv, rv, t vv and t rv there.  Both match the design's
-entries to rounding, not bit for bit; every solve that is reported (the
-cells, the final coefficients and the objective) builds the design.
+come from one zero-padded FFT of length 4Kn; :meth:`AlphaProfile.expand`
+gives the profile's slope, value and curvature at one frequency for the
+period search, from the moments of vv, rv, t vv, t rv, t**2 vv and t**2 rv
+there (the t**2 moments give the second derivatives of the gram and linear
+term), and :meth:`AlphaProfile.slope` its slope and value.  Both match the
+design's entries to rounding, not bit for bit; every solve that is reported
+(the cells, the final coefficients and the objective) builds the design.
 """
 
 from __future__ import annotations
@@ -226,21 +228,24 @@ def _moment_entries(Z, R, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _moment_map(order: int) -> np.ndarray:
-    """:func:`_moment_entries` and its derivative in the frequency as one matrix.
+    """:func:`_moment_entries` and its first two derivatives in the frequency as one matrix.
 
-    Its input is the float view of the (2K+1, 4) complex moments of
-    (vv, rv, t vv, t rv) at harmonics h = 0..2K, flattened; its output is the
-    gram (q*q, row by row), the linear term (q), then their derivatives in
-    the frequency (q*q, q), since d/df of e^{ih 2 pi f t} is
-    i 2 pi h t e^{ih 2 pi f t}.  The map is linear, so its columns are its
-    values at the unit inputs.
+    Its input is the float view of the (2K+1, 6) complex moments of
+    (vv, rv, t vv, t rv, t**2 vv, t**2 rv) at harmonics h = 0..2K, flattened;
+    its output is the gram (q*q, row by row), the linear term (q), then
+    their first and their second derivatives in the frequency (q*q, q each),
+    since d/df of e^{ih 2 pi f t} is i 2 pi h t e^{ih 2 pi f t}.  The map is
+    linear, so its columns are its values at the unit inputs.
     """
     m = 2 * order + 1
-    Z, R, Zt, Rt = np.moveaxis(np.eye(8 * m).view(complex).reshape(8 * m, m, 4), -1, 0)
+    Z, R, Zt, Rt, Ztt, Rtt = np.moveaxis(np.eye(12 * m).view(complex).reshape(12 * m, m, 6), -1, 0)
     rate = 2j * np.pi * np.arange(m)
-    entries = _moment_entries(Z, R[:, : order + 1], order)
-    derivatives = _moment_entries(rate * Zt, (rate * Rt)[:, : order + 1], order)
-    out = np.concatenate([part.reshape(8 * m, -1) for part in (*entries, *derivatives)], axis=1).T
+    parts = (
+        *_moment_entries(Z, R[:, : order + 1], order),
+        *_moment_entries(rate * Zt, (rate * Rt)[:, : order + 1], order),
+        *_moment_entries(rate**2 * Ztt, (rate**2 * Rtt)[:, : order + 1], order),
+    )
+    out = np.concatenate([part.reshape(12 * m, -1) for part in parts], axis=1).T
     out.flags.writeable = False
     return out
 
@@ -338,16 +343,17 @@ def _float_bounds(box, order: int) -> tuple[tuple[float, ...], tuple[float, ...]
     return tuple(lower.tolist()), tuple(upper.tolist())
 
 
-def _certified_solve(gram: list, lin: list) -> list | None:
-    """Normal-equations solution of one quadratic on floats, or None unless certified regular.
+def _certified_factor(gram: list) -> tuple[list, list] | None:
+    """The Cholesky factor of one gram's unit-diagonal scaling on floats, (unit, L), or None unless certified regular.
 
     With L the Cholesky factor of the unit-diagonal gram U, det U = prod L_ii**2,
     and since lambda_max(U) <= trace U = q, lambda_min(U) >= det U / q**(q-1).
-    The solution is returned only when that bound exceeds the face-singularity
+    The factor is returned only when that bound exceeds the face-singularity
     tolerance, so it is never taken where the unit-diagonal gram has an
     eigenvalue at or below it, which :func:`_unconstrained` calls singular.
+    ``unit`` holds the square roots of the gram's diagonal.
     """
-    q = len(lin)
+    q = len(gram)
     if not all(gram[i][i] > 0.0 for i in range(q)):
         return None
     unit = [math.sqrt(gram[i][i]) for i in range(q)]
@@ -371,10 +377,17 @@ def _certified_solve(gram: list, lin: list) -> list | None:
         L.append(Li)
     if not det > _FACE_SINGULAR_TOL * q ** (q - 1):
         return None
-    # U y = lin / unit by forward and back substitution, then alpha = y / unit
+    return unit, L
+
+
+def _factor_solve(factor: tuple[list, list], rhs: list) -> list:
+    """The solution a of gram a = rhs, from :func:`_certified_factor`'s factor of the gram."""
+    unit, L = factor
+    q = len(rhs)
+    # U y = rhs / unit by forward and back substitution, then a = y / unit
     y = []
     for i in range(q):
-        s = lin[i] / unit[i]
+        s = rhs[i] / unit[i]
         for m in range(i):
             s -= L[i][m] * y[m]
         y.append(s / L[i][i])
@@ -481,7 +494,7 @@ class AlphaProfile:
     rr: float = field(init=False, repr=False)  # sum of w * |r|^2
     # the moments' pieces for :meth:`moment_quadratic`
     _it: np.ndarray = field(init=False, repr=False)  # i t
-    _moment_weights: np.ndarray = field(init=False, repr=False)  # dt**2 vv, dt rv and their t multiples, (n, 4) complex
+    _moment_weights: np.ndarray = field(init=False, repr=False)  # dt**2 vv, dt rv, their t and t**2 multiples, (n, 6) complex
 
     def __post_init__(self):
         self.vv = self.w * np.einsum("ki,ki->k", self.v, self.v)
@@ -490,7 +503,8 @@ class AlphaProfile:
         self._it = 1j * self.t
         # the gram's dt**2 and the linear term's dt go into the weights
         vv, rv = self.dt**2 * self.vv, self.dt * self.rv
-        self._moment_weights = np.stack([vv, rv, self.t * vv, self.t * rv], axis=1).astype(complex)
+        tt = self.t * self.t
+        self._moment_weights = np.stack([vv, rv, self.t * vv, self.t * rv, tt * vv, tt * rv], axis=1).astype(complex)
 
     def _gram_lin(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gram (..., q, q) and linear term (..., q) of design columns C (..., n, q).
@@ -586,8 +600,10 @@ class AlphaProfile:
         exactly singular is solved from the design by :meth:`solve_clipped`;
         the other rows keep the batched solve, which treats each row alone.
         On a grid from t = 0 that is every frequency with a harmonic h <= K on
-        a multiple of the Nyquist frequency, where sin_h vanishes on the grid:
-        at order 1 the Nyquist frequency itself.
+        a multiple of the Nyquist frequency, where sin_h vanishes on the grid.
+        The estimator's lattice stops below the Nyquist frequency, so at
+        order 1 it has no such row; at order K >= 2 the frequencies where a
+        harmonic h = 2..K lands on a multiple of it remain.
         """
         j = np.asarray(j)
         gram, lin = self._lattice_gram_lin(j)
@@ -607,12 +623,13 @@ class AlphaProfile:
         alpha = np.clip(alpha, lower, upper)
         return alpha, _quad_values(gram, lin, self.rr, self.scale, alpha)
 
-    def moment_quadratic(self, f: float) -> tuple[list, list, list, list]:
-        """Gram, linear term and their derivatives in the frequency at ``f``, on floats: (G, lin, dG, dlin).
+    def moment_quadratic(self, f: float) -> tuple[list, ...]:
+        """Gram, linear term and their first two derivatives in the frequency at ``f``, on floats.
 
-        From the moments of vv, rv, t vv and t rv at harmonics 0..2K (one
-        complex exponential, its powers and one (2K+1, n) @ (n, 4) product)
-        by :func:`_moment_map`.  The entries match the design's to rounding.
+        Returns (G, lin, dG, dlin, d2G, d2lin).  From the moments of vv, rv,
+        t vv, t rv, t**2 vv and t**2 rv at harmonics 0..2K (one complex
+        exponential, its powers and one (2K+1, n) @ (n, 6) product) by
+        :func:`_moment_map`.  The entries match the design's to rounding.
         """
         K, q = self.order, 2 * self.order + 1
         z = np.exp(self._it * (2.0 * math.pi * f))
@@ -621,14 +638,16 @@ class AlphaProfile:
         powers[1] = z
         for h in range(2, 2 * K + 1):
             np.multiply(powers[h - 1], z, out=powers[h])
-        moments = powers @ self._moment_weights  # (2K+1, 4)
+        moments = powers @ self._moment_weights  # (2K+1, 6)
         out = (_moment_map(K) @ moments.view(float).ravel()).tolist()
-        half = q * q + q
-        gram, dgram = ([out[s + i * q : s + i * q + q] for i in range(q)] for s in (0, half))
-        return gram, out[q * q : half], dgram, out[half + q * q :]
+        size = q * q + q
+        parts = []
+        for s in range(0, 3 * size, size):
+            parts += [[out[s + i * q : s + i * q + q] for i in range(q)], out[s + q * q : s + size]]
+        return tuple(parts)
 
-    def slope(self, f: float, box) -> tuple[float, float]:
-        """The profile's slope in the frequency and its value at frequency ``f``: (slope, value).
+    def expand(self, f: float, box) -> tuple[float, float, float]:
+        """The profile's slope in the frequency, its value and its curvature at ``f``: (slope, value, curvature).
 
         The box does not depend on the frequency, so by the envelope
         (Danskin) theorem the slope of the profile V(f) = min_a Q(f, a) is the
@@ -636,24 +655,51 @@ class AlphaProfile:
 
             dV/df = scale * (a' dG/df a - 2 dlin/df' a).
 
+        The coordinates F of a strictly inside the box solve (G a)_F = lin_F
+        with the others held at their bounds, so where that pattern persists
+        da_F/df = -G_FF^{-1} u_F with u = dG/df a - dlin/df, and
+
+            d2V/df2 = scale * (a' d2G/df2 a - 2 d2lin/df2' a - 2 u_F' G_FF^{-1} u_F).
+
         Gram, linear term and derivatives come from :meth:`moment_quadratic`.
-        When :func:`_certified_solve` certifies the gram regular and its
-        solution lies strictly inside the box, that is the minimizer;
-        otherwise the same quadratic goes to :func:`solve_box` as a one-row
-        stack.  The entries match the design's to rounding, so this locates
+        When :func:`_certified_factor` certifies the gram regular and its
+        solution lies strictly inside the box, that is the minimizer, and the
+        same factor solves for G^{-1} u; otherwise the same quadratic goes to
+        :func:`solve_box` as a one-row stack, and the free block is factored
+        alone.  The curvature is NaN where that block is not certified
+        regular.  The entries match the design's to rounding, so this locates
         the period; the located period is solved again from the design.
         """
-        gram, lin, dgram, dlin = self.moment_quadratic(f)
+        gram, lin, dgram, dlin, d2gram, d2lin = self.moment_quadratic(f)
         lower, upper = _float_bounds(box, self.order)
-        alpha = _certified_solve(gram, lin)
+        factor = _certified_factor(gram)
+        alpha = None if factor is None else _factor_solve(factor, lin)
+        free = range(len(lin))
         if alpha is None or not all(lo < a < hi for lo, a, hi in zip(lower, alpha, upper)):
             alpha = solve_box(np.array([gram]), np.array([lin]), lower, upper)[0].tolist()
+            free = [i for i, (lo, a, hi) in enumerate(zip(lower, alpha, upper)) if lo < a < hi]
+            # the free block's factor; with no free coefficient there is nothing to solve
+            factor = _certified_factor([[gram[i][k] for k in free] for i in free]) if free else ([], [])
         # value - rr = a' (G a - 2 lin), slope = a' (dG a - 2 dlin), before the scale
-        value = slope = 0.0
-        for a, g, b, dg, db in zip(alpha, gram, lin, dgram, dlin):
+        value = slope = bend = 0.0
+        u = []
+        for a, g, b, dg, db, ddg, ddb in zip(alpha, gram, lin, dgram, dlin, d2gram, d2lin):
             value += a * (sum(map(operator.mul, g, alpha)) - 2.0 * b)
-            slope += a * (sum(map(operator.mul, dg, alpha)) - 2.0 * db)
-        return self.scale * slope, self.scale * (self.rr + value)
+            dg_a = sum(map(operator.mul, dg, alpha))
+            slope += a * (dg_a - 2.0 * db)
+            u.append(dg_a - db)
+            bend += a * (sum(map(operator.mul, ddg, alpha)) - 2.0 * ddb)
+        if factor is None:
+            bend = math.nan
+        else:
+            u_free = [u[i] for i in free]
+            bend -= 2.0 * sum(map(operator.mul, u_free, _factor_solve(factor, u_free)))
+        return self.scale * slope, self.scale * (self.rr + value), self.scale * bend
+
+    def slope(self, f: float, box) -> tuple[float, float]:
+        """The profile's slope in the frequency and its value at frequency ``f``: (slope, value), from :meth:`expand`."""
+        slope, value, _ = self.expand(f, box)
+        return slope, value
 
 
 def alpha_profile(

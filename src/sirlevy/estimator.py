@@ -12,11 +12,14 @@ against; the estimator does not call it.  With the coefficients solved
 exactly at every period, the joint fit is a one-dimensional search over
 the profile objective in the period (variable projection): a frequency
 scan on a uniform lattice (:func:`_scan_lattice`, ranked from one FFT's
-trig moments by :meth:`AlphaProfile.scan`) finds the basin, and a zero
-search on the profile's slope in the frequency (the envelope theorem's
-derivative, :meth:`AlphaProfile.slope`, from the trig moments at one
-frequency, found by Brent's method) places the period beyond the lattice
-spacing.  The located period is solved again from the design, and the
+trig moments by :meth:`AlphaProfile.scan`) finds the basin, and Newton
+steps on the profile's slope in the frequency (:func:`_newton_search`;
+slope and curvature from the trig moments at one frequency,
+:meth:`AlphaProfile.expand`) place the period beyond the lattice spacing,
+from the vertex of the parabola through the scan's winner and its
+neighbours.  Where Newton's steps fail, Brent's method on the scan bracket
+(:func:`_envelope_search`) takes the whole search over.  The cells and the
+located period are solved again from the design in one batch, and the
 winning table entry is updated in place so the reported objective is the
 table minimum.  Brent's method is :func:`_brentq`, a port of scipy's
 ``brentq`` that takes its steps exactly, so the estimator loads no scipy
@@ -57,6 +60,8 @@ _SEARCH_XTOL = 1e-12
 # Brent's method: relative tolerance and iteration cap of the zero search (fixed)
 _BRENT_RTOL = 4 * math.ulp(1.0)  # 4 * DBL_EPSILON
 _BRENT_MAXITER = 100
+# Newton's method on the slope: the evaluations it may take before Brent's method takes over
+_NEWTON_MAXITER = 6
 
 
 class EstimationError(RuntimeError):
@@ -206,51 +211,89 @@ def pgd_quadratic(
 
 
 def _scan_lattice(profile: AlphaProfile, box) -> np.ndarray:
-    """The scan's points j, ascending: the lattice f_j = j df in [1/box.period[1], 1/box.period[0]], j <= 2Kn.
+    """The scan's points j, ascending: the lattice f_j = j df in [1/box.period[1], 1/box.period[0]], j < 2Kn.
 
     A single test period per cell cannot land inside the objective's basin
     when the true period is small: phase coherence over the horizon T = n dt
     bounds the basin half-width by roughly period^2 / (2 K T).  Scanning a
     uniform frequency lattice of spacing df = 1/(4KT) (:attr:`AlphaProfile.df`,
     a quarter cycle of the highest harmonic across the horizon) makes the
-    capture probability independent of the period.  The lattice stops at
-    the observation Nyquist frequency n / (2T) = 2Kn df.  Above it the grid
+    capture probability independent of the period.  The lattice stops one
+    point below the observation Nyquist frequency n / (2T) = 2Kn df.  There
+    the sine columns vanish on a grid from t = 0, so the gram is singular and
+    its clipped value ranks a fit to rounding noise.  Above it the grid
     cannot tell a frequency from its aliases, and the box tells them apart
     only in part: its osc >= 0 excludes the sign-flipped alias 1/dt - f (the
     same cos column, the sin column negated), while the same-sign aliases
     f +- k/dt (the same columns) stay in the box.
     """
-    j = np.arange(1, 2 * profile.order * profile.t.size + 1)
+    j = np.arange(1, 2 * profile.order * profile.t.size)
     f = j * profile.df
     return j[(f >= 1.0 / box.period[1]) & (f <= 1.0 / box.period[0])]
 
 
-def _scan_and_search(profile: AlphaProfile, box, best):
-    """Dense frequency scan below the Nyquist cap, then a period search; returns (period, alpha, value, evaluations).
+def _locate_frequency(profile: AlphaProfile, box) -> tuple[float | None, int]:
+    """The scan's winner sharpened by the period search: (frequency, profile evaluations), None without scan points.
 
     Scan points (:func:`_scan_lattice`) are ranked by the clipped
     normal-equations value (:meth:`AlphaProfile.scan`, evaluated from trig
-    moments), the first of equal values winning.  The scan only picks the
-    winning frequency: a zero search on the profile's slope around it
-    (:func:`_envelope_search`) sharpens it, and it is solved again exactly
-    from the design.  The better of that point and the best cell is
-    returned, with the search's profile evaluations.
+    moments), the first of equal values winning.  The search runs in
+    frequency, since the basin is narrow at small periods, inside the scan
+    bracket (the winner's lattice neighbours) and the box.  It starts at the
+    vertex of the parabola through the winner's and its neighbours' values,
+    at most half a lattice step from the winner; at an end of the lattice,
+    or where that parabola is not convex, at the winner.
     """
     j = _scan_lattice(profile, box)
-    candidates = [(best.period, best.alpha, best.value)]
-    evaluations = 0
-    if j.size:
-        lo, hi = box.alpha_bounds(profile.order)
-        df = profile.df
-        f_best = float(j[np.argmin(profile.scan(j, lo, hi)[1])] * df)
-        # the basin is narrow at small periods, so the search runs in frequency,
-        # inside the scan bracket and the box
-        f_lo = max(f_best - df, 1.0 / box.period[1])
-        f_hi = min(f_best + df, 1.0 / box.period[0])
-        f_star, evaluations = _envelope_search(profile, box, f_lo, f_hi)
-        period = min(max(1.0 / f_star, box.period[0]), box.period[1])
-        candidates.append((period, *profile.solve(period, box)))
-    return (*min(candidates, key=lambda c: c[2]), evaluations)
+    if not j.size:
+        return None, 0
+    lo, hi = box.alpha_bounds(profile.order)
+    df = profile.df
+    values = profile.scan(j, lo, hi)[1]
+    k = int(np.argmin(values))
+    f_best = float(j[k] * df)
+    start = f_best
+    if 0 < k < j.size - 1:
+        left, mid, right = values[k - 1 : k + 2].tolist()
+        bend = left - 2.0 * mid + right
+        if bend > 0.0:
+            start += min(max(0.5 * (left - right) / bend, -0.5), 0.5) * df
+    f_lo = max(f_best - df, 1.0 / box.period[1])
+    f_hi = min(f_best + df, 1.0 / box.period[0])
+    return _newton_search(profile, box, f_lo, f_hi, start)
+
+
+def _newton_search(profile: AlphaProfile, box, lo: float, hi: float, start: float) -> tuple[float, int]:
+    """Minimize the profile over the frequencies [lo, hi] by Newton steps on its slope from ``start``.
+
+    Every evaluation is :meth:`AlphaProfile.expand`: the profile's slope and
+    curvature from trig moments at one frequency.  Each one tightens the
+    bracket by the sign of the slope; the step is slope over curvature, and
+    the search returns x - step once the step is below Brent's tolerance,
+    ``_SEARCH_XTOL`` times ``hi``.  A curvature that is not positive, a
+    non-finite value, a step that leaves the bracket or ``_NEWTON_MAXITER``
+    evaluations hand the whole search to :func:`_envelope_search` on
+    [lo, hi], which then returns what it would have alone.  Returns the
+    frequency and the number of profile evaluations, Newton's and Brent's.
+    """
+    xtol = _SEARCH_XTOL * hi
+    a, b, x = lo, hi, start
+    for evaluations in range(1, _NEWTON_MAXITER + 1):
+        slope, value, curvature = profile.expand(x, box)
+        if not (curvature > 0.0 and math.isfinite(slope + value + curvature)):
+            break
+        if slope < 0.0:
+            a = x
+        elif slope > 0.0:
+            b = x
+        step = slope / curvature
+        if abs(step) < xtol:
+            return x - step, evaluations
+        x -= step
+        if not a < x < b:
+            break
+    f_star, more = _envelope_search(profile, box, lo, hi)
+    return f_star, evaluations + more
 
 
 def _brentq(f, xa: float, fa: float, xb: float, fb: float, xtol: float) -> tuple[float, int]:
@@ -334,10 +377,12 @@ def lsgd_estimate(
 
     Cell i tests one period drawn uniformly from ((i-1)/M, i/M); all cells
     are solved exactly under the box in one batch, resonant (rank-deficient)
-    test periods included.  A dense frequency scan and a zero search on the
-    profile's slope in the frequency then locate the period, whose exact
-    solve gives the coefficients when it beats the best cell; the objective there is
-    evaluated from the residuals by :func:`contrast_value`.  The entry of
+    test periods included.  A dense frequency scan and a search for a zero
+    of the profile's slope in the frequency locate the period first
+    (:func:`_locate_frequency`), so that it is solved in the cells' batch;
+    its exact solve gives the coefficients when it beats the best cell.
+    The objective there is evaluated from the residuals by
+    :func:`contrast_value`.  The entry of
     the cell holding that point is replaced by it and marked ``refined``, so
     the reported objective equals the minimum over the cells; the other
     cells keep their drawn periods and exact solves.  ``params`` and ``cfg``
@@ -356,14 +401,19 @@ def lsgd_estimate(
     m = est.cells
     draws = rng.uniform(np.arange(m) / m, np.arange(1, m + 1) / m)  # cell i draws from ((i-1)/M, i/M)
     periods = np.clip(draws, box.period[0], box.period[1]).tolist()
-    alphas, values = profile.solve_many(periods, box)
+    f_star, refine_iters = _locate_frequency(profile, box)
+    located = [] if f_star is None else [min(max(1.0 / f_star, box.period[0]), box.period[1])]
+    # the cells and the located period in one batch, whose rows are solved alone
+    alphas, values = profile.solve_many(periods + located, box)
     cells = [
         CellResult(i, period, alpha, value)
         for i, (period, alpha, value) in enumerate(zip(periods, alphas, values), start=1)
     ]
 
     best = min(cells, key=lambda c: (c.value, c.index))
-    period, alpha, _, refine_iters = _scan_and_search(profile, box, best)
+    # the better of the best cell and the located period, the cell on a tie
+    candidates = [(best.period, best.alpha, best.value), *zip(located, alphas[m:], values[m:])]
+    period, alpha, _ = min(candidates, key=lambda c: c[2])
     theta_vec = np.concatenate([[period], alpha])
     theta = ThetaParams.from_vector(theta_vec)
     # the reported objective is evaluated from the residuals

@@ -10,22 +10,22 @@ Both integrators take every grid interval through one Euler-Maruyama step
 (``_euler_step``) and every jump through one jump (``_jump``).  On floats a
 path goes through one walk (``_walk``), which clamps and checks each result
 and stops at the first non-finite state.  ``simulate_sde`` walks one path over
-each observation interval of its grid; it is the reference the lockstep
-integrator is tested against.  ``simulate_many`` integrates many paths in
-lockstep, each with its own theta and params: every path takes each base
-interval of the uniform grid in one in-place step over (3, paths) arrays
-(``_lockstep``), and a path with jumps in the interval, inside it or on its
-end node, walks the interval instead, with its own step and jump, in sub-steps
-that end at those jumps and at the end node.  ``_lockstep`` is ``_euler_step``
-written as a dozen or so ufunc calls into buffers allocated once per call:
-each path gets the same IEEE operations in the same order, with beta from its
-own theta's ``make_beta_fast`` and its own eps*sigma, so each row equals
-``simulate_sde`` on the same noise bit for bit.  A base step runs the clamp
-and the non-finite check only when one reduction over the state's bits finds a
-component that is negative (or -0.0) or non-finite.
-:meth:`PathBatch.trajectory` gives a row as the :class:`Trajectory`
-``simulate_sde`` returns, or raises its :class:`SimulationError`, step or jump
-alike.
+its whole grid in one walk, which records the state at each observation node;
+it is the reference the lockstep integrator is tested against.
+``simulate_many`` integrates many paths in lockstep, each with its own theta
+and params: every path takes each base interval of the uniform grid in one
+in-place step over (3, paths) arrays (``_lockstep``), and a path with jumps in
+the interval, inside it or on its end node, walks the interval instead, with
+its own step and jump, in sub-steps that end at those jumps and at the end
+node.  ``_lockstep`` is ``_euler_step`` written as a dozen or so ufunc calls
+into buffers allocated once per call: each path gets the same IEEE operations
+in the same order, with beta from its own theta's ``make_beta_fast`` and its
+own eps*sigma, so each row equals ``simulate_sde`` on the same noise bit for
+bit.  A base step runs the clamp and the non-finite check only when one
+reduction over the state's bits finds a component that is negative (or -0.0)
+or non-finite.  :meth:`PathBatch.trajectory` gives a row as the
+:class:`Trajectory` ``simulate_sde`` returns, or raises its
+:class:`SimulationError`, step or jump alike.
 
 Both integrators draw the Brownian part through
 :meth:`~sirlevy.levy.LevyPathNoise.fill_normals`: ``simulate_sde`` as one
@@ -42,6 +42,7 @@ simulates each noise level's replications in one call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -161,20 +162,19 @@ def simulate_sde(
         marks[node] = mark
     obs_node = np.searchsorted(grid, base[::substeps]).tolist()
 
-    step = _euler_step(model, theta, params)
-    jump = _jump(model, params)
+    observe = [False] * len(incs)  # by interval: whether it ends on an observation node
+    for node in obs_node[1:]:
+        observe[node - 1] = True
+
     x, y, z = (float(v) for v in np.asarray(s0, dtype=float))
     observed = [(x, y, z)]
-    clamps = 0
-    # one walk per observation interval, from node a to node b
-    for a, b in zip(obs_node, obs_node[1:]):
-        x, y, z, n, failure = _walk(
-            step, jump, grid_list[a], x, y, z, grid_list[a + 1 : b + 1], incs[a:b], marks[a + 1 : b + 1]
-        )
-        clamps += n
-        if failure is not None:
-            raise _failure(*failure)
-        observed.append((x, y, z))
+    # one walk over the whole grid, recording the state at each observation node
+    _, _, _, clamps, failure = _walk(
+        _euler_step(model, theta, params), _jump(model, params), grid_list[0], x, y, z,
+        grid_list[1:], incs, marks[1:], observe, observed,
+    )
+    if failure is not None:
+        raise _failure(*failure)
     times = base[::substeps].copy()
     return _path_trajectory(model.tag, theta, params, noise, substeps, times, np.array(observed), clamps)
 
@@ -385,17 +385,19 @@ def _finite(x, y, z) -> bool:
     return math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
 
 
-def _walk(step, jump, t, x, y, z, ends, rows, marks):
+def _walk(step, jump, t, x, y, z, ends, rows, marks, observe=None, observed=None):
     """One path on floats over a run of intervals: ``(x, y, z, clamps, failure)``.
 
     Interval i runs from ``ends[i - 1]`` (``t`` for the first) to ``ends[i]``:
     one ``step`` with the increment ``rows[i]``, then the jump ``marks[i]`` at
     ``ends[i]`` unless that mark is None.  Every result is clamped and
     checked.  The walk stops at the first non-finite state, and ``failure``
-    is then ``(time, at_jump)``; otherwise it is None.
+    is then ``(time, at_jump)``; otherwise it is None.  Given ``observe``,
+    one flag per interval, the state at the end of each flagged interval is
+    appended to the list ``observed``.
     """
     clamps = 0
-    for tau, dw, mark in zip(ends, rows, marks):
+    for tau, dw, mark, keep in zip(ends, rows, marks, observe or itertools.repeat(False)):
         x, y, z = step(t, x, y, z, tau - t, dw)
         if x < 0.0 or y < 0.0 or z < 0.0:
             x, y, z, n = _clamp(x, y, z)
@@ -409,6 +411,8 @@ def _walk(step, jump, t, x, y, z, ends, rows, marks):
                 clamps += n
             if not _finite(x, y, z):
                 return x, y, z, clamps, (tau, True)
+        if keep:
+            observed.append((x, y, z))
         t = tau
     return x, y, z, clamps, None
 

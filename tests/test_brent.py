@@ -88,51 +88,78 @@ def test_brentq_raises_estimation_error_where_scipy_fails():
 
 
 def test_brentq_equals_scipy_on_the_sweep_slopes(tmp_path, monkeypatch):
-    """The slope searches of criterion 4's sweep (10 datasets per eps) against scipy."""
-    searches = []
-    search = est_mod._brentq
+    """Brent's method on the period brackets of criterion 4's sweep (10 datasets per eps) against scipy.
 
-    def recorded(f, xa, fa, xb, fb, xtol):
-        out = search(f, xa, fa, xb, fb, xtol)
-        searches.append((f, xa, fa, xb, fb, xtol, out))
-        return out
+    The estimator hands a bracket to Brent's method only where Newton's
+    steps fail, so every scan bracket of the sweep is searched here directly.
+    """
+    brackets = []
+    search = est_mod._newton_search
 
-    monkeypatch.setattr(est_mod, "_brentq", recorded)
+    def recorded(profile, box, lo, hi, start):
+        brackets.append((profile, box, lo, hi))
+        return search(profile, box, lo, hi, start)
+
+    monkeypatch.setattr(est_mod, "_newton_search", recorded)
     cfg = sl.RunConfig(seed=20250809, n_datasets=10)
     records = sl.experiments.generate_datasets(cfg, str(tmp_path))
     assert len(records) == 40
     sl.experiments.batch_estimate(records, cfg, str(tmp_path))
-    assert len(searches) >= 20
-    for f, xa, fa, xb, fb, xtol, (root, calls) in searches:
-        known = {xa: fa, xb: fb}  # the ends come from the stacked two-row solve
+    assert len(brackets) == 40
+    searched = 0
+    for profile, box, lo, hi in brackets:
+        fa, fb = profile.slope(lo, box)[0], profile.slope(hi, box)[0]
+        if not fa < 0.0 < fb:
+            continue
 
-        def slope(x, f=f, known=known):
-            return known[x] if x in known else f(x)
+        def slope(x, profile=profile, box=box):
+            return profile.slope(x, box)[0]
 
-        ref, info = brentq(slope, xa, xb, xtol=xtol, full_output=True)
+        xtol = est_mod._SEARCH_XTOL * hi
+        root, calls = _brentq(slope, lo, fa, hi, fb, xtol)
+        ref, info = brentq(slope, lo, hi, xtol=xtol, full_output=True)
         assert root.hex() == float(ref).hex()
         assert calls == info.function_calls
+        searched += 1
+    assert searched >= 20
 
 
 def test_nan_slope_becomes_a_failure_row(monkeypatch):
-    """A slope search that meets a NaN slope fails its replication instead of the run."""
-    interior = []
+    """A period search that meets a NaN slope fails its replication instead of the run, on both routes.
 
-    def nan_inside(f, xa, fa, xb, fb, xtol):
-        # the two bracket ends are finite; every slope the search itself asks for is NaN
-        def nan_slope(x):
-            interior.append(x)
-            return f(x) * math.nan
+    The evaluator gives NaN everywhere but at the bracket's two ends: Newton's
+    first step meets it and hands the search to Brent's method, whose ends
+    are finite and whose first step meets it again.
+    """
+    ends, routes = set(), []
+    route = ["newton"]
+    newton, envelope, expand = est_mod._newton_search, est_mod._envelope_search, sl.contrast.AlphaProfile.expand
 
-        return search(nan_slope, xa, fa, xb, fb, xtol)
+    def newton_spy(profile, box, lo, hi, start):
+        ends.clear()
+        ends.update((lo, hi))
+        route[0] = "newton"
+        return newton(profile, box, lo, hi, start)
 
-    search = est_mod._brentq
-    monkeypatch.setattr(est_mod, "_brentq", nan_inside)
+    def envelope_spy(profile, box, lo, hi):
+        route[0] = "brent"
+        return envelope(profile, box, lo, hi)
+
+    def nan_inside(profile, f, box):
+        slope, value, curvature = expand(profile, f, box)
+        if f in ends:
+            return slope, value, curvature
+        routes.append(route[0])
+        return slope * math.nan, value, curvature
+
+    monkeypatch.setattr(est_mod, "_newton_search", newton_spy)
+    monkeypatch.setattr(est_mod, "_envelope_search", envelope_spy)
+    monkeypatch.setattr(sl.contrast.AlphaProfile, "expand", nan_inside)
     res = sl.rate_experiment(
         "numbers", THETA_REF, sl.numbers_defaults(), X0_NUMBERS, [0.001], replications=3, seed=3,
         substeps=1, limit_draws=0,
     )
-    assert interior
+    assert routes == ["newton", "brent"] * 3
     assert res.failures == {0.001: 3}
     assert np.isnan(res.scaled[0.001]).all()
 

@@ -15,6 +15,12 @@ from conftest import THETA_REF, X0_NUMBERS, design_slope, make_dataset
 PARAMS = sl.numbers_defaults()
 
 
+def _certified_solve(gram, lin):
+    """The normal-equations solution on floats where :func:`_certified_factor` certifies the gram, else None."""
+    factor = sl.contrast._certified_factor(gram)
+    return None if factor is None else sl.contrast._factor_solve(factor, lin)
+
+
 def _toy_trajectory():
     # two observations, unit-product states at the left nodes so the weighted
     # form has weight exactly (sigma)^-2 = 4 there
@@ -710,8 +716,8 @@ def test_moment_slope_equals_the_design_slope(data, order, u):
     assert value == pytest.approx(ref_values[0], rel=1e-10)
     # where the float branch is taken, the box solve on the same quadratic
     # ends in its first step (regular gram, solution in the box) at that point
-    gram, lin, _, _ = profile.moment_quadratic(f)
-    alpha = sl.contrast._certified_solve(gram, lin)
+    gram, lin, *_ = profile.moment_quadratic(f)
+    alpha = _certified_solve(gram, lin)
     lower, upper = box.alpha_bounds(order)
     if alpha is not None and np.all((lower < alpha) & (alpha < upper)):
         step1, regular = sl.contrast._unconstrained(np.array([gram]), np.array([lin]))
@@ -736,8 +742,8 @@ def test_moment_slope_at_singular_frequencies_is_the_partial_at_a_minimizer(data
     box = BoxConstraints()
     lower, upper = box.alpha_bounds(order)
     for f in sorted({50.0 * m / h for h in range(1, order + 1) for m in range(1, h + 1)}):
-        gram, lin, _, _ = profile.moment_quadratic(f)
-        certified = sl.contrast._certified_solve(gram, lin)
+        gram, lin, *_ = profile.moment_quadratic(f)
+        certified = _certified_solve(gram, lin)
         assert certified is None or not np.all((lower < certified) & (certified < upper))
         alpha = sl.contrast.solve_box(np.array([gram]), np.array([lin]), lower, upper)
         slope, value = profile.slope(f, box)
@@ -748,11 +754,66 @@ def test_moment_slope_at_singular_frequencies_is_the_partial_at_a_minimizer(data
         assert abs(slope - at_slopes[0]) <= 1e-9 * (abs(at_slopes[0]) + value / f)
 
 
+@functools.lru_cache(maxsize=None)
+def _curvature_frequencies(model, order):
+    """A profile of each model and its frequencies in [1, 49] by kind: (profile, {"interior": [...], "active": [...]}).
+
+    A frequency is interior where the moments' minimizer lies strictly inside
+    the box (the float branch) and active where a coefficient sits on a bound;
+    the singular frequencies, where a harmonic lands on a multiple of the
+    Nyquist frequency 50, are left out.
+    """
+    seed, eps, form = (0, 0.3, "weighted") if model == "numbers" else (3, 0.01, "plain")
+    traj = make_dataset(seed=seed, eps=eps, model=model)
+    profile = alpha_profile(traj, traj.params, ContrastConfig(form=form, eps=eps), order=order)
+    lower, upper = BoxConstraints().alpha_bounds(order)
+    kinds = {"interior": [], "active": []}
+    for f in np.linspace(1.0, 49.0, 241).tolist():
+        if min(abs(h * f / 50.0 - round(h * f / 50.0)) for h in range(1, order + 1)) < 1e-3:
+            continue
+        gram, lin, *_ = profile.moment_quadratic(f)
+        alpha = sl.contrast.solve_box(np.array([gram]), np.array([lin]), lower, upper)[0]
+        kinds["interior" if np.all((lower < alpha) & (alpha < upper)) else "active"].append(f)
+    return profile, kinds
+
+
+def _active_pattern(profile, f, box):
+    gram, lin, *_ = profile.moment_quadratic(f)
+    lower, upper = box.alpha_bounds(profile.order)
+    alpha = sl.contrast.solve_box(np.array([gram]), np.array([lin]), lower, upper)[0]
+    return tuple((alpha <= lower) | (alpha >= upper))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=st.sampled_from(["numbers", "proportions"]),
+    order=st.integers(1, 3),
+    kind=st.sampled_from(["interior", "active"]),
+    pick=st.floats(0.0, 1.0),
+    shift=st.floats(-0.05, 0.05),
+)
+def test_profile_curvature_matches_central_differences_of_the_slope(model, order, kind, pick, shift):
+    profile, kinds = _curvature_frequencies(model, order)
+    freqs = kinds[kind]
+    assert len(freqs) >= 3, (model, order, kind)
+    f = freqs[min(int(pick * len(freqs)), len(freqs) - 1)] + shift
+    box = BoxConstraints()
+    h = 1e-6 * f
+    # the profile is twice differentiable where the bounds' pattern holds on [f - h, f + h]
+    pattern = _active_pattern(profile, f, box)
+    assume(_active_pattern(profile, f - h, box) == pattern == _active_pattern(profile, f + h, box))
+    slope, value, curvature = profile.expand(f, box)
+    assert (slope, value) == profile.slope(f, box)
+    assume(np.isfinite(curvature))  # a free block that is not certified regular
+    fd = (profile.slope(f + h, box)[0] - profile.slope(f - h, box)[0]) / (2.0 * h)
+    assert abs(fd - curvature) <= 1e-4 * (abs(curvature) + abs(slope) / f + value / f**2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(box_problems())
 def test_certified_solve_only_solves_regular_grams(problem):
     quad, _, _ = problem
-    alpha = sl.contrast._certified_solve(quad.gram.tolist(), quad.lin.tolist())
+    alpha = _certified_solve(quad.gram.tolist(), quad.lin.tolist())
     solution, regular = sl.contrast._unconstrained(quad.gram[None], quad.lin[None])
     if alpha is not None:
         assert regular[0]

@@ -141,19 +141,19 @@ def test_period_search_stops_at_a_sign_change_of_the_profile_slope(monkeypatch):
     import sirlevy.estimator as estimator
 
     searches = []
-    real = estimator._envelope_search
+    real = estimator._newton_search
 
-    def spy(profile, box, lo, hi):
-        f_star, evaluations = real(profile, box, lo, hi)
+    def spy(profile, box, lo, hi, start):
+        f_star, evaluations = real(profile, box, lo, hi, start)
         searches.append((profile, lo, hi, f_star))
         return f_star, evaluations
 
-    monkeypatch.setattr(estimator, "_envelope_search", spy)
+    monkeypatch.setattr(estimator, "_newton_search", spy)
     box = BoxConstraints()
     for s in range(6):
         traj = make_dataset(seed=5000 + s, eps=0.001, substeps=1)
         res = sl.lsgd_estimate(traj, EstimatorConfig(), box, CFG_W, seed=s)
-        assert 2 <= res.refine_iterations <= 20
+        assert 1 <= res.refine_iterations <= 20
         profile, lo, hi, f_star = searches[-1]
         assert lo < f_star < hi
         assert res.theta.period == pytest.approx(1.0 / f_star, rel=1e-15)
@@ -161,11 +161,67 @@ def test_period_search_stops_at_a_sign_change_of_the_profile_slope(monkeypatch):
         assert profile.slope(f_star * (1.0 - 1e-9), box)[0] < 0.0 < profile.slope(f_star * (1.0 + 1e-9), box)[0]
 
 
+def _search_frequencies(monkeypatch, out, brent):
+    """(lo, hi, frequency) of each period search on criterion 5's datasets and the benchmark sweep's 40.
+
+    With ``brent`` the Newton route is replaced by Brent's method on the same bracket.
+    """
+    import sirlevy.estimator as estimator
+
+    searches = []
+    newton, envelope = estimator._newton_search, estimator._envelope_search
+
+    def search(profile, box, lo, hi, start):
+        f_star, evaluations = envelope(profile, box, lo, hi) if brent else newton(profile, box, lo, hi, start)
+        searches.append((lo, hi, f_star))
+        return f_star, evaluations
+
+    monkeypatch.setattr(estimator, "_newton_search", search)
+    for s in range(50):
+        traj = make_dataset(seed=5000 + s, eps=0.001, substeps=1)
+        sl.lsgd_estimate(traj, EstimatorConfig(), BoxConstraints(), CFG_W, seed=s)
+    cfg = sl.RunConfig(seed=20250809, n_datasets=10)
+    records = sl.experiments.generate_datasets(cfg, str(out))
+    assert len(records) == 40
+    sl.experiments.batch_estimate(records, cfg, str(out))
+    monkeypatch.setattr(estimator, "_newton_search", newton)
+    return searches
+
+
+def test_newton_search_finds_the_brent_frequency(monkeypatch, tmp_path):
+    import sirlevy.estimator as estimator
+
+    newton = _search_frequencies(monkeypatch, tmp_path / "newton", brent=False)
+    brent = _search_frequencies(monkeypatch, tmp_path / "brent", brent=True)
+    assert len(newton) == len(brent) == 90
+    for (lo, hi, f_newton), (lo_brent, hi_brent, f_brent) in zip(newton, brent):
+        assert (lo, hi) == (lo_brent, hi_brent)
+        assert abs(f_newton - f_brent) <= estimator._SEARCH_XTOL * hi
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("seed,eps", [(0, 0.3), (1, 0.3), (7, 0.01), (11, 0.001)])
+def test_cells_and_located_period_in_one_batch_equal_separate_solves(seed, eps, order):
+    import sirlevy.estimator as estimator
+
+    traj = make_dataset(seed=seed, eps=eps)
+    box = BoxConstraints()
+    profile = alpha_profile(traj, traj.params, ContrastConfig(form="weighted", eps=eps), order=order)
+    periods = np.random.default_rng(seed).uniform(box.period[0], box.period[1], 20).tolist()
+    f_star, _ = estimator._locate_frequency(profile, box)
+    located = 1.0 / f_star
+    alphas, values = profile.solve_many(periods + [located], box)
+    cell_alphas, cell_values = profile.solve_many(periods, box)
+    alpha, value = profile.solve(located, box)
+    assert alphas.tobytes() == np.vstack([cell_alphas, alpha]).tobytes()
+    assert values.tobytes() == np.append(cell_values, value).tobytes()
+
+
 def _lattice_reference(n_obs, horizon, period_box, order=1):
-    """The lattice points by brute force: every j df, df = 1/(4KT), in the period box and at most n/(2T)."""
+    """The lattice points by brute force: every j df, df = 1/(4KT), in the period box and below n/(2T)."""
     dt = horizon / n_obs
     df = 1.0 / (4.0 * order * n_obs * dt)
-    top = 2 * order * n_obs  # the Nyquist frequency
+    top = 2 * order * n_obs - 1  # one lattice point below the Nyquist frequency
     return [j for j in range(1, 2 * top) if 1.0 / period_box[1] <= j * df <= 1.0 / period_box[0] and j <= top]
 
 
@@ -217,6 +273,7 @@ def test_scan_lattice_on_estimates_runs_to_the_nyquist_frequency(seed, eps):
     traj = make_dataset(seed=seed, eps=eps)
     profile = alpha_profile(traj, traj.params, ContrastConfig(form="weighted", eps=eps))
     j = _scan_lattice(profile, BoxConstraints())
-    # periods 1 down to 2 dt, a quarter cycle across the horizon apart
-    assert j.tolist() == list(range(4, 2 * traj.n_intervals + 1))
-    assert j[0] * profile.df == 1.0 and j[-1] * profile.df == 0.5 / profile.dt
+    # periods 1 down to just above 2 dt, a quarter cycle across the horizon
+    # apart; the Nyquist frequency 1 / (2 dt) is the next lattice point
+    assert j.tolist() == list(range(4, 2 * traj.n_intervals))
+    assert j[0] * profile.df == 1.0 and (j[-1] + 1) * profile.df == 0.5 / profile.dt
