@@ -33,8 +33,8 @@ come from one zero-padded FFT of length 4Kn; :meth:`AlphaProfile.expand`
 gives the profile's slope, value and curvature at one frequency for the
 period search, from the moments of vv, rv, t vv, t rv, t**2 vv and t**2 rv
 there (the t**2 moments give the second derivatives of the gram and linear
-term), and :meth:`AlphaProfile.slope` its slope and value.  Both match the
-design's entries to rounding, not bit for bit; every solve that is reported
+term).  Both match the design's entries to rounding, not bit for bit;
+every solve that is reported
 (the cells, the final coefficients and the objective) builds the design.
 """
 
@@ -695,11 +695,6 @@ class AlphaProfile:
             u_free = [u[i] for i in free]
             bend -= 2.0 * sum(map(operator.mul, u_free, _factor_solve(factor, u_free)))
         return self.scale * slope, self.scale * (self.rr + value), self.scale * bend
-
-    def slope(self, f: float, box) -> tuple[float, float]:
-        """The profile's slope in the frequency and its value at frequency ``f``: (slope, value), from :meth:`expand`."""
-        slope, value, _ = self.expand(f, box)
-        return slope, value
 
 
 def alpha_profile(

@@ -12,18 +12,15 @@ against; the estimator does not call it.  With the coefficients solved
 exactly at every period, the joint fit is a one-dimensional search over
 the profile objective in the period (variable projection): a frequency
 scan on a uniform lattice (:func:`_scan_lattice`, ranked from one FFT's
-trig moments by :meth:`AlphaProfile.scan`) finds the basin, and Newton
-steps on the profile's slope in the frequency (:func:`_newton_search`;
-slope and curvature from the trig moments at one frequency,
-:meth:`AlphaProfile.expand`) place the period beyond the lattice spacing,
-from the vertex of the parabola through the scan's winner and its
-neighbours.  Where Newton's steps fail, Brent's method on the scan bracket
-(:func:`_envelope_search`) takes the whole search over.  The cells and the
-located period are solved again from the design in one batch, and the
-winning table entry is updated in place so the reported objective is the
-table minimum.  Brent's method is :func:`_brentq`, a port of scipy's
-``brentq`` that takes its steps exactly, so the estimator loads no scipy
-module.
+trig moments by :meth:`AlphaProfile.scan`) finds the basin, and one
+safeguarded Newton search on the profile's slope in the frequency
+(:func:`_newton_search`; slope, value and curvature from the trig moments
+at one frequency, :meth:`AlphaProfile.expand`) places the period beyond
+the lattice spacing: Newton's steps from the vertex of the parabola
+through the scan's winner and its neighbours, and bisection in the same
+bracket where a step fails.  The cells and the located period are solved
+again from the design in one batch, and the winning table entry is
+updated in place so the reported objective is the table minimum.
 """
 
 from __future__ import annotations
@@ -55,13 +52,11 @@ _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _ETA_MIN = 1e-300
 _PGD_TOL = 1e-11  # curvature-scaled projected-gradient tolerance
-# the period search stops when its frequency bracket is this narrow relative to the bracket's top
+# the period search stops when its step is this small relative to the bracket's top
 _SEARCH_XTOL = 1e-12
-# Brent's method: relative tolerance and iteration cap of the zero search (fixed)
-_BRENT_RTOL = 4 * math.ulp(1.0)  # 4 * DBL_EPSILON
-_BRENT_MAXITER = 100
-# Newton's method on the slope: the evaluations it may take before Brent's method takes over
+# the evaluations Newton's steps may take before the search bisects, and the search's cap
 _NEWTON_MAXITER = 6
+_SEARCH_MAXITER = 100
 
 
 class EstimationError(RuntimeError):
@@ -237,12 +232,13 @@ def _locate_frequency(profile: AlphaProfile, box) -> tuple[float | None, int]:
 
     Scan points (:func:`_scan_lattice`) are ranked by the clipped
     normal-equations value (:meth:`AlphaProfile.scan`, evaluated from trig
-    moments), the first of equal values winning.  The search runs in
-    frequency, since the basin is narrow at small periods, inside the scan
-    bracket (the winner's lattice neighbours) and the box.  It starts at the
-    vertex of the parabola through the winner's and its neighbours' values,
-    at most half a lattice step from the winner; at an end of the lattice,
-    or where that parabola is not convex, at the winner.
+    moments), the first of equal values winning.  The search
+    (:func:`_newton_search`) runs in frequency, since the basin is narrow at
+    small periods, inside the scan bracket (the winner's lattice neighbours,
+    within the box).  It starts at the vertex of the parabola through the
+    winner's and its neighbours' values, at most half a lattice step from
+    the winner; at an end of the lattice, or where that parabola is not
+    convex, at the winner.
     """
     j = _scan_lattice(profile, box)
     if not j.size:
@@ -263,106 +259,73 @@ def _locate_frequency(profile: AlphaProfile, box) -> tuple[float | None, int]:
     return _newton_search(profile, box, f_lo, f_hi, start)
 
 
-def _newton_search(profile: AlphaProfile, box, lo: float, hi: float, start: float) -> tuple[float, int]:
-    """Minimize the profile over the frequencies [lo, hi] by Newton steps on its slope from ``start``.
+def _expand(profile: AlphaProfile, box, f: float, seen: list) -> float:
+    """The profile's slope at ``f``, recording (value, f, slope) in ``seen``; a non-finite slope or value raises."""
+    slope, value, _ = profile.expand(f, box)
+    if not math.isfinite(slope + value):
+        raise EstimationError(f"non-finite profile slope or value at frequency {f!r}")
+    seen.append((value, f, slope))
+    return slope
 
-    Every evaluation is :meth:`AlphaProfile.expand`: the profile's slope and
-    curvature from trig moments at one frequency.  Each one tightens the
-    bracket by the sign of the slope; the step is slope over curvature, and
-    the search returns x - step once the step is below Brent's tolerance,
-    ``_SEARCH_XTOL`` times ``hi``.  A curvature that is not positive, a
-    non-finite value, a step that leaves the bracket or ``_NEWTON_MAXITER``
-    evaluations hand the whole search to :func:`_envelope_search` on
-    [lo, hi], which then returns what it would have alone.  Returns the
-    frequency and the number of profile evaluations, Newton's and Brent's.
+
+def _newton_search(profile: AlphaProfile, box, lo: float, hi: float, start: float) -> tuple[float, int]:
+    """Minimize the profile over the frequencies [lo, hi] by safeguarded Newton steps on its slope from ``start``.
+
+    Every evaluation is :meth:`AlphaProfile.expand` (the profile's slope,
+    value and curvature from trig moments at one frequency), and each
+    slope's sign shrinks the bracket [a, b].  The search returns x - step
+    once a Newton step (slope over curvature) is below ``_SEARCH_XTOL``
+    times ``hi``.  Newton's steps run free until one leaves the bracket,
+    the curvature is not positive and finite, or ``_NEWTON_MAXITER``
+    evaluations pass; the search then keeps its bracket (``rtsafe``, Press
+    et al., Numerical Recipes 9.4).  It evaluates an end only where no slope
+    has closed that side.  Where the slope is negative at a and positive at
+    b, it bisects, taking Newton's step only where that stays inside the
+    bracket and is at most half the step before the last, and returns the
+    midpoint once half the bracket is below the tolerance; without a sign
+    change it returns the evaluated point of lowest value.  A non-finite
+    slope or value, or ``_SEARCH_MAXITER`` evaluations, raise
+    :class:`EstimationError`.  Returns the frequency and the number of
+    profile evaluations.
     """
     xtol = _SEARCH_XTOL * hi
     a, b, x = lo, hi, start
-    for evaluations in range(1, _NEWTON_MAXITER + 1):
+    seen = []  # (value, frequency, slope) of every evaluation
+    free = True  # Newton's steps not yet safeguarded
+    step = step_old = hi - lo
+    while True:
+        # _expand's work, inline on the hot path
         slope, value, curvature = profile.expand(x, box)
-        if not (curvature > 0.0 and math.isfinite(slope + value + curvature)):
-            break
+        if not math.isfinite(slope + value):
+            raise EstimationError(f"non-finite profile slope or value at frequency {x!r}")
+        seen.append((value, x, slope))
         if slope < 0.0:
             a = x
         elif slope > 0.0:
             b = x
-        step = slope / curvature
-        if abs(step) < xtol:
-            return x - step, evaluations
+        newton = slope / curvature if 0.0 < curvature < math.inf else math.inf
+        if abs(newton) < xtol:
+            return x - newton, len(seen)
+        if free:
+            if a < x - newton < b and len(seen) < _NEWTON_MAXITER:
+                x -= newton
+                continue
+            # the bracket's sides that no slope has closed are closed at their ends, or the search ends
+            free = False
+            closed_lo, closed_hi = any(s < 0.0 for *_, s in seen), any(s > 0.0 for *_, s in seen)
+            if not closed_lo:
+                closed_lo = _expand(profile, box, lo, seen) < 0.0
+            if not closed_hi:
+                closed_hi = _expand(profile, box, hi, seen) > 0.0
+            if not (closed_lo and closed_hi):
+                return min(seen)[1], len(seen)
+        safe = a < x - newton < b and 2.0 * abs(newton) <= abs(step_old)
+        step_old, step = step, newton if safe else x - 0.5 * (a + b)
         x -= step
-        if not a < x < b:
-            break
-    f_star, more = _envelope_search(profile, box, lo, hi)
-    return f_star, evaluations + more
-
-
-def _brentq(f, xa: float, fa: float, xb: float, fb: float, xtol: float) -> tuple[float, int]:
-    """Zero of ``f`` in [xa, xb] by Brent's method; returns (root, function calls).
-
-    A port of scipy's ``brentq.c`` taking its steps exactly, with its
-    defaults ``rtol = 4 * DBL_EPSILON`` and 100 iterations.  The end values
-    ``fa`` and ``fb`` are given and counted as its first two calls.  A
-    non-finite value, ends of equal sign or a search that does not converge
-    raise :class:`EstimationError`.
-    """
-    xpre, fpre, xcur, fcur, xtol = float(xa), float(fa), float(xb), float(fb), float(xtol)
-    xblk = fblk = spre = scur = 0.0
-    calls = 2
-    if not (math.isfinite(fpre) and math.isfinite(fcur)):
-        raise EstimationError("non-finite slope at an end of the period bracket")
-    if fpre == 0.0:
-        return xpre, calls
-    if fcur == 0.0:
-        return xcur, calls
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise EstimationError("the slope has equal signs at both ends of the period bracket")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, calls
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-        calls += 1
-        if not math.isfinite(fcur):
-            raise EstimationError(f"non-finite slope at frequency {xcur!r}")
-    raise EstimationError(f"the slope search did not converge in {_BRENT_MAXITER} iterations")
-
-
-def _envelope_search(profile: AlphaProfile, box, lo: float, hi: float) -> tuple[float, int]:
-    """Minimize the profile over the frequencies [lo, hi] by a zero of its slope.
-
-    Every evaluation is :meth:`AlphaProfile.slope`, the profile's slope and
-    value from trig moments at one frequency.  When the slope is negative
-    at ``lo`` and positive at ``hi`` the bracket holds a minimum, and Brent's
-    method (:func:`_brentq`) finds the zero of the slope from those two end
-    values; otherwise the end of lower value wins.  Returns the frequency
-    and the number of profile evaluations.
-    """
-    (slope_lo, value_lo), (slope_hi, value_hi) = profile.slope(lo, box), profile.slope(hi, box)
-    if not slope_lo < 0.0 < slope_hi:
-        return (lo if value_lo <= value_hi else hi), 2
-    return _brentq(lambda f: profile.slope(f, box)[0], lo, slope_lo, hi, slope_hi, _SEARCH_XTOL * hi)
+        if abs(step) < xtol:
+            return x, len(seen)
+        if len(seen) >= _SEARCH_MAXITER:
+            raise EstimationError(f"the period search did not converge in {_SEARCH_MAXITER} evaluations")
 
 
 def lsgd_estimate(
@@ -373,20 +336,21 @@ def lsgd_estimate(
     seed: int | np.random.Generator = 0,
     params: SirParams | None = None,
 ) -> EstimationResult:
-    """Line-search over period cells with exact inner solves, then a period search.
+    """Line-search over period cells with exact inner solves, and a period search.
 
     Cell i tests one period drawn uniformly from ((i-1)/M, i/M); all cells
     are solved exactly under the box in one batch, resonant (rank-deficient)
-    test periods included.  A dense frequency scan and a search for a zero
-    of the profile's slope in the frequency locate the period first
+    test periods included.  A dense frequency scan and a safeguarded Newton
+    search on the profile's slope in the frequency locate the period first
     (:func:`_locate_frequency`), so that it is solved in the cells' batch;
-    its exact solve gives the coefficients when it beats the best cell.
-    The objective there is evaluated from the residuals by
-    :func:`contrast_value`.  The entry of
-    the cell holding that point is replaced by it and marked ``refined``, so
-    the reported objective equals the minimum over the cells; the other
-    cells keep their drawn periods and exact solves.  ``params`` and ``cfg``
-    default as in :func:`alpha_profile`.
+    its exact solve gives the coefficients when it beats the best cell.  The
+    objective there is evaluated from the residuals by :func:`contrast_value`.
+    The entry of the cell holding that point is replaced by it and marked
+    ``refined``, so the reported objective equals the minimum over the
+    cells; the other cells keep their drawn periods and exact solves.  A
+    non-finite profile slope or value in the search raises
+    :class:`EstimationError`.  ``params`` and ``cfg`` default as in
+    :func:`alpha_profile`.
     """
     est = est or EstimatorConfig()
     box = box or BoxConstraints()

@@ -39,7 +39,7 @@ def design_slope(profile, freqs, box, alphas=None):
         dV/df = 2 scale dt * sum_i (D a)_i (dt vv_i (C a)_i - rv_i),
 
     with D the frequency derivative of the design C and i the grid nodes.
-    This is the reference for :meth:`AlphaProfile.slope`, which reads the
+    This is the reference for :meth:`AlphaProfile.expand`, which reads the
     same quantities from trig moments.
     """
     C = _design_columns(profile.t, 1.0 / np.asarray(freqs, dtype=float), profile.order)
@@ -68,3 +68,21 @@ def numbers_traj():
 @pytest.fixture(scope="session")
 def numbers_params():
     return sl.numbers_defaults(eps=0.001)
+
+
+def brent_search(profile, box, lo, hi):
+    """The reference period search on [lo, hi]: (frequency, profile evaluations).
+
+    Brent's method (scipy's ``brentq``) on the profile's slope when the slope
+    is negative at ``lo`` and positive at ``hi``; otherwise the end of lower
+    value.  The estimator's safeguarded Newton search finds the same zero.
+    """
+    from scipy.optimize import brentq
+
+    from sirlevy.estimator import _SEARCH_XTOL
+
+    (slope_lo, value_lo, _), (slope_hi, value_hi, _) = profile.expand(lo, box), profile.expand(hi, box)
+    if not slope_lo < 0.0 < slope_hi:
+        return (lo if value_lo <= value_hi else hi), 2
+    root, info = brentq(lambda f: profile.expand(f, box)[0], lo, hi, xtol=_SEARCH_XTOL * hi, full_output=True)
+    return float(root), info.function_calls

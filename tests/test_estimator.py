@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from sirlevy import BoxConstraints, ContrastConfig, EstimationError, EstimatorCo
 from sirlevy.contrast import alpha_profile
 from sirlevy.estimator import _scan_lattice, default_alpha_init
 
-from conftest import THETA_REF, make_dataset
+from conftest import THETA_REF, brent_search, make_dataset
 
 CFG_W = ContrastConfig(form="weighted", eps=0.001)
 
@@ -158,21 +160,21 @@ def test_period_search_stops_at_a_sign_change_of_the_profile_slope(monkeypatch):
         assert lo < f_star < hi
         assert res.theta.period == pytest.approx(1.0 / f_star, rel=1e-15)
         # the search's evaluator changes sign across the root
-        assert profile.slope(f_star * (1.0 - 1e-9), box)[0] < 0.0 < profile.slope(f_star * (1.0 + 1e-9), box)[0]
+        assert profile.expand(f_star * (1.0 - 1e-9), box)[0] < 0.0 < profile.expand(f_star * (1.0 + 1e-9), box)[0]
 
 
 def _search_frequencies(monkeypatch, out, brent):
     """(lo, hi, frequency) of each period search on criterion 5's datasets and the benchmark sweep's 40.
 
-    With ``brent`` the Newton route is replaced by Brent's method on the same bracket.
+    With ``brent`` the search is replaced by the reference, Brent's method on the same bracket.
     """
     import sirlevy.estimator as estimator
 
     searches = []
-    newton, envelope = estimator._newton_search, estimator._envelope_search
+    newton = estimator._newton_search
 
     def search(profile, box, lo, hi, start):
-        f_star, evaluations = envelope(profile, box, lo, hi) if brent else newton(profile, box, lo, hi, start)
+        f_star, evaluations = brent_search(profile, box, lo, hi) if brent else newton(profile, box, lo, hi, start)
         searches.append((lo, hi, f_star))
         return f_star, evaluations
 
@@ -197,6 +199,113 @@ def test_newton_search_finds_the_brent_frequency(monkeypatch, tmp_path):
     for (lo, hi, f_newton), (lo_brent, hi_brent, f_brent) in zip(newton, brent):
         assert (lo, hi) == (lo_brent, hi_brent)
         assert abs(f_newton - f_brent) <= estimator._SEARCH_XTOL * hi
+
+
+def test_search_finds_the_interior_minimum_of_full_sweep_dataset_106():
+    """``sweep --full`` eps 0.1 dataset 106, rebuilt alone: both scan-bracket ends slope down.
+
+    Newton's steps fail there; the search keeps their bracket, whose
+    positive slope closes a sign change with a negative one, and finds the
+    interior minimum at objective 308.8408857 that the end rule skipped
+    (308.8409104, a cell's).
+    """
+    from sirlevy.experiments import HORIZON, sample_true_theta
+    from sirlevy.levy import LevyPathNoise, sample_lambda, seed_sequence, stream
+
+    cfg = sl.RunConfig(n_datasets=1000)
+    draw = stream(0, 106, 0)
+    theta, lam = sample_true_theta(draw), sample_lambda(draw)
+    params = cfg.params(0.1)
+    noise = LevyPathNoise(seed_sequence(0, 106, 1), lam, HORIZON, 3)
+    traj = sl.simulate_sde("numbers", theta, params, cfg.x0, HORIZON, cfg.n_obs, noise, cfg.substeps)
+    res = sl.lsgd_estimate(traj, cfg.estimator(), BoxConstraints(), cfg.contrast(0.1), seed=stream(0, 106, 7), params=params)
+    assert res.objective <= 308.840886
+    assert res.theta.period == pytest.approx(0.391236, abs=1e-6)
+
+
+class _FakeProfile:
+    """A profile with an analytic ``expand`` in x = f - root: slope(x), value(x), curvature(x); it logs each frequency."""
+
+    def __init__(self, root, slope, value, curvature):
+        self.root, self.parts, self.calls = root, (slope, value, curvature), []
+
+    def expand(self, f, box):
+        self.calls.append(f)
+        x = f - self.root
+        return tuple(float(part(x)) for part in self.parts)
+
+    def value(self, f):
+        return float(self.parts[1](f - self.root))
+
+
+_ATAN = (math.atan, lambda x: x * math.atan(x) - 0.5 * math.log1p(x * x), lambda x: 1.0 / (1.0 + x * x))
+_SEARCH_CASES = {
+    # (slope, value, curvature), (lo, hi, start) in x, the minimizer in x
+    # Newton's first step from x = 2 lands at -3.5, outside [-3, 3]
+    "step_leaves_bracket": (_ATAN, (-3.0, 3.0, 2.0), 0.0),
+    # x = 0.2 lies between the local maximum at 0 and the minimum at 1
+    "curvature_not_positive": (
+        (lambda x: x**3 - x, lambda x: x**4 / 4 - x * x / 2, lambda x: 3 * x * x - 1), (-0.5, 2.0, 0.2), 1.0,
+    ),
+    # the curvature is not certified for x > 0.5
+    "curvature_nan": ((_ATAN[0], _ATAN[1], lambda x: math.nan if x > 0.5 else _ATAN[2](x)), (-3.0, 3.0, 1.0), 0.0),
+    # Newton's steps shrink by about 2/3 from x = 10, and still run after six evaluations
+    "newton_cap": (
+        (lambda x: x + x**3, lambda x: x * x / 2 + x**4 / 4, lambda x: 1 + 3 * x * x), (-1.0, 20.0, 10.0), 0.0,
+    ),
+    # both ends slope down (as in dataset 106) around the minimum at 0, the lowest point, and a maximum at 1.9
+    "ends_share_sign": (
+        (
+            lambda x: -x * (x - 1.9),
+            lambda x: -(x**3 / 3 - 0.95 * x * x),
+            lambda x: -(2 * x - 1.9),
+        ),
+        (-1.3, 2.0, 1.0),
+        0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_newton_search_safeguards_return_the_sign_change(case):
+    import sirlevy.estimator as estimator
+
+    parts, (lo, hi, start), minimizer = _SEARCH_CASES[case]
+    root = 5.0  # the frequencies are x + 5
+    profile = _FakeProfile(root, *parts)
+    f_star, evaluations = estimator._newton_search(profile, None, root + lo, root + hi, root + start)
+    assert evaluations == len(profile.calls) <= 60
+    assert abs(f_star - (root + minimizer)) <= estimator._SEARCH_XTOL * (root + hi)
+    best = min(profile.value(f) for f in profile.calls)
+    assert profile.value(f_star) <= best + 1e-12 * abs(best)
+    # an end is evaluated only where no slope before it has closed its side
+    ends = [k for k, f in enumerate(profile.calls) if f in (root + lo, root + hi)]
+    slopes = [parts[0](f - root) for f in profile.calls[: ends[0] if ends else None]]
+    assert (root + lo in profile.calls) == (not any(s < 0.0 for s in slopes))
+    assert (root + hi in profile.calls) == (not any(s > 0.0 for s in slopes))
+
+
+def test_newton_search_without_a_sign_change_returns_the_lowest_evaluated_point():
+    import sirlevy.estimator as estimator
+
+    # the profile falls across [0, 4] with zero curvature, so Newton cannot step and the end hi wins
+    profile = _FakeProfile(0.0, lambda x: -1.0 - 0.1 * x, lambda x: -x - 0.05 * x * x, lambda x: 0.0)
+    f_star, evaluations = estimator._newton_search(profile, None, 0.0, 4.0, 1.0)
+    assert (f_star, evaluations) == (4.0, 2)
+    assert profile.calls == [1.0, 4.0]
+
+
+def test_newton_search_fails_on_non_finite_values_and_at_its_cap():
+    import sirlevy.estimator as estimator
+
+    for slope, value in ((lambda x: math.nan, lambda x: x * x), (lambda x: x, lambda x: math.inf)):
+        with pytest.raises(EstimationError, match="non-finite"):
+            estimator._newton_search(_FakeProfile(0.0, slope, value, lambda x: 1.0), None, -1.0, 1.0, 0.5)
+    # a sign step without curvature: bisection from a bracket of width 1e300 needs about 1,000 halvings
+    step = _FakeProfile(0.0, lambda x: 1.0 if x > 0.5 else -1.0, lambda x: abs(x - 0.5), lambda x: math.nan)
+    with pytest.raises(EstimationError, match="did not converge"):
+        estimator._newton_search(step, None, -1e300, 1.0, 0.7)
+    assert len(step.calls) == estimator._SEARCH_MAXITER
 
 
 @pytest.mark.parametrize("order", [1, 2])
