@@ -11,9 +11,7 @@ every output file byte for byte, independent of worker scheduling.
 from __future__ import annotations
 
 import csv
-import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -36,8 +34,6 @@ from .transmission import PERIOD_FLOOR, ThetaParams
 
 FLOAT_FMT = "{:.17g}"
 _ROW_FMT = "%.17g,%.17g,%.17g,%.17g\n"  # a trajectory CSV row: t, X, Y, Z in FLOAT_FMT
-
-_log = logging.getLogger(__name__)
 
 # parameter point exercised by the bundled prediction studies and tests
 REFERENCE_THETA = ThetaParams(0.26836304, 0.15114833, 0.0621514, 0.096762)
@@ -425,7 +421,9 @@ def _estimate_one(args) -> tuple[float, int, list]:
             row.extend([tv, ev])
         row.extend([result.objective, result.converged, ""])
     except Exception as err:  # the batch goes on; the row records the failure
-        _log.debug("dataset %d at eps %r failed", dataset_id, eps, exc_info=True)
+        import logging  # loaded on the failure path only, the one place that logs
+
+        logging.getLogger(__name__).debug("dataset %d at eps %r failed", dataset_id, eps, exc_info=True)
         row = [dataset_id]
         for tv in true_vec:
             row.extend([tv, float("nan")])
@@ -462,6 +460,8 @@ def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(r.path, r.meta_path, r.dataset_id, r.eps, r.theta0, cfg) for r in records]
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool runs
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(pool.map(_estimate_one, tasks, chunksize=8))
     else:

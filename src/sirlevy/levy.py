@@ -34,6 +34,8 @@ square root of each interval's length.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 LARGE_JUMP_THRESHOLD = 0.1
@@ -87,6 +89,8 @@ def draw_jumps(rng: np.random.Generator, rate: float, horizon: float, dim: int):
     ``dim``-dimensional driver; marks has shape (count, dim).
     """
     count = int(rng.poisson(rate * horizon))
+    if count == 0:  # the two draws below would draw nothing
+        return np.empty(0), np.empty((0, dim))
     times = rng.uniform(0.0, horizon, size=count)
     return times, (MARKS_3D if dim == 3 else MARKS_1D)[_mark_index(rng, count, dim)]
 
@@ -126,11 +130,12 @@ class LevyPathNoise:
 
         while True:
             times, marks = draw_jumps(self._rng, self.rate, self.horizon, self.dim)
-            times = np.sort(times)
+            times.sort()
             # ties or a time of exactly 0.0 have probability ~2^-50; redraw rather
             # than carry a skeleton outside (0, horizon) or not strictly
             # increasing.  A redraw spends the rejected skeleton's marks draw too.
-            if times.size == 0 or (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
+            t = times.tolist()
+            if not t or (t[0] > 0.0 and all(map(operator.lt, t, t[1:]))):
                 break
         self.jump_times = times
         self.jump_marks = marks

@@ -152,7 +152,9 @@ def simulate_sde(
     base = np.linspace(0.0, horizon, n_steps + 1)
     keep = noise.jump_times <= horizon
     jump_times = noise.jump_times[keep]
-    grid = np.union1d(base, jump_times)
+    # the sorted union of the nodes and the jump times; a jump on a node is kept once
+    grid = np.sort(np.concatenate((base, jump_times)))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
     # one batch draw produces the same stream as per-interval draws, in grid order
     incs = noise.brownian_increments(np.diff(grid)).tolist()

@@ -1,4 +1,4 @@
-"""A NaN slope in the period search becomes a failure row, and a scipy-free import path."""
+"""A NaN slope in the period search becomes a failure row; a scipy-free import path and a lean cold start."""
 
 import math
 import os
@@ -63,6 +63,39 @@ def test_import_and_estimate_load_no_scipy():
         result = lsgd_estimate(traj, EstimatorConfig(), cfg=ContrastConfig("weighted", 0.001), seed=1)
         assert result.refine_iterations > 2, result.refine_iterations
         print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cold_start_loads_no_masked_arrays_pool_or_logging():
+    """Importing, simulating, estimating and a one-worker batch load only the modules they run."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = textwrap.dedent(
+        """
+        import sys
+        import tempfile
+        import sirlevy as sl
+        import sirlevy.cli
+        import numpy as np
+        params = sl.numbers_defaults(eps=0.01)
+        x0 = (2.3, 0.19, 0.25)
+        noise = sl.LevyPathNoise(np.random.SeedSequence(1), 2, 1.0, 3)
+        traj = sl.simulate_sde("numbers", sl.REFERENCE_THETA, params, x0, 1.0, 100, noise)
+        noises = [sl.LevyPathNoise(np.random.SeedSequence(k), 2, 1.0, 3) for k in range(2)]
+        sl.simulate_many("numbers", sl.REFERENCE_THETA, params, x0, 1.0, 100, noises)
+        sl.lsgd_estimate(traj, sl.EstimatorConfig(), cfg=sl.ContrastConfig("weighted", 0.01), seed=1)
+        sl.solve_ode("numbers", sl.REFERENCE_THETA, params, x0, 1.0, 100)
+        sl.information_matrix("numbers", sl.REFERENCE_THETA, params, x0)
+        cfg = sl.RunConfig(eps_list=(0.01,), n_datasets=2, seed=3, cells=6, jobs=1)
+        with tempfile.TemporaryDirectory() as out:
+            records = sl.generate_datasets(cfg, out)
+            rows = sl.batch_estimate(records, cfg, out)
+        assert len(records) == 2 and len(rows) == 1, (records, rows)
+        unused = ("numpy.ma", "multiprocessing", "concurrent.futures", "logging", "scipy")
+        print(sorted(k for k in sys.modules if k in unused or k.startswith(tuple(m + "." for m in unused))))
         """
     )
     env = dict(os.environ, PYTHONPATH=src)

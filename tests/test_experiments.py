@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import logging
 import os
 
 import numpy as np
@@ -234,6 +235,24 @@ def test_corrupt_dataset_becomes_failure_row(tmp_path, jobs):
     for row in rows[:1] + rows[2:]:
         assert row["error"] == ""
         assert np.isfinite(float(row["est_period"]))
+
+
+def test_failure_row_logs_its_traceback_at_debug(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="sirlevy.experiments")
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=2, seed=3, cells=6)
+    out = str(tmp_path)
+    records = sl.generate_datasets(cfg, out)
+    with open(records[1].path, "w", encoding="utf-8") as fh:
+        fh.write("t,X,Y,Z\n0.0,2.3,not-a-number,0.25\n")
+    paths = sl.batch_estimate(records, cfg, out)
+    with open(paths[0.01]) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["error"] == "" and rows[1]["error"].startswith("ValueError: ")
+    logged = [r for r in caplog.records if r.name == "sirlevy.experiments"]
+    assert len(logged) == 1
+    (record,) = logged
+    assert record.levelno == logging.DEBUG and record.getMessage() == "dataset 1 at eps 0.01 failed"
+    assert record.exc_info is not None and record.exc_info[0] is ValueError
 
 
 @pytest.mark.parametrize("n_rows", [0, 1])

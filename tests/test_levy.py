@@ -159,6 +159,20 @@ def test_draw_jumps_sorted_is_the_path_skeleton(dim):
         assert np.array_equal(noise.brownian_increments(np.array([1.0]))[0], inc)
 
 
+def test_noise_streams_are_pinned_across_seeds_rates_and_dims():
+    # the skeleton with its dtypes and shapes, and the Brownian stream after
+    # it, for counts from 0 up: a zero count may skip draws only if they draw nothing
+    for seed in range(3000):
+        for rate in (0.0, 1.0, 4.0):
+            for dim in (1, 3):
+                rng, times, marks = _skeleton_drawn_inline(seed, rate, 2.0, dim)
+                noise = LevyPathNoise(seed, rate, 2.0, dim)
+                for ours, ref in ((noise.jump_times, times), (noise.jump_marks, marks)):
+                    assert ours.dtype == ref.dtype and ours.shape == ref.shape and ours.flags.c_contiguous
+                    assert ours.tobytes() == ref.tobytes()
+                assert noise.fill_normals(np.empty((2, dim))).tobytes() == rng.standard_normal((2, dim)).tobytes()
+
+
 def test_mark_index_is_choice_with_weights():
     # numpy's choice with p searches one uniform per draw in the weights' cdf;
     # the constant cdfs must give its indices and leave the stream where it does
