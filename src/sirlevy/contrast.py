@@ -94,6 +94,14 @@ def weighted_coefficient(model_tag: str, states, params: SirParams) -> np.ndarra
     return c
 
 
+def _vanishing_node(traj: Trajectory, params: SirParams) -> str:
+    """The first left node of ``traj`` where the weighted form's coefficient vanishes: index, time, zero component."""
+    i = int(np.flatnonzero(noise_coeff_numbers(traj.states[:-1], params) == 0.0)[0])
+    zero = " and ".join(f"{name} = 0" for name, v in zip("XYZ", traj.states[i].tolist()) if v == 0.0)
+    where = zero or "X*Y*Z underflows to 0"
+    return f"sigma*X*Y*Z vanishes first at node {i}, t={traj.times[i].item()!r}, where {where}"
+
+
 def _resolve(traj: Trajectory, params: SirParams | None, cfg: ContrastConfig | None):
     """(params, cfg, w): params default to the trajectory's, cfg to the plain form at their eps.
 
@@ -706,7 +714,7 @@ def alpha_profile(
     params, cfg, w = _resolve(traj, params, cfg)
     dt = traj.spacing()
     if w is None:
-        raise DegenerateWeightsError("weighted objective is identically zero on this trajectory")
+        raise DegenerateWeightsError(_vanishing_node(traj, params))
     t0 = traj.times[:-1]
     n = t0.size
     g, v = drift_beta_split(traj.model, traj.states[:-1], params)

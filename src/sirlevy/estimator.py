@@ -358,7 +358,7 @@ def lsgd_estimate(
         profile = alpha_profile(traj, params, cfg, order=est.order)
     except DegenerateWeightsError as err:
         raise EstimationError(
-            "weighted objective is identically zero (degenerate noise weights); cannot estimate"
+            f"weighted objective is identically zero (degenerate noise weights); cannot estimate: {err}"
         ) from err
     rng = _make_rng(seed)
 

@@ -3,23 +3,24 @@
 All persistence lives here.  Trajectories go to CSV (header ``t,X,Y,Z``, 17
 significant digits, exact float64 round-trip) with a flat ``key=value``
 sidecar carrying the generating parameters; run configuration uses the same
-flat text format.  Every random draw descends from the single master seed
-through named spawn keys, so a rerun with the same seed and config reproduces
-every output file byte for byte, independent of worker scheduling.
+flat text format.  Every other table is written by :func:`_write_csv` and
+read by :func:`_read_csv`.  Every random draw descends from the single master
+seed through named spawn keys, so a rerun with the same seed and config
+reproduces every output file byte for byte, independent of worker scheduling.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .contrast import ContrastConfig, alpha_column_names
 from .estimator import BoxConstraints, EstimatorConfig, lsgd_estimate
 from .levy import LevyPathNoise, sample_lambda, seed_sequence, stream
-from .models import NUMBERS_X0, PROPORTIONS_X0, SirParams, get_model
+from .models import SirParams, get_model
 from .simulate import (
     PATH_BLOCK,
     SimulationError,
@@ -70,17 +71,29 @@ def load_keyvalues(path: str) -> dict[str, str]:
     return out
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """One table: the header, then each row's cells as ``_fmt`` writes them, quoted where CSV needs it."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _read_csv(path: str) -> list[dict[str, str]]:
+    """The rows of a table written by :func:`_write_csv`, each keyed by the header's names."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def save_trajectory(traj: Trajectory, path: str, meta_path: str | None = None) -> None:
+    """The trajectory CSV and, given ``meta_path``, its sidecar of generating parameters."""
     # one format per row writes what _fmt writes for each float
     rows = zip(traj.times.tolist(), *traj.states.T.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,X,Y,Z\n")
         fh.writelines([_ROW_FMT % row for row in rows])
-    if meta_path is not None:
-        save_trajectory_meta(traj, meta_path)
-
-
-def save_trajectory_meta(traj: Trajectory, path: str) -> None:
+    if meta_path is None:
+        return
     meta: dict = {"model": traj.model}
     if traj.theta is not None:
         th = traj.theta
@@ -99,7 +112,7 @@ def save_trajectory_meta(traj: Trajectory, path: str) -> None:
     meta["clamp_count"] = traj.clamp_count
     for key, val in traj.meta.items():
         meta[f"meta_{key}"] = val
-    save_keyvalues(meta, path)
+    save_keyvalues(meta, meta_path)
 
 
 def _theta_from_meta(meta: dict[str, str]) -> ThetaParams | None:
@@ -115,18 +128,30 @@ def _theta_from_meta(meta: dict[str, str]) -> ThetaParams | None:
 
 
 def load_trajectory(path: str, meta_path: str | None = None) -> Trajectory:
-    rows = []
+    """The trajectory at ``path``, its rows parsed by one ``np.loadtxt``, with what its sidecar records.
+
+    A malformed file raises ValueError naming it: empty, another header, a
+    blank line, fewer than two rows, a cell not a number, or not four cells.
+    """
     with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "X", "Y", "Z"]:
-            raise ValueError(f"unexpected trajectory header {header} in {path}")
-        for row in reader:
-            rows.append([float(v) for v in row])
-    if len(rows) < 2:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"trajectory file {path} is empty")
+    if lines[0] != "t,X,Y,Z":
+        raise ValueError(f"unexpected trajectory header {lines[0]!r} in {path}")
+    body = lines[1:]
+    # np.loadtxt skips blank lines, and warns on a body of nothing else
+    if "" in body:
+        raise ValueError(f"trajectory file {path} has a blank line at line {body.index('') + 2}")
+    if len(body) < 2:
         # a trajectory needs one interval; fewer rows are an empty or truncated file
-        raise ValueError(f"trajectory file {path} has {len(rows)} data rows; at least 2 are needed")
-    arr = np.asarray(rows)
+        raise ValueError(f"trajectory file {path} has {len(body)} data rows; at least 2 are needed")
+    try:
+        arr = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
+    except ValueError as err:
+        raise ValueError(f"trajectory file {path}: {err}") from None
+    if arr.shape[1] != 4:
+        raise ValueError(f"trajectory file {path} has {arr.shape[1]} cells a row; t,X,Y,Z needs 4")
     model = "numbers"
     theta = params = None
     lam = seed = None
@@ -167,30 +192,43 @@ def load_trajectory(path: str, meta_path: str | None = None) -> Trajectory:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one simulation study needs; round-trips through flat text."""
+    """Everything one simulation study needs; round-trips through flat text.
+
+    The constants, ``x0`` and ``contrast_form`` left unset (None) take the
+    model's study values.  Construction checks the whole config, params
+    included, so every verb refuses a bad one before it writes a file.
+    """
 
     model: str = "numbers"
     eps_list: tuple[float, ...] = (0.3, 0.1, 0.01, 0.001)
     n_obs: int = 100
     n_datasets: int = 100  # desk scale; --full restores 1000
     substeps: int = 10
-    birth: float = 0.018
-    death: float = 0.00042
-    gamma: float = 0.07142
-    sigma: float = 0.5
-    x0: tuple[float, float, float] = NUMBERS_X0
+    birth: float | None = None
+    death: float | None = None
+    gamma: float | None = None
+    sigma: float | None = None
+    x0: tuple[float, float, float] | None = None
     cells: int = 20
-    contrast_form: str = "weighted"
+    contrast_form: str | None = None
     order: int = 1
     seed: int = 0
     jobs: int = 1
 
     def __post_init__(self):
-        get_model(self.model)
+        model = get_model(self.model)
+        study = {name: getattr(model.constants, name) for name in ("birth", "death", "gamma", "sigma")}
+        study.update(x0=model.x0, contrast_form=model.contrast_form)
+        for name, value in study.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         _check_eps_levels(self.eps_list)
         for name in ("n_obs", "n_datasets", "substeps", "cells", "order", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        model.validate_params(self.params(0.0))
         # checked before the coercion below, which would hide a misspelled form on proportions
         try:
             ContrastConfig(form=self.contrast_form)
@@ -202,15 +240,7 @@ class RunConfig:
 
     @classmethod
     def proportions_defaults(cls, **overrides) -> "RunConfig":
-        base = dict(
-            model="proportions",
-            birth=0.0,
-            death=0.0,
-            x0=PROPORTIONS_X0,
-            contrast_form="plain",
-        )
-        base.update(overrides)
-        return cls(**base)
+        return cls(model="proportions", **overrides)
 
     def params(self, eps: float) -> SirParams:
         return SirParams(birth=self.birth, death=self.death, gamma=self.gamma, sigma=self.sigma, eps=eps)
@@ -233,6 +263,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
+        """The config a file records, refusing an explicit weighted form on proportions; every error names the file."""
         raw = load_keyvalues(path)
         # trees written while the estimator had a second inner solver record the exact one
         legacy = raw.pop("inner_solver", "linear")
@@ -241,20 +272,21 @@ class RunConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
+        if raw.get("model") == "proportions" and raw.get("contrast_form") == "weighted":
+            raise ValueError(f"contrast_form=weighted in {path}: the weighted form needs the population-numbers model")
+        default = cls()
         kwargs = {}
-        for f in fields(cls):
-            if f.name not in raw:
-                continue
-            text = raw[f.name]
-            if f.name in ("eps_list", "x0"):
-                kwargs[f.name] = tuple(float(v) for v in text.split(","))
-            elif f.type in ("int",):
-                kwargs[f.name] = int(text)
-            elif f.type in ("float",):
-                kwargs[f.name] = float(text)
-            else:
-                kwargs[f.name] = text
-        return cls(**kwargs)
+        for key, text in raw.items():
+            # each value parses as the type of the default config's field
+            kind = type(getattr(default, key))
+            try:
+                kwargs[key] = tuple(float(v) for v in text.split(",")) if kind is tuple else kind(text)
+            except ValueError as err:
+                raise ValueError(f"config key {key} in {path}: {err}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as err:
+            raise ValueError(f"config {path}: {err}") from None
 
 
 @dataclass
@@ -357,10 +389,8 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
             save_trajectory(traj, path, meta_path)
             records[li, i] = DatasetRecord(i, eps, thetas[p], path, meta_path)
             index_rows[li, i] = [_eps_exact(eps), i, os.path.relpath(path, out_dir), ""]
-    with open(os.path.join(out_dir, "datasets.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["eps", "dataset", "file", "error"])
-        writer.writerows(index_rows[key] for key in sorted(index_rows))
+    index = [index_rows[key] for key in sorted(index_rows)]
+    _write_csv(os.path.join(out_dir, "datasets.csv"), ["eps", "dataset", "file", "error"], index)
     return [records[key] for key in sorted(records)]
 
 
@@ -370,16 +400,13 @@ def load_records(out_dir: str) -> list[DatasetRecord]:
     if not os.path.exists(index_path):
         raise FileNotFoundError(f"no dataset index at {index_path}")
     records = []
-    with open(index_path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for eps, ds, file, _err in reader:
-            if file == "FAILED":
-                continue
-            path = os.path.join(out_dir, file)
-            meta_path = os.path.splitext(path)[0] + ".meta"
-            theta0 = _theta_from_meta(load_keyvalues(meta_path))
-            records.append(DatasetRecord(int(ds), float(eps), theta0, path, meta_path))
+    for row in _read_csv(index_path):
+        if row["file"] == "FAILED":
+            continue
+        path = os.path.join(out_dir, row["file"])
+        meta_path = os.path.splitext(path)[0] + ".meta"
+        theta0 = _theta_from_meta(load_keyvalues(meta_path))
+        records.append(DatasetRecord(int(row["dataset"]), float(row["eps"]), theta0, path, meta_path))
     return records
 
 
@@ -471,16 +498,9 @@ def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -
     for eps, dataset_id, row in outcomes:
         by_eps.setdefault(eps, []).append((dataset_id, row))
     paths = {}
-    header = _result_header(cfg.order)
     for eps, outcome in by_eps.items():
-        rows = [row for _, row in sorted(outcome, key=lambda t: t[0])]
-        path = os.path.join(out_dir, f"results_eps_{_eps_tag(eps)}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-        paths[eps] = path
+        paths[eps] = os.path.join(out_dir, f"results_eps_{_eps_tag(eps)}.csv")
+        _write_csv(paths[eps], _result_header(cfg.order), [row for _, row in sorted(outcome, key=lambda t: t[0])])
     return paths
 
 
@@ -531,12 +551,9 @@ def prediction_study(
         estimates[eps] = result.theta
 
     table_path = os.path.join(out_dir, "parameter_table.csv")
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", *_parameter_names(theta0.order)])
-        writer.writerow(["true", *(_fmt(v) for v in theta0.to_vector())])
-        for eps in eps_values:
-            writer.writerow([f"estimate_eps_{_eps_tag(eps)}", *(_fmt(v) for v in estimates[eps].to_vector())])
+    table = [["true", *theta0.to_vector()]]
+    table += [[f"estimate_eps_{_eps_tag(eps)}", *estimates[eps].to_vector()] for eps in eps_values]
+    _write_csv(table_path, ["row", *_parameter_names(theta0.order)], table)
 
     pred_rng = stream(cfg.seed, 53)
     pred_x0 = _sample_prediction_x0(pred_rng, model.tag)
@@ -569,14 +586,6 @@ def prediction_study(
     }
 
 
-def _read_results(path: str):
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    return header, rows
-
-
 def emit_reports(out_dir: str) -> dict:
     """Per-eps error summaries, the consistency-trend verdict, scatter CSVs.
 
@@ -602,24 +611,20 @@ def emit_reports(out_dir: str) -> dict:
     summary_rows = []
     medians_l2 = {}
     for eps in cfg.eps_list:
-        header, rows = _read_results(result_paths[eps])
-        col = {name: header.index(name) for name in header}
+        rows = _read_csv(result_paths[eps])
+        estimated = [row for row in rows if not row["error"]]
         errs = {name: [] for name in names}
         l2 = []
-        n_failed = 0
-        for row in rows:
-            if row[col["error"]]:
-                n_failed += 1
-                continue
+        for row in estimated:
             sq = 0.0
             for name in names:
-                diff = float(row[col[f"est_{name}"]]) - float(row[col[f"true_{name}"]])
+                diff = float(row[f"est_{name}"]) - float(row[f"true_{name}"])
                 errs[name].append(abs(diff))
                 sq += diff * diff
             l2.append(np.sqrt(sq))
         med_l2 = float(np.median(l2)) if l2 else float("nan")
         medians_l2[eps] = med_l2
-        srow = {"eps": eps, "n": len(l2), "failed": n_failed, "median_l2": med_l2}
+        srow = {"eps": eps, "n": len(l2), "failed": len(rows) - len(estimated), "median_l2": med_l2}
         for name in names:
             arr = np.asarray(errs[name])
             srow[f"median_abs_{name}"] = float(np.median(arr)) if arr.size else float("nan")
@@ -631,22 +636,12 @@ def emit_reports(out_dir: str) -> dict:
         summary_rows.append(srow)
 
         scatter_path = os.path.join(out_dir, f"scatter_eps_{_eps_tag(eps)}.csv")
-        with open(scatter_path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["parameter", "true", "estimate"])
-            for row in rows:
-                if row[col["error"]]:
-                    continue
-                for name in names:
-                    writer.writerow([name, row[col[f"true_{name}"]], row[col[f"est_{name}"]]])
+        scatter = [[name, row[f"true_{name}"], row[f"est_{name}"]] for row in estimated for name in names]
+        _write_csv(scatter_path, ["parameter", "true", "estimate"], scatter)
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    keys = list(summary_rows[0].keys())
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(keys)
-        for srow in summary_rows:
-            writer.writerow([_fmt(srow[k]) for k in keys])
+    keys = list(summary_rows[0])
+    _write_csv(summary_path, keys, [[srow[k] for k in keys] for srow in summary_rows])
 
     # consistency trend: medians ordered by decreasing eps must not increase,
     # and the largest-to-smallest ratio must reach 5x

@@ -7,8 +7,13 @@ least-squares machinery stay model-agnostic:
   present; the noise matrix is (sigma*X*Y*Z) times the 3x3 identity driving a
   3-dimensional noise source.
 * ``proportions``  -- compartments are fractions summing to one; no
-  demographics; the noise column is sigma*X*Y*Z * (-1, 2, -1) driving a scalar
-  noise source, so noise increments cancel across compartments.
+  demographics, so a nonzero birth or death rate is refused; the noise column
+  is sigma*X*Y*Z * (-1, 2, -1) driving a scalar noise source, so noise
+  increments cancel across compartments.
+
+Each :class:`SirModel` also owns its simulation study's defaults: the
+constants, the initial state and the contrast form that ``RunConfig`` takes
+for the fields a config leaves unset.
 
 States are plain length-3 arrays ordered (X, Y, Z) = (susceptible, infected,
 recovered).
@@ -52,19 +57,6 @@ class SirParams:
         return replace(self, eps=eps)
 
 
-def numbers_defaults(eps: float = 0.0) -> SirParams:
-    """Constants of the population-numbers simulation study."""
-    return SirParams(birth=0.018, death=0.00042, gamma=0.07142, sigma=0.5, eps=eps)
-
-
-def proportions_defaults(eps: float = 0.0) -> SirParams:
-    """Constants of the population-proportions simulation study."""
-    return SirParams(birth=0.0, death=0.0, gamma=0.07142, sigma=0.5, eps=eps)
-
-
-# initial states used in the simulation studies
-NUMBERS_X0 = (2.3, 0.19, 0.25)
-PROPORTIONS_X0 = (0.82, 0.07, 0.11)
 SIMPLEX_TOL = 1e-10  # how far a proportions state's sum may stray from 1
 
 
@@ -149,11 +141,18 @@ def drift_beta_split(model_tag: str, state, p: SirParams):
 
 @dataclass(frozen=True)
 class SirModel:
-    """One SIR variant: its drift and its read-only (3, driver_dim) noise direction."""
+    """One SIR variant: its drift, its read-only (3, driver_dim) noise direction and its study defaults.
+
+    ``constants`` (at eps 0), ``x0`` and ``contrast_form`` are the values of
+    the model's simulation study.
+    """
 
     tag: str
     drift: Callable
     direction: np.ndarray = field(compare=False)
+    constants: SirParams
+    x0: tuple[float, float, float]
+    contrast_form: str
 
     def __post_init__(self):
         self.direction.flags.writeable = False
@@ -176,11 +175,36 @@ class SirModel:
         if self.tag == "proportions" and np.any(np.abs(s.sum(axis=-1) - 1.0) > SIMPLEX_TOL):
             raise ValueError(f"proportions state must sum to 1 within {SIMPLEX_TOL}, got {s}")
 
+    def validate_params(self, p: SirParams) -> None:
+        """Raise ValueError where ``p`` has a birth or death rate that the proportions model lacks."""
+        if self.tag == "proportions" and (p.birth != 0.0 or p.death != 0.0):
+            raise ValueError(
+                f"the proportions model has no births or deaths: birth and death must be 0, "
+                f"got birth={p.birth!r}, death={p.death!r}"
+            )
 
-NUMBERS = SirModel("numbers", drift_numbers, np.eye(3))
-PROPORTIONS = SirModel("proportions", drift_proportions, np.array([[-1.0], [2.0], [-1.0]]))
+
+NUMBERS = SirModel(
+    "numbers", drift_numbers, np.eye(3), SirParams(birth=0.018, death=0.00042), (2.3, 0.19, 0.25), "weighted"
+)
+# the weighted form needs a full-rank noise matrix; the proportional model's is rank one
+PROPORTIONS = SirModel(
+    "proportions", drift_proportions, np.array([[-1.0], [2.0], [-1.0]]), SirParams(), (0.82, 0.07, 0.11), "plain"
+)
+NUMBERS_X0 = NUMBERS.x0
+PROPORTIONS_X0 = PROPORTIONS.x0
 
 _MODELS = {"numbers": NUMBERS, "proportions": PROPORTIONS}
+
+
+def numbers_defaults(eps: float = 0.0) -> SirParams:
+    """Constants of the population-numbers simulation study."""
+    return NUMBERS.constants.with_eps(eps)
+
+
+def proportions_defaults(eps: float = 0.0) -> SirParams:
+    """Constants of the population-proportions simulation study."""
+    return PROPORTIONS.constants.with_eps(eps)
 
 
 def get_model(model) -> SirModel:

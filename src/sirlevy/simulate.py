@@ -4,7 +4,9 @@ The stochastic integrators work on the union of a uniform internal grid
 (``substeps`` intervals per observation interval) and all jump times of the
 supplied noise path, so jumps land exactly on integration nodes.  Observation
 times are integration nodes by construction; no interpolation happens
-anywhere.
+anywhere.  ``simulate_sde``, ``simulate_many`` and ``solve_ode`` refuse a
+nonzero birth or death rate on the proportions model
+(:meth:`~sirlevy.models.SirModel.validate_params`).
 
 Both integrators take every grid interval through one Euler-Maruyama step
 (``_euler_step``) and every jump through one jump (``_jump``).  On floats a
@@ -146,6 +148,7 @@ def simulate_sde(
     model = get_model(model)
     if n_obs < 1 or substeps < 1:
         raise ValueError("n_obs and substeps must be >= 1")
+    model.validate_params(params)
     _check_noise(noise, model, horizon)
 
     n_steps = n_obs * substeps
@@ -515,6 +518,8 @@ def simulate_many(
     n_paths = len(noises)
     thetas = _per_path(theta, ThetaParams, n_paths)
     path_params = _per_path(params, SirParams, n_paths)
+    for p in set(path_params):
+        model.validate_params(p)
     dim = model.driver_dim
     n_steps = n_obs * substeps
     base = np.linspace(0.0, horizon, n_steps + 1)
@@ -652,6 +657,7 @@ def solve_ode(
     model = get_model(model)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    model.validate_params(params)
     times = np.linspace(0.0, horizon, n_steps + 1)
     h = horizon / n_steps
     half = 0.5 * h

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import logging
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,50 @@ def test_short_trajectory_files_become_failure_rows(tmp_path):
     assert rows[2]["error"] == ""
 
 
+_ROWS = "0.0,2.3,0.19,0.25\n0.5,2.2,0.2,0.26\n"
+# malformed trajectory files and a fragment of the error each raises; the short files have their own tests
+_MALFORMED = {
+    "empty": ("", "is empty"),
+    "other header": ("t,S,I,R\n" + _ROWS, "unexpected trajectory header 't,S,I,R'"),
+    "non-numeric cell": ("t,X,Y,Z\n0.0,2.3,x,0.25\n0.5,2.2,0.2,0.26\n", "could not convert string 'x'"),
+    "quoted cell": ('t,X,Y,Z\n0.0,"2.3",0.19,0.25\n0.5,2.2,0.2,0.26\n', "could not convert string '\"2.3\"'"),
+    "comment line": ("t,X,Y,Z\n# note\n" + _ROWS, "could not convert string '# note'"),
+    "blank line": ("t,X,Y,Z\n0.0,2.3,0.19,0.25\n\n0.5,2.2,0.2,0.26\n", "blank line at line 3"),
+    "trailing blank line": ("t,X,Y,Z\n" + _ROWS + "\n", "blank line at line 4"),
+    "blank body": ("t,X,Y,Z\n\n\n", "blank line at line 2"),
+    "fifth cell": ("t,X,Y,Z\n0.0,2.3,0.19,0.25\n0.5,2.2,0.2,0.26,7\n", "columns changed from 4 to 5"),
+    "five cells a row": ("t,X,Y,Z\n0.0,2.3,0.19,0.25,7\n0.5,2.2,0.2,0.26,7\n", "has 5 cells a row"),
+    "three cells a row": ("t,X,Y,Z\n0.0,2.3,0.19\n0.5,2.2,0.2\n", "has 3 cells a row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_trajectory_file_is_rejected_by_name(tmp_path, case):
+    text, fragment = _MALFORMED[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not reach the caller
+        with pytest.raises(ValueError) as err:
+            load_trajectory(str(path))
+    assert str(path) in str(err.value) and fragment in str(err.value), str(err.value)
+
+
+def test_malformed_trajectory_files_become_failure_rows(tmp_path):
+    cases = sorted(_MALFORMED)
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=len(cases) + 1, n_obs=10, seed=3, cells=4)
+    records = sl.generate_datasets(cfg, str(tmp_path))
+    for record, case in zip(records, cases):
+        with open(record.path, "w", encoding="utf-8") as fh:
+            fh.write(_MALFORMED[case][0])
+    sl.batch_estimate(records, cfg, str(tmp_path))
+    rows = _estimate_rows(str(tmp_path))
+    for row, record, case in zip(rows, records, cases):
+        error = row["error"]
+        assert error.startswith("ValueError: ") and record.path in error and _MALFORMED[case][1] in error, case
+    assert rows[-1]["error"] == ""
+
+
 def _estimate_rows(out):
     rows = []
     for name in sorted(os.listdir(out)):
@@ -430,6 +475,71 @@ def test_proportions_config_forces_plain_contrast():
     assert cfg.birth == 0.0 and cfg.death == 0.0
     cfg2 = RunConfig(model="proportions", contrast_form="weighted")
     assert cfg2.contrast_form == "plain"
+
+
+def test_proportions_config_takes_the_models_study_values(tmp_path):
+    cfg = RunConfig(model="proportions")
+    assert cfg == RunConfig.proportions_defaults()
+    assert (cfg.birth, cfg.death, cfg.x0, cfg.contrast_form) == (0.0, 0.0, sl.PROPORTIONS_X0, "plain")
+    assert cfg.params(0.3) == sl.proportions_defaults(0.3)
+    assert RunConfig().params(0.3) == sl.numbers_defaults(0.3)
+    assert (RunConfig().x0, RunConfig().contrast_form) == (sl.NUMBERS_X0, "weighted")
+    path = tmp_path / "config.txt"
+    path.write_text("model=proportions\n", encoding="utf-8")
+    assert RunConfig.load(str(path)) == cfg
+
+
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        (dict(model="proportions", birth=0.018), "birth=0.018"),
+        (dict(model="proportions", death=0.00042), "death=0.00042"),
+        (dict(gamma=0.0), "gamma and sigma must be positive"),
+        (dict(model="proportions", sigma=0.0), "gamma and sigma must be positive"),
+        (dict(seed=-1), "seed must be nonnegative"),
+    ],
+)
+def test_run_config_refuses_bad_values_before_writing(tmp_path, capsys, fields, named):
+    with pytest.raises(ValueError, match=named):
+        RunConfig(**fields)
+    path = tmp_path / "config.txt"
+    path.write_text("".join(f"{key}={value}\n" for key, value in fields.items()), encoding="utf-8")
+    with pytest.raises(ValueError, match=named) as err:
+        RunConfig.load(str(path))
+    assert str(path) in str(err.value)
+    for verb in ("sweep", "predict", "theory"):
+        out = tmp_path / verb
+        assert cli_main([verb, "--config", str(path), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_file_refuses_a_weighted_form_on_proportions(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("model=proportions\ncontrast_form=weighted\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="contrast_form=weighted") as err:
+        RunConfig.load(str(path))
+    assert str(path) in str(err.value)
+    path.write_text("model=proportions\ncontrast_form=plain\n", encoding="utf-8")
+    assert RunConfig.load(str(path)).contrast_form == "plain"
+    path.write_text("model=numbers\ncontrast_form=weighted\n", encoding="utf-8")
+    assert RunConfig.load(str(path)).contrast_form == "weighted"
+
+
+def test_proportions_tree_with_births_is_refused_by_estimate_and_report(tmp_path, capsys):
+    out = str(tmp_path / "tree")
+    cfg = RunConfig.proportions_defaults(eps_list=(0.3, 0.01), n_datasets=2, cells=4, n_obs=10)
+    sl.batch_estimate(sl.generate_datasets(cfg, out), cfg, out)
+    # a tree written while an unset birth rate defaulted to the numbers model's
+    config = os.path.join(out, "config.txt")
+    with open(config, encoding="utf-8") as fh:
+        text = fh.read().replace("birth=0\n", "birth=0.018\n")
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for verb in ("estimate", "report"):
+        assert cli_main([verb, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert config in err and "birth=0.018" in err, err
 
 
 def test_generate_estimate_report_deterministic(tmp_path):

@@ -681,3 +681,20 @@ def test_simulate_many_rows_equal_simulate_sde_with_per_path_theta_and_eps(model
         assert row.times.tobytes() == traj.times.tobytes()
         assert (row.clamp_count, row.meta, row.lam, row.seed) == (traj.clamp_count, traj.meta, traj.lam, traj.seed), p
         assert (row.theta, row.params, row.model) == (traj.theta, traj.params, traj.model), p
+
+
+@pytest.mark.parametrize("demographics", [dict(birth=0.018), dict(death=0.00042)])
+def test_proportions_integrators_refuse_births_and_deaths(demographics):
+    params = replace(sl.proportions_defaults(eps=0.1), **demographics)
+    noise = sl.LevyPathNoise(1, 2.0, 1.0, 1)
+    named = next(iter(demographics))
+    with pytest.raises(ValueError, match=f"{named}="):
+        sl.simulate_sde("proportions", THETA_REF, params, X0_PROPORTIONS, 1.0, 10, noise)
+    # one path of the batch with demographics is enough
+    mixed, noises = [sl.proportions_defaults(eps=0.1), params], [noise, sl.LevyPathNoise(2, 2.0, 1.0, 1)]
+    with pytest.raises(ValueError, match=f"{named}="):
+        sl.simulate_many("proportions", THETA_REF, mixed, X0_PROPORTIONS, 1.0, 10, noises)
+    with pytest.raises(ValueError, match=f"{named}="):
+        sl.solve_ode("proportions", THETA_REF, params, X0_PROPORTIONS, 1.0, 10)
+    # the numbers model keeps its demographics
+    sl.solve_ode("numbers", THETA_REF, replace(sl.numbers_defaults(), **demographics), X0_NUMBERS, 1.0, 10)

@@ -98,3 +98,16 @@ def test_weighted_information_matrix_divides_by_the_coefficient():
     weight = 2.0 * xy**2 / sl.noise_coeff_numbers(path.states, PARAMS) ** 2
     expected = np.einsum("t,ti,tj->ij", weight * _quadrature_weights(path.times), grads, grads)
     assert info.weighted and info.matrix.tobytes() == expected.tobytes()
+
+
+def test_degenerate_weights_name_the_first_vanishing_node():
+    states = np.array([[1.0, 0.5, 1.0], [0.0, 0.5, 0.0], [1.0, 0.4, 0.0], [1.0, 0.3, 1.0]])
+    traj = sl.Trajectory(times=np.linspace(0, 1.5, 4), states=states, model="numbers", params=PARAMS)
+    with pytest.raises(EstimationError) as err:
+        sl.lsgd_estimate(traj, EstimatorConfig(cells=4), cfg=WEIGHTED)
+    where = "sigma*X*Y*Z vanishes first at node 1, t=0.5, where X = 0 and Z = 0"
+    assert str(err.value).endswith(f"; cannot estimate: {where}")
+    # a product that underflows with no zero component
+    traj.states[1] = (1e-200, 1e-200, 1.0)
+    with pytest.raises(EstimationError, match="node 1, t=0.5, where X\\*Y\\*Z underflows to 0"):
+        sl.lsgd_estimate(traj, EstimatorConfig(cells=4), cfg=WEIGHTED)
