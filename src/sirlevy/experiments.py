@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .simulate import (
     simulate_sde,
     solve_ode,
 )
-from .theory import HORIZON
+from .theory import HORIZON, _median_and_quartiles
 from .transmission import PERIOD_FLOOR, ThetaParams
 
 FLOAT_FMT = "{:.17g}"
@@ -195,8 +195,8 @@ class RunConfig:
     """Everything one simulation study needs; round-trips through flat text.
 
     The constants, ``x0`` and ``contrast_form`` left unset (None) take the
-    model's study values.  Construction checks the whole config, params
-    included, so every verb refuses a bad one before it writes a file.
+    model's study values.  Construction checks the whole config, params and
+    ``x0`` included, so every verb refuses a bad one before it writes a file.
     """
 
     model: str = "numbers"
@@ -223,6 +223,10 @@ class RunConfig:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         _check_eps_levels(self.eps_list)
+        try:
+            model.validate_state(self.x0)
+        except ValueError as err:
+            raise ValueError(f"x0: {err}") from None
         for name in ("n_obs", "n_datasets", "substeps", "cells", "order", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -291,11 +295,20 @@ class RunConfig:
 
 @dataclass
 class DatasetRecord:
+    """One generated dataset: its id, noise level, true parameter and files.
+
+    ``trajectory`` is the path :func:`generate_datasets` has just simulated
+    and written to ``path``; :func:`batch_estimate` estimates it without
+    reading the files.  A record from :func:`load_records` has none, and is
+    estimated from its files.
+    """
+
     dataset_id: int
     eps: float
     theta0: ThetaParams
     path: str
     meta_path: str
+    trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
 
 def sample_true_theta(rng: np.random.Generator, order: int = 1) -> ThetaParams:
@@ -343,14 +356,13 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
     The datasets are simulated in lockstep, each with its own theta and eps:
     a :func:`simulate_many` call takes a run of datasets at every eps level,
     at most PATH_BLOCK paths, and each row is bit-identical to
-    ``simulate_sde`` on the same noise.  Records and index rows come in eps
+    ``simulate_sde`` on the same noise.  Each record holds the trajectory
+    it wrote, which :func:`batch_estimate` estimates without reading it back.  Records and index rows come in eps
     level order, then dataset order.  A dataset whose simulation fails is
     skipped (recorded in the index as FAILED, with ``simulate_sde``'s error
     message) and generation continues.
     """
     model = get_model(cfg.model)
-    # checked before anything is written, so a bad initial state leaves no partial tree
-    model.validate_state(cfg.x0)
     os.makedirs(out_dir, exist_ok=True)
     cfg.save(os.path.join(out_dir, "config.txt"))
     dim = model.driver_dim
@@ -387,7 +399,7 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
             path = os.path.join(eps_dir, f"dataset_{i:05d}.csv")
             meta_path = os.path.join(eps_dir, f"dataset_{i:05d}.meta")
             save_trajectory(traj, path, meta_path)
-            records[li, i] = DatasetRecord(i, eps, thetas[p], path, meta_path)
+            records[li, i] = DatasetRecord(i, eps, thetas[p], path, meta_path, traj)
             index_rows[li, i] = [_eps_exact(eps), i, os.path.relpath(path, out_dir), ""]
     index = [index_rows[key] for key in sorted(index_rows)]
     _write_csv(os.path.join(out_dir, "datasets.csv"), ["eps", "dataset", "file", "error"], index)
@@ -410,37 +422,54 @@ def load_records(out_dir: str) -> list[DatasetRecord]:
     return records
 
 
-def _check_sidecar(meta_path: str, cfg: RunConfig, params: SirParams) -> None:
-    """Raise ValueError naming each model or constant the sidecar records other than ``cfg`` at ``params``.
+_CONSTANTS = ("birth", "death", "gamma", "sigma", "eps")  # the constants a dataset records
 
-    A field the sidecar does not record, or a missing sidecar, is no mismatch.
+
+def _check_recorded(source: str, model: str | None, constants: dict, cfg: RunConfig, params: SirParams) -> None:
+    """Raise ValueError naming each model or constant ``source`` records other than ``cfg`` at ``params``.
+
+    A model of None, or a constant ``constants`` lacks, is no mismatch.
     """
-    meta = load_keyvalues(meta_path) if os.path.exists(meta_path) else {}
     differ = []
-    if "model" in meta and meta["model"] != cfg.model:
-        differ.append(f"model {meta['model']} (config {cfg.model})")
-    for name in ("birth", "death", "gamma", "sigma", "eps"):
-        if name in meta and float(meta[name]) != getattr(params, name):
-            differ.append(f"{name} {float(meta[name])!r} (config {getattr(params, name)!r})")
+    if model is not None and model != cfg.model:
+        differ.append(f"model {model} (config {cfg.model})")
+    for name in _CONSTANTS:
+        if name in constants and constants[name] != getattr(params, name):
+            differ.append(f"{name} {constants[name]!r} (config {getattr(params, name)!r})")
     if differ:
-        raise ValueError(f"the dataset sidecar {meta_path} differs from the config in " + "; ".join(differ))
+        raise ValueError(f"the dataset {source} differs from the config in " + "; ".join(differ))
+
+
+def _check_sidecar(meta_path: str, cfg: RunConfig, params: SirParams) -> None:
+    """:func:`_check_recorded` on what the sidecar records; a missing sidecar records nothing."""
+    meta = load_keyvalues(meta_path) if os.path.exists(meta_path) else {}
+    constants = {name: float(meta[name]) for name in _CONSTANTS if name in meta}
+    _check_recorded(f"sidecar {meta_path}", meta.get("model"), constants, cfg, params)
 
 
 def _estimate_one(args) -> tuple[float, int, list]:
     """One results row; any failure, loading included, becomes a row whose error names its class.
 
-    A dataset whose sidecar records another model or other constants than
-    the config's is a failure row too, rather than a fit under the wrong model.
+    ``args`` is (path, meta_path, dataset_id, eps, theta0, cfg), then the
+    record's trajectory if it has one.  That trajectory is estimated as it
+    is; otherwise the files are read.  Either way, a dataset recording
+    another model or other constants than the config's is a failure row
+    too, rather than a fit under the wrong model.
     """
-    record_path, record_meta, dataset_id, eps, theta0, cfg = args
+    record_path, record_meta, dataset_id, eps, theta0, cfg, *held = args
+    traj = held[0] if held else None
     params = cfg.params(eps)
     # common random numbers across the sweep here too: the line-search cell
     # draws for dataset i are shared between eps levels
     est_rng = stream(cfg.seed, dataset_id, 7)
     true_vec = theta0.to_vector() if theta0 is not None else np.full(2 + 2 * cfg.order, np.nan)
     try:
-        _check_sidecar(record_meta, cfg, params)
-        traj = load_trajectory(record_path, record_meta)
+        if traj is None:
+            _check_sidecar(record_meta, cfg, params)
+            traj = load_trajectory(record_path, record_meta)
+        else:
+            recorded = {} if traj.params is None else {name: getattr(traj.params, name) for name in _CONSTANTS}
+            _check_recorded(record_path, traj.model, recorded, cfg, params)
         result = lsgd_estimate(traj, cfg.estimator(), BoxConstraints(), cfg.contrast(eps), seed=est_rng, params=params)
         est_vec = result.theta.to_vector()
         row = [dataset_id]
@@ -474,9 +503,14 @@ def _result_header(order: int) -> list[str]:
 def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -> dict[float, str]:
     """Estimate every dataset; one results CSV per eps that has records, rows ordered by dataset id.
 
-    A record whose true parameter has another Fourier order than ``cfg.order``
-    raises ``ValueError`` before anything is written: its results row would
-    not match the header's columns.
+    A record holding its trajectory (from :func:`generate_datasets`) is
+    estimated from it, after its model and constants are checked against
+    ``cfg``; any other record (from :func:`load_records`) is read from its
+    files, after its sidecar is checked.  At ``cfg.jobs > 1`` the
+    trajectories go to the workers with their tasks.  A record whose true
+    parameter has another Fourier order than ``cfg.order`` raises
+    ``ValueError`` before anything is written: its results row would not
+    match the header's columns.
     """
     for r in records:
         if r.theta0 is not None and r.theta0.order != cfg.order:
@@ -485,7 +519,7 @@ def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -
                 f"but the config estimates at order {cfg.order}"
             )
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(r.path, r.meta_path, r.dataset_id, r.eps, r.theta0, cfg) for r in records]
+    tasks = [(r.path, r.meta_path, r.dataset_id, r.eps, r.theta0, cfg, r.trajectory) for r in records]
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool runs
 
@@ -591,6 +625,8 @@ def emit_reports(out_dir: str) -> dict:
 
     Expects the directory produced by generate/estimate (config.txt plus
     results_eps_*.csv); raises FileNotFoundError naming whatever is missing.
+    Medians and interquartile ranges come from
+    ``theory._median_and_quartiles``: numpy's values, without ``numpy.ma``.
     """
     cfg_path = os.path.join(out_dir, "config.txt")
     if not os.path.exists(cfg_path):
@@ -622,17 +658,13 @@ def emit_reports(out_dir: str) -> dict:
                 errs[name].append(abs(diff))
                 sq += diff * diff
             l2.append(np.sqrt(sq))
-        med_l2 = float(np.median(l2)) if l2 else float("nan")
+        med_l2 = _median_and_quartiles(l2)[0] if l2 else float("nan")
         medians_l2[eps] = med_l2
         srow = {"eps": eps, "n": len(l2), "failed": len(rows) - len(estimated), "median_l2": med_l2}
         for name in names:
-            arr = np.asarray(errs[name])
-            srow[f"median_abs_{name}"] = float(np.median(arr)) if arr.size else float("nan")
-            if arr.size:
-                q75, q25 = np.percentile(arr, [75, 25])
-                srow[f"iqr_abs_{name}"] = float(q75 - q25)
-            else:
-                srow[f"iqr_abs_{name}"] = float("nan")
+            med, q75, q25 = _median_and_quartiles(errs[name]) if errs[name] else (float("nan"),) * 3
+            srow[f"median_abs_{name}"] = med
+            srow[f"iqr_abs_{name}"] = q75 - q25
         summary_rows.append(srow)
 
         scatter_path = os.path.join(out_dir, f"scatter_eps_{_eps_tag(eps)}.csv")

@@ -21,6 +21,7 @@ imports it when called, so the rest of the module runs on numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -213,6 +214,44 @@ class LimitSampler:
         return inv @ J @ inv
 
 
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's linear interpolation from ``a`` to ``b``: a + d*t below t = 0.5, b - d*(1 - t) from there."""
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1.0 - t)
+
+
+def _median_and_quartiles(values) -> tuple[float, float, float]:
+    """The median, 75th and 25th percentiles of ``values``, as np.median and np.percentile give them.
+
+    This computes on the sorted floats, so a report loads no ``numpy.ma``
+    (numpy's median NaN check imports it).  The median is numpy's mean of
+    the middle value, or of the middle pair for an even count: summed from
+    +0.0, then divided by the count.  The percentiles are numpy's linear
+    method: the index (n - 1) * q, then :func:`_lerp` between its
+    neighbours, both the last value where the index reaches it, with the
+    weight numpy gives them there.  Any NaN gives NaN for all three.  The
+    results equal numpy's bit for bit, except where 0.0 and -0.0 tie at
+    the positions read: numpy's zero then takes the sign of whichever one
+    its partition put there.  No values raise IndexError, as in numpy.
+    """
+    s = [float(v) for v in values]
+    if any(math.isnan(v) for v in s):
+        return math.nan, math.nan, math.nan
+    s.sort()
+    n = len(s)
+    mid = n // 2
+    median = (0.0 + s[mid - 1] + s[mid]) / 2.0 if n % 2 == 0 else 0.0 + s[mid]
+
+    def percentile(q: float) -> float:
+        v = (n - 1) * q
+        if v >= n - 1:
+            return _lerp(s[-1], s[-1], v + 1.0)
+        i = math.floor(v)
+        return _lerp(s[i], s[i + 1], v - i)
+
+    return median, percentile(0.75), percentile(0.25)
+
+
 @dataclass
 class RateResult:
     """Scaled estimation errors (theta_hat - theta0) / eps per noise level."""
@@ -225,10 +264,11 @@ class RateResult:
     meta: dict = field(default_factory=dict)
 
     def iqr(self, eps: float) -> np.ndarray:
+        """Per component, the interquartile range of the replications that did not fail."""
         rows = self.scaled[eps]
         rows = rows[~np.isnan(rows).any(axis=1)]
-        q75, q25 = np.percentile(rows, [75, 25], axis=0)
-        return q75 - q25
+        quartiles = [_median_and_quartiles(col)[1:] for col in rows.T.tolist()]
+        return np.array([q75 - q25 for q75, q25 in quartiles], dtype=float)
 
     def iqr_ratio(self, eps_a: float, eps_b: float) -> np.ndarray:
         return self.iqr(eps_a) / self.iqr(eps_b)

@@ -101,3 +101,30 @@ def test_cold_start_loads_no_masked_arrays_pool_or_logging():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_sweep_report_and_rate_study_load_no_masked_arrays():
+    """A one-worker generate, estimate and report, then a rate study's IQRs, leave numpy.ma unloaded."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = textwrap.dedent(
+        """
+        import sys
+        import tempfile
+        import sirlevy as sl
+        cfg = sl.RunConfig(eps_list=(0.3, 0.01), n_datasets=2, seed=3, cells=6, jobs=1)
+        with tempfile.TemporaryDirectory() as out:
+            records = sl.generate_datasets(cfg, out)
+            sl.batch_estimate(records, cfg, out)
+            report = sl.emit_reports(out)
+        params = sl.numbers_defaults()
+        result = sl.rate_experiment(
+            "numbers", sl.REFERENCE_THETA, params, cfg.x0, (0.01, 0.001), replications=5, seed=2, limit_draws=20
+        )
+        ratio = result.iqr_ratio(0.01, 0.001)
+        assert len(report["medians_l2"]) == 2 and ratio.shape == (4,), (report, ratio)
+        print(sorted(k for k in sys.modules if k == "numpy.ma" or k.startswith("numpy.ma.")))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

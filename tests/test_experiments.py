@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import hashlib
 import logging
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,7 +210,8 @@ def test_consistency_verdict_fails_when_a_level_has_no_estimate(tmp_path, failed
         if record.eps == failed_eps:
             with open(record.path, "w", encoding="utf-8") as fh:
                 fh.write("t,X,Y,Z\n")
-    sl.batch_estimate(records, cfg, out)
+    # estimate reads the edited files; the generated records hold the trajectories as simulated
+    sl.batch_estimate(sl.load_records(out), cfg, out)
     report = sl.emit_reports(out)
     assert np.isnan(report["medians_l2"][failed_eps])
     assert not report["consistency_pass"]
@@ -225,7 +228,7 @@ def test_corrupt_dataset_becomes_failure_row(tmp_path, jobs):
     records = sl.generate_datasets(cfg, out)
     with open(records[1].path, "w", encoding="utf-8") as fh:
         fh.write("t,X,Y,Z\n0.0,2.3,not-a-number,0.25\n")
-    paths = sl.batch_estimate(records, cfg, out)
+    paths = sl.batch_estimate(sl.load_records(out), cfg, out)
     with open(paths[0.01]) as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["dataset"]) for r in rows] == [0, 1, 2, 3]
@@ -245,7 +248,7 @@ def test_failure_row_logs_its_traceback_at_debug(tmp_path, caplog):
     records = sl.generate_datasets(cfg, out)
     with open(records[1].path, "w", encoding="utf-8") as fh:
         fh.write("t,X,Y,Z\n0.0,2.3,not-a-number,0.25\n")
-    paths = sl.batch_estimate(records, cfg, out)
+    paths = sl.batch_estimate(sl.load_records(out), cfg, out)
     with open(paths[0.01]) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["error"] == "" and rows[1]["error"].startswith("ValueError: ")
@@ -272,7 +275,7 @@ def test_short_trajectory_files_become_failure_rows(tmp_path):
     for record, text in zip(records[:2], ("t,X,Y,Z\n", "t,X,Y,Z\n0.0,2.3,0.19,0.25\n")):
         with open(record.path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    paths = sl.batch_estimate(records, cfg, out)
+    paths = sl.batch_estimate(sl.load_records(out), cfg, out)
     with open(paths[0.01]) as fh:
         rows = list(csv.DictReader(fh))
     for row, record in zip(rows[:2], records[:2]):
@@ -317,7 +320,7 @@ def test_malformed_trajectory_files_become_failure_rows(tmp_path):
     for record, case in zip(records, cases):
         with open(record.path, "w", encoding="utf-8") as fh:
             fh.write(_MALFORMED[case][0])
-    sl.batch_estimate(records, cfg, str(tmp_path))
+    sl.batch_estimate(sl.load_records(str(tmp_path)), cfg, str(tmp_path))
     rows = _estimate_rows(str(tmp_path))
     for row, record, case in zip(rows, records, cases):
         error = row["error"]
@@ -354,6 +357,48 @@ def test_estimate_with_another_models_config_writes_mismatch_rows(tmp_path, caps
         assert row["est_base"] == "nan" and row["converged"] == "false"
 
 
+@pytest.mark.parametrize("route", ["memory", "files"])
+def test_records_estimated_under_another_sigma_are_failure_rows(tmp_path, route):
+    cfg = RunConfig(eps_list=(0.3, 0.01), n_datasets=2, seed=1, cells=6)
+    out = str(tmp_path)
+    generated = sl.generate_datasets(cfg, out)
+    records = generated if route == "memory" else sl.load_records(out)
+    assert all((r.trajectory is not None) == (route == "memory") for r in records)
+    paths = sl.batch_estimate(records, dataclasses.replace(cfg, sigma=0.25), out)
+    for eps, path in paths.items():
+        with open(path, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        level = [r for r in records if r.eps == eps]
+        assert [int(row["dataset"]) for row in rows] == [r.dataset_id for r in level] == [0, 1]
+        for row, record in zip(rows, level):
+            source = record.path if route == "memory" else f"sidecar {record.meta_path}"
+            expected = f"ValueError: the dataset {source} differs from the config in sigma 0.5 (config 0.25)"
+            assert row["error"] == expected
+            estimates = [row[key] for key in row if key.startswith("est_")] + [row["objective"]]
+            assert estimates == ["nan"] * 5 and row["converged"] == "false"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_generated_records_estimate_as_their_files(tmp_path, jobs):
+    # generate_datasets hands each trajectory over in memory; load_records reads the same tree back
+    cfg = RunConfig.proportions_defaults(eps_list=(0.3, 0.001), n_datasets=3, seed=6, cells=6, jobs=jobs)
+    out = str(tmp_path / "tree")
+    generated = sl.generate_datasets(cfg, out)
+    loaded = sl.load_records(out)
+    assert generated == loaded  # the trajectory takes no part in the comparison
+    for g, r in zip(generated, loaded):
+        assert r.trajectory is None and "trajectory" not in repr(g)
+        back = load_trajectory(g.path, g.meta_path)
+        assert g.trajectory.times.tobytes() == back.times.tobytes()
+        assert g.trajectory.states.tobytes() == back.states.tobytes()
+    results = []
+    for name, records in (("memory", generated), ("files", loaded)):
+        paths = sl.batch_estimate(records, cfg, str(tmp_path / name))
+        results.append({eps: Path(path).read_bytes() for eps, path in paths.items()})
+    assert results[0] == results[1]
+    assert sl.DatasetRecord(0, 0.3, None, "a.csv", "a.meta").trajectory is None
+
+
 def test_sidecar_without_model_or_constants_is_no_mismatch(tmp_path):
     cfg = RunConfig(eps_list=(0.01,), n_datasets=3, seed=1, cells=6)
     out = str(tmp_path)
@@ -371,7 +416,7 @@ def test_sidecar_without_model_or_constants_is_no_mismatch(tmp_path):
     meta = load_keyvalues(records[2].meta_path)
     meta["sigma"] = "0.25"
     sl.experiments.save_keyvalues(meta, records[2].meta_path)
-    with open(sl.batch_estimate(records, cfg, out)[0.01], encoding="utf-8") as fh:
+    with open(sl.batch_estimate(sl.load_records(out), cfg, out)[0.01], encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines[:3] == expected.splitlines()[:3]
     error = next(csv.DictReader(lines[:1] + lines[3:]))["error"]
@@ -393,7 +438,7 @@ def test_sidecar_with_partial_constants_is_rejected_by_name(tmp_path):
         assert record.meta_path in str(err.value)
         for key in ("death", "gamma", "sigma"):
             assert (key in str(err.value)) == (key in dropped), (key, str(err.value))
-    with open(sl.batch_estimate(records, cfg, out)[0.01], encoding="utf-8") as fh:
+    with open(sl.batch_estimate(sl.load_records(out), cfg, out)[0.01], encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     for row, record in zip(rows[:2], records[:2]):
@@ -497,13 +542,16 @@ def test_proportions_config_takes_the_models_study_values(tmp_path):
         (dict(gamma=0.0), "gamma and sigma must be positive"),
         (dict(model="proportions", sigma=0.0), "gamma and sigma must be positive"),
         (dict(seed=-1), "seed must be nonnegative"),
+        (dict(x0=(1.0, 2.0)), "x0: state must have 3 components"),
+        (dict(model="proportions", x0=(0.5, 0.25, 0.125, 0.125)), "x0: state must have 3 components"),
     ],
 )
 def test_run_config_refuses_bad_values_before_writing(tmp_path, capsys, fields, named):
     with pytest.raises(ValueError, match=named):
         RunConfig(**fields)
     path = tmp_path / "config.txt"
-    path.write_text("".join(f"{key}={value}\n" for key, value in fields.items()), encoding="utf-8")
+    lines = [f"{key}={','.join(map(str, value)) if isinstance(value, tuple) else value}\n" for key, value in fields.items()]
+    path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=named) as err:
         RunConfig.load(str(path))
     assert str(path) in str(err.value)

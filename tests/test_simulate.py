@@ -99,8 +99,14 @@ def test_unclamped_proportions_paths_conserve_mass(theta, eps, paths):
 
 
 def _reference_euler(model_tag, theta, params, s0, horizon, n_obs, noise, substeps):
-    """Straightforward jump-adapted Euler loop used as an independent oracle."""
+    """Straightforward jump-adapted Euler loop used as an independent oracle.
+
+    The noise and the jump are applied as the integrators apply them: the
+    coefficient c = (eps*sigma)*X*Y*Z at the left or pre-jump state, then
+    c times the increment or the mark, through the model's noise direction.
+    """
     model = sl.get_model(model_tag)
+    eps_sigma = params.eps * params.sigma
     base = np.linspace(0.0, horizon, n_obs * substeps + 1)
     grid = np.union1d(base, noise.jump_times[noise.jump_times <= horizon])
     dts = np.diff(grid)
@@ -111,13 +117,13 @@ def _reference_euler(model_tag, theta, params, s0, horizon, n_obs, noise, subste
     obs = set(base[::substeps][1:].tolist())
     for i in range(len(grid) - 1):
         t, dt = grid[i], dts[i]
-        s = s + dt * model.drift(t, s, theta, params) + params.eps * (
-            model.noise_matrix(s, params) @ incs[i]
-        )
+        c = eps_sigma * s[0] * s[1] * s[2]
+        s = s + dt * model.drift(t, s, theta, params) + model.direction @ (c * np.atleast_1d(incs[i]))
         s = np.maximum(s, 0.0)
         t_next = float(grid[i + 1])
         if t_next in jumps:
-            s = s + params.eps * (model.noise_matrix(s, params) @ np.atleast_1d(jumps[t_next]))
+            c = eps_sigma * s[0] * s[1] * s[2]
+            s = s + model.direction @ (c * np.atleast_1d(jumps[t_next]))
             s = np.maximum(s, 0.0)
         if t_next in obs:
             out.append(s.copy())
@@ -127,19 +133,18 @@ def _reference_euler(model_tag, theta, params, s0, horizon, n_obs, noise, subste
 def _reference_noises(dim):
     """Jumps of the law; and by hand, on a base node, on an observation node,
     two inside one base interval and then on its end node, and at the
-    horizon, with a mark that forces a clamp on the first.  The oracle
-    multiplies eps, sigma*X*Y*Z and the mark in another order, which can
-    round apart on a large jump: on the numbers model the large mark moves
-    only X, which it clamps to zero, and on the proportions model it rounds
-    alike."""
+    horizon, with a large mark on the first: one that forces a clamp, and
+    one that moves components it leaves unclamped."""
     base = np.linspace(0.0, 1.0, 50 * 7 + 1)
     dt = base[1] - base[0]
     mark = [-0.1, 0.1, 0.0] if dim == 3 else [0.1]
     big = [-1024.0, 0.0, 0.0] if dim == 3 else [8192.0]
+    moves = [-1000.0, 0.0, 1000.0] if dim == 3 else [-1000.0]
     times = [base[38], base[70], base[100] + 0.3 * dt, base[100] + 0.6 * dt, base[101], base[-1]]
     return [
         sl.LevyPathNoise(303, 4.0, 1.0, dim),
         _hand_noise(304, dim, 1.0, times, [big] + [mark] * 5),
+        _hand_noise(305, dim, 1.0, times, [moves] + [mark] * 5),
     ]
 
 

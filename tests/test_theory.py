@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sirlevy as sl
 import sirlevy.theory as theory_mod
-from sirlevy.theory import LimitSampler, _quadrature_weights
+from sirlevy.theory import LimitSampler, RateResult, _median_and_quartiles, _quadrature_weights
 
 from conftest import THETA_REF, X0_NUMBERS, X0_PROPORTIONS
 
@@ -201,3 +206,75 @@ def _simpson_weights_pairwise(times):
 def test_quadrature_weights_equal_the_pairwise_sum(n):
     times = np.linspace(0.0, 1.3, n + 1)
     assert _quadrature_weights(times).tobytes() == _simpson_weights_pairwise(times).tobytes()
+
+
+# floats for the order statistics: any finite or infinite value, and the edge
+# values again so that ties, subnormals and overflowing sums come often
+_EDGES = [0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+_order_floats = st.one_of(st.floats(allow_nan=False, width=64), st.sampled_from(_EDGES + [math.inf, -math.inf]))
+
+
+def _numpy_order_statistics(values, axis=None):
+    """np.median and np.percentile(values, [75, 25]), the calls the report and RateResult.iqr made."""
+    with np.errstate(all="ignore"):  # inf - inf and overflowing sums warn in numpy, not in floats
+        return np.median(values, axis=axis), *np.percentile(values, [75, 25], axis=axis)
+
+
+def _same_bits(got, expected) -> bool:
+    return np.asarray(got, dtype=np.float64).tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.lists(_order_floats, min_size=1, max_size=12),
+    zero=st.sampled_from([0.0, -0.0]),
+    nan_at=st.none() | st.integers(0, 12),
+)
+@example(values=[-0.0], zero=-0.0, nan_at=None)
+@example(values=[0.0, 0.0], zero=-0.0, nan_at=None)
+@example(values=[0.0, 0.0, 1.0], zero=-0.0, nan_at=None)
+@example(values=[math.inf], zero=0.0, nan_at=None)
+@example(values=[1.7976931348623157e308, 1.7976931348623157e308], zero=0.0, nan_at=None)
+@example(values=[-1.7976931348623157e308, 1.7976931348623157e308, 1.0], zero=0.0, nan_at=None)
+@example(values=[5e-324, 5e-324, -5e-324, 2.2250738585072014e-308], zero=0.0, nan_at=None)
+@example(values=[1.0, 2.0, 3.0, 4.0, math.inf], zero=0.0, nan_at=None)
+@example(values=[1.0], zero=0.0, nan_at=0)
+def test_median_and_quartiles_are_numpys_bit_for_bit(values, zero, nan_at):
+    # one sign for every zero of a sample: between tied 0.0 and -0.0, numpy's
+    # partition order picks the sign (the next test)
+    values = [zero if v == 0.0 else v for v in values]
+    if nan_at is not None:
+        values.insert(min(nan_at, len(values)), math.nan)
+    got = _median_and_quartiles(values)
+    assert all(type(v) is float for v in got)
+    assert _same_bits(got, _numpy_order_statistics(values)), (values, got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=1, max_size=12))
+def test_median_and_quartiles_differ_from_numpy_only_in_the_sign_of_a_tied_zero(values):
+    got = _median_and_quartiles(values)
+    expected = _numpy_order_statistics(values)
+    assert list(got) == [float(v) for v in expected]
+    for g, e in zip(got, expected):
+        assert g == 0.0 or _same_bits(g, e), (values, got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 4)), elements=_order_floats),
+    zero=st.sampled_from([0.0, -0.0]),
+    failed=st.lists(st.integers(0, 8), max_size=3),
+)
+def test_rate_result_iqr_is_numpys_bit_for_bit(rows, zero, failed):
+    rows = np.where(rows == 0.0, zero, rows)
+    failed = sorted({i for i in failed if i < rows.shape[0] - 1})  # one replication at least survives
+    rows[failed, 0] = np.nan
+    result = RateResult(theta0=THETA_REF, eps_list=[0.01], scaled={0.01: rows}, failures={0.01: len(failed)})
+    kept = np.delete(rows, failed, axis=0)
+    _, q75, q25 = _numpy_order_statistics(kept, axis=0)
+    with np.errstate(all="ignore"):
+        expected = q75 - q25
+    got = result.iqr(0.01)
+    assert got.dtype == np.float64 and got.shape == (rows.shape[1],)
+    assert _same_bits(got, expected), (kept, got, expected)
