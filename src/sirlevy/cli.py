@@ -28,8 +28,7 @@ from .experiments import (
     load_records,
     prediction_study,
 )
-from .models import get_model
-from .theory import information_matrix, rate_eps_levels, rate_experiment
+from .theory import information_matrix, rate_experiment
 from .transmission import ThetaParams
 
 
@@ -108,10 +107,8 @@ def cmd_theory(args) -> int:
     cfg = _load_config(args)
     theta0 = _theta0(args)
     eps_values = tuple(float(v) for v in args.eps.split(",")) if args.eps else (0.01, 0.001)
-    # checked before anything is written, so a bad level or initial state leaves no partial tree
+    # levels sharing a file tag are refused before anything is written; rate_experiment checks the rest
     _check_eps_levels(eps_values)
-    rate_eps_levels(eps_values)
-    get_model(cfg.model).validate_state(cfg.x0)
     info = information_matrix(cfg.model, theta0, cfg.params(0.0), cfg.x0, weighted=False)
     # the files are written only once the experiment has returned, so a
     # failure (a singular matrix, no replications) leaves no partial tree

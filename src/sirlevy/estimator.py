@@ -259,13 +259,13 @@ def _locate_frequency(profile: AlphaProfile, box) -> tuple[float | None, int]:
     return _newton_search(profile, box, f_lo, f_hi, start)
 
 
-def _expand(profile: AlphaProfile, box, f: float, seen: list) -> float:
-    """The profile's slope at ``f``, recording (value, f, slope) in ``seen``; a non-finite slope or value raises."""
-    slope, value, _ = profile.expand(f, box)
+def _expand(profile: AlphaProfile, box, f: float, seen: list) -> tuple[float, float]:
+    """The profile's slope and curvature at ``f``, recording (value, f, slope) in ``seen``; non-finite raises."""
+    slope, value, curvature = profile.expand(f, box)
     if not math.isfinite(slope + value):
         raise EstimationError(f"non-finite profile slope or value at frequency {f!r}")
     seen.append((value, f, slope))
-    return slope
+    return slope, curvature
 
 
 def _newton_search(profile: AlphaProfile, box, lo: float, hi: float, start: float) -> tuple[float, int]:
@@ -294,11 +294,7 @@ def _newton_search(profile: AlphaProfile, box, lo: float, hi: float, start: floa
     free = True  # Newton's steps not yet safeguarded
     step = step_old = hi - lo
     while True:
-        # _expand's work, inline on the hot path
-        slope, value, curvature = profile.expand(x, box)
-        if not math.isfinite(slope + value):
-            raise EstimationError(f"non-finite profile slope or value at frequency {x!r}")
-        seen.append((value, x, slope))
+        slope, curvature = _expand(profile, box, x, seen)
         if slope < 0.0:
             a = x
         elif slope > 0.0:
@@ -314,9 +310,9 @@ def _newton_search(profile: AlphaProfile, box, lo: float, hi: float, start: floa
             free = False
             closed_lo, closed_hi = any(s < 0.0 for *_, s in seen), any(s > 0.0 for *_, s in seen)
             if not closed_lo:
-                closed_lo = _expand(profile, box, lo, seen) < 0.0
+                closed_lo = _expand(profile, box, lo, seen)[0] < 0.0
             if not closed_hi:
-                closed_hi = _expand(profile, box, hi, seen) > 0.0
+                closed_hi = _expand(profile, box, hi, seen)[0] > 0.0
             if not (closed_lo and closed_hi):
                 return min(seen)[1], len(seen)
         safe = a < x - newton < b and 2.0 * abs(newton) <= abs(step_old)

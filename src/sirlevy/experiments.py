@@ -4,9 +4,16 @@ All persistence lives here.  Trajectories go to CSV (header ``t,X,Y,Z``, 17
 significant digits, exact float64 round-trip) with a flat ``key=value``
 sidecar carrying the generating parameters; run configuration uses the same
 flat text format.  Every other table is written by :func:`_write_csv` and
-read by :func:`_read_csv`.  Every random draw descends from the single master
-seed through named spawn keys, so a rerun with the same seed and config
-reproduces every output file byte for byte, independent of worker scheduling.
+read by :func:`_read_csv`.
+
+A dataset reaches its results row by one route, its trajectory held from
+generation or read by :func:`load_trajectory`, the estimate stage's one
+sidecar reader: one check against the config, then the estimate.  Any
+failure on the way is that dataset's failure row; the batch goes on.
+
+Every random draw descends from the single master seed through named spawn
+keys, so a rerun with the same seed and config reproduces every output file
+byte for byte, independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -127,11 +134,18 @@ def _theta_from_meta(meta: dict[str, str]) -> ThetaParams | None:
     return ThetaParams(float(meta["theta0_period"]), float(meta["theta0_base"]), tuple(cos), tuple(sin))
 
 
+_CONSTANTS = ("birth", "death", "gamma", "sigma", "eps")  # the constants a sidecar records, in SirParams order
+
+
 def load_trajectory(path: str, meta_path: str | None = None) -> Trajectory:
     """The trajectory at ``path``, its rows parsed by one ``np.loadtxt``, with what its sidecar records.
 
     A malformed file raises ValueError naming it: empty, another header, a
     blank line, fewer than two rows, a cell not a number, or not four cells.
+    Given ``meta_path``, the sidecar must exist (opening it raises, naming
+    it) and record ``model``; one that records ``birth`` records every
+    constant, so no value is invented.  Without a sidecar the trajectory
+    records no constants, under the numbers model.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -152,37 +166,29 @@ def load_trajectory(path: str, meta_path: str | None = None) -> Trajectory:
         raise ValueError(f"trajectory file {path}: {err}") from None
     if arr.shape[1] != 4:
         raise ValueError(f"trajectory file {path} has {arr.shape[1]} cells a row; t,X,Y,Z needs 4")
-    model = "numbers"
-    theta = params = None
-    lam = seed = None
-    clamps = 0
-    if meta_path is not None and os.path.exists(meta_path):
-        meta = load_keyvalues(meta_path)
-        model = meta.get("model", model)
-        theta = _theta_from_meta(meta)
-        if "birth" in meta:
-            missing = [key for key in ("death", "gamma", "sigma") if key not in meta]
-            if missing:
-                raise ValueError(f"sidecar {meta_path} records birth but not {', '.join(missing)}")
-            params = SirParams(
-                birth=float(meta["birth"]),
-                death=float(meta["death"]),
-                gamma=float(meta["gamma"]),
-                sigma=float(meta["sigma"]),
-                eps=float(meta.get("eps", 0.0)),
-            )
-        lam = float(meta["lambda"]) if "lambda" in meta else None
-        seed = int(meta["seed"]) if "seed" in meta else None
-        clamps = int(meta.get("clamp_count", 0))
+    if meta_path is None:
+        return Trajectory(times=arr[:, 0], states=arr[:, 1:4], model="numbers")
+    meta = load_keyvalues(meta_path)
+    if "model" not in meta:
+        raise ValueError(f"sidecar {meta_path} records no model")
+    params = None
+    if "birth" in meta:
+        missing = [name for name in _CONSTANTS if name not in meta]
+        if missing:
+            raise ValueError(f"sidecar {meta_path} records birth but not {', '.join(missing)}")
+        try:
+            params = SirParams(*(float(meta[name]) for name in _CONSTANTS))
+        except ValueError as err:
+            raise ValueError(f"sidecar {meta_path}: {err}") from None
     return Trajectory(
         times=arr[:, 0],
         states=arr[:, 1:4],
-        model=model,
-        theta=theta,
+        model=meta["model"],
+        theta=_theta_from_meta(meta),
         params=params,
-        seed=seed,
-        lam=lam,
-        clamp_count=clamps,
+        seed=int(meta["seed"]) if "seed" in meta else None,
+        lam=float(meta["lambda"]) if "lambda" in meta else None,
+        clamp_count=int(meta.get("clamp_count", 0)),
     )
 
 
@@ -298,9 +304,10 @@ class DatasetRecord:
     """One generated dataset: its id, noise level, true parameter and files.
 
     ``trajectory`` is the path :func:`generate_datasets` has just simulated
-    and written to ``path``; :func:`batch_estimate` estimates it without
-    reading the files.  A record from :func:`load_records` has none, and is
-    estimated from its files.
+    and written to ``path`` and its sidecar ``meta_path``.  A record from
+    :func:`load_records` holds none; :func:`batch_estimate` then reads it
+    with :func:`load_trajectory`.  Either way the one trajectory is checked
+    against the config and estimated.
     """
 
     dataset_id: int
@@ -407,7 +414,10 @@ def generate_datasets(cfg: RunConfig, out_dir: str) -> list[DatasetRecord]:
 
 
 def load_records(out_dir: str) -> list[DatasetRecord]:
-    """Rebuild dataset records from a generated output tree."""
+    """Rebuild dataset records from a generated output tree, each with the true parameter its sidecar records.
+
+    A sidecar that cannot be opened leaves ``theta0`` None; the estimate names it in a failure row.
+    """
     index_path = os.path.join(out_dir, "datasets.csv")
     if not os.path.exists(index_path):
         raise FileNotFoundError(f"no dataset index at {index_path}")
@@ -417,59 +427,49 @@ def load_records(out_dir: str) -> list[DatasetRecord]:
             continue
         path = os.path.join(out_dir, row["file"])
         meta_path = os.path.splitext(path)[0] + ".meta"
-        theta0 = _theta_from_meta(load_keyvalues(meta_path))
+        try:
+            theta0 = _theta_from_meta(load_keyvalues(meta_path))
+        except OSError:
+            theta0 = None
         records.append(DatasetRecord(int(row["dataset"]), float(row["eps"]), theta0, path, meta_path))
     return records
 
 
-_CONSTANTS = ("birth", "death", "gamma", "sigma", "eps")  # the constants a dataset records
+def _check_recorded(record: DatasetRecord, traj: Trajectory, cfg: RunConfig, params: SirParams) -> None:
+    """Raise ValueError naming each model or constant ``traj`` records other than ``cfg`` at ``params``.
 
-
-def _check_recorded(source: str, model: str | None, constants: dict, cfg: RunConfig, params: SirParams) -> None:
-    """Raise ValueError naming each model or constant ``source`` records other than ``cfg`` at ``params``.
-
-    A model of None, or a constant ``constants`` lacks, is no mismatch.
+    A trajectory without params records no constants, and none is checked.
     """
     differ = []
-    if model is not None and model != cfg.model:
-        differ.append(f"model {model} (config {cfg.model})")
-    for name in _CONSTANTS:
-        if name in constants and constants[name] != getattr(params, name):
-            differ.append(f"{name} {constants[name]!r} (config {getattr(params, name)!r})")
+    if traj.model != cfg.model:
+        differ.append(f"model {traj.model} (config {cfg.model})")
+    if traj.params is not None:
+        for name in _CONSTANTS:
+            recorded, wanted = getattr(traj.params, name), getattr(params, name)
+            if recorded != wanted:
+                differ.append(f"{name} {recorded!r} (config {wanted!r})")
     if differ:
-        raise ValueError(f"the dataset {source} differs from the config in " + "; ".join(differ))
+        raise ValueError(f"the dataset sidecar {record.meta_path} differs from the config in " + "; ".join(differ))
 
 
-def _check_sidecar(meta_path: str, cfg: RunConfig, params: SirParams) -> None:
-    """:func:`_check_recorded` on what the sidecar records; a missing sidecar records nothing."""
-    meta = load_keyvalues(meta_path) if os.path.exists(meta_path) else {}
-    constants = {name: float(meta[name]) for name in _CONSTANTS if name in meta}
-    _check_recorded(f"sidecar {meta_path}", meta.get("model"), constants, cfg, params)
+def _estimate_one(task: tuple[DatasetRecord, RunConfig]) -> tuple[float, int, list]:
+    """One results row of ``task``, a (record, cfg) pair; any failure, loading included, is a row naming its class.
 
-
-def _estimate_one(args) -> tuple[float, int, list]:
-    """One results row; any failure, loading included, becomes a row whose error names its class.
-
-    ``args`` is (path, meta_path, dataset_id, eps, theta0, cfg), then the
-    record's trajectory if it has one.  That trajectory is estimated as it
-    is; otherwise the files are read.  Either way, a dataset recording
-    another model or other constants than the config's is a failure row
-    too, rather than a fit under the wrong model.
+    The record's trajectory is estimated as it is or, where the record holds
+    none, read by :func:`load_trajectory` from its CSV and sidecar.  A
+    dataset recording another model or other constants than the config's is
+    a failure row too, rather than a fit under the wrong model.
     """
-    record_path, record_meta, dataset_id, eps, theta0, cfg, *held = args
-    traj = held[0] if held else None
+    record, cfg = task
+    dataset_id, eps = record.dataset_id, record.eps
     params = cfg.params(eps)
     # common random numbers across the sweep here too: the line-search cell
     # draws for dataset i are shared between eps levels
     est_rng = stream(cfg.seed, dataset_id, 7)
-    true_vec = theta0.to_vector() if theta0 is not None else np.full(2 + 2 * cfg.order, np.nan)
+    true_vec = record.theta0.to_vector() if record.theta0 is not None else np.full(2 + 2 * cfg.order, np.nan)
     try:
-        if traj is None:
-            _check_sidecar(record_meta, cfg, params)
-            traj = load_trajectory(record_path, record_meta)
-        else:
-            recorded = {} if traj.params is None else {name: getattr(traj.params, name) for name in _CONSTANTS}
-            _check_recorded(record_path, traj.model, recorded, cfg, params)
+        traj = record.trajectory if record.trajectory is not None else load_trajectory(record.path, record.meta_path)
+        _check_recorded(record, traj, cfg, params)
         result = lsgd_estimate(traj, cfg.estimator(), BoxConstraints(), cfg.contrast(eps), seed=est_rng, params=params)
         est_vec = result.theta.to_vector()
         row = [dataset_id]
@@ -503,11 +503,10 @@ def _result_header(order: int) -> list[str]:
 def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -> dict[float, str]:
     """Estimate every dataset; one results CSV per eps that has records, rows ordered by dataset id.
 
-    A record holding its trajectory (from :func:`generate_datasets`) is
-    estimated from it, after its model and constants are checked against
-    ``cfg``; any other record (from :func:`load_records`) is read from its
-    files, after its sidecar is checked.  At ``cfg.jobs > 1`` the
-    trajectories go to the workers with their tasks.  A record whose true
+    Each record is one (record, cfg) task of :func:`_estimate_one`: its
+    trajectory, held or read from its files, is checked against ``cfg`` and
+    estimated, and a dataset that fails either is a failure row.  At
+    ``cfg.jobs > 1`` the records go to the workers whole.  A record whose true
     parameter has another Fourier order than ``cfg.order`` raises
     ``ValueError`` before anything is written: its results row would not
     match the header's columns.
@@ -519,7 +518,7 @@ def batch_estimate(records: list[DatasetRecord], cfg: RunConfig, out_dir: str) -
                 f"but the config estimates at order {cfg.order}"
             )
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(r.path, r.meta_path, r.dataset_id, r.eps, r.theta0, cfg, r.trajectory) for r in records]
+    tasks = [(r, cfg) for r in records]
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool runs
 

@@ -371,8 +371,9 @@ def test_records_estimated_under_another_sigma_are_failure_rows(tmp_path, route)
         level = [r for r in records if r.eps == eps]
         assert [int(row["dataset"]) for row in rows] == [r.dataset_id for r in level] == [0, 1]
         for row, record in zip(rows, level):
-            source = record.path if route == "memory" else f"sidecar {record.meta_path}"
-            expected = f"ValueError: the dataset {source} differs from the config in sigma 0.5 (config 0.25)"
+            # both routes name the dataset by its sidecar
+            differ = "differs from the config in sigma 0.5 (config 0.25)"
+            expected = f"ValueError: the dataset sidecar {record.meta_path} {differ}"
             assert row["error"] == expected
             estimates = [row[key] for key in row if key.startswith("est_")] + [row["objective"]]
             assert estimates == ["nan"] * 5 and row["converged"] == "false"
@@ -399,28 +400,59 @@ def test_generated_records_estimate_as_their_files(tmp_path, jobs):
     assert sl.DatasetRecord(0, 0.3, None, "a.csv", "a.meta").trajectory is None
 
 
-def test_sidecar_without_model_or_constants_is_no_mismatch(tmp_path):
-    cfg = RunConfig(eps_list=(0.01,), n_datasets=3, seed=1, cells=6)
+def test_sidecar_without_model_or_eps_is_a_failure_row_naming_it(tmp_path):
+    cfg = RunConfig(eps_list=(0.01,), n_datasets=4, seed=1, cells=6)
     out = str(tmp_path)
     records = sl.generate_datasets(cfg, out)
     reference = sl.batch_estimate(records, cfg, out)[0.01]
     with open(reference, encoding="utf-8") as fh:
-        expected = fh.read()
-    # dataset 0 loses the recorded model and constants, dataset 1 its model and eps lines
-    for record, dropped in zip(records[:2], (("model", "birth", "death", "gamma", "sigma", "eps"), ("model", "eps"))):
+        expected = fh.read().splitlines()
+    # dataset 0 loses its model line, dataset 1 its eps line, dataset 2 records another sigma
+    edits = (("model", "records no model"), ("eps", "records birth but not eps"))
+    for record, (dropped, reason) in zip(records, edits):
         meta = load_keyvalues(record.meta_path)
-        for key in dropped:
-            del meta[key]
+        del meta[dropped]
         sl.experiments.save_keyvalues(meta, record.meta_path)
-    # dataset 2 records another sigma
+        with pytest.raises(ValueError, match=reason) as err:
+            load_trajectory(record.path, record.meta_path)
+        assert record.meta_path in str(err.value)
     meta = load_keyvalues(records[2].meta_path)
     meta["sigma"] = "0.25"
     sl.experiments.save_keyvalues(meta, records[2].meta_path)
     with open(sl.batch_estimate(sl.load_records(out), cfg, out)[0.01], encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    assert lines[:3] == expected.splitlines()[:3]
-    error = next(csv.DictReader(lines[:1] + lines[3:]))["error"]
-    assert error == f"ValueError: the dataset sidecar {records[2].meta_path} differs from the config in sigma 0.25 (config 0.5)"
+    rows = list(csv.DictReader(lines))
+    for row, record, (_, reason) in zip(rows, records, edits):
+        assert row["error"] == f"ValueError: sidecar {record.meta_path} {reason}"
+        assert row["converged"] == "false"
+    differ = "differs from the config in sigma 0.25 (config 0.5)"
+    assert rows[2]["error"] == f"ValueError: the dataset sidecar {records[2].meta_path} {differ}"
+    # the untouched dataset keeps its row byte for byte
+    assert lines[0] == expected[0] and lines[4] == expected[4]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_missing_sidecar_is_a_failure_row_not_an_abort(tmp_path, capsys, jobs):
+    out = str(tmp_path / "tree")
+    cfg = RunConfig(eps_list=(0.3, 0.01), n_datasets=3, seed=2, cells=6, jobs=jobs)
+    reference = sl.batch_estimate(sl.generate_datasets(cfg, out), cfg, out)
+    expected = {eps: Path(path).read_text(encoding="utf-8").splitlines() for eps, path in reference.items()}
+    gone = os.path.join(out, "eps_0.01", "dataset_00001.meta")
+    os.remove(gone)
+    assert cli_main(["estimate", "--jobs", str(jobs), "--out", out]) == 0
+    capsys.readouterr()
+    for eps, lines in expected.items():
+        rows = Path(reference[eps]).read_text(encoding="utf-8").splitlines()
+        assert len(rows) == len(lines) == 4
+        for k, (row, want) in enumerate(zip(rows, lines)):
+            if (eps, k) != (0.01, 2):
+                assert row == want
+    rows = csv.DictReader(Path(reference[0.01]).read_text(encoding="utf-8").splitlines())
+    (row,) = [r for r in rows if r["dataset"] == "1"]
+    assert row["error"] == f"FileNotFoundError: [Errno 2] No such file or directory: '{gone}'"
+    # the true parameter lived in the sidecar too
+    assert [row[key] for key in row if key.startswith(("true_", "est_"))] == ["nan"] * 8
+    assert row["converged"] == "false"
 
 
 def test_sidecar_with_partial_constants_is_rejected_by_name(tmp_path):
@@ -1006,7 +1038,7 @@ def test_results_csv_round_trips_theta_bit_for_bit(tmp_path_factory, one_dataset
     cfg, record = one_dataset_tree
     theta0 = sl.ThetaParams.from_vector(theta)
     record = sl.DatasetRecord(record.dataset_id, record.eps, theta0, record.path, record.meta_path)
-    row = sl.experiments._estimate_one((record.path, record.meta_path, record.dataset_id, record.eps, theta0, cfg))[2]
+    row = sl.experiments._estimate_one((record, cfg))[2]
     path = sl.batch_estimate([record], cfg, str(tmp_path_factory.mktemp("results")))[record.eps]
     with open(path, encoding="utf-8") as fh:
         (back,) = csv.DictReader(fh)
